@@ -198,6 +198,12 @@ def check_tasaki_product_formula(level: str) -> None:
                         )
                         rhs = tau(n, k + l, p + q) * coeff
                         assert lhs == rhs, (n, k, l, p, q)
+                        # multiply is built from this formula: the quotient
+                        # map is the independent route
+                        quotient = from_monomial(
+                            n, to_monomial(tau(n, k, p)) * to_monomial(tau(n, l, q))
+                        )
+                        assert quotient == rhs, (n, k, l, p, q)
 
 
 def check_fourier_and_iota(level: str) -> None:

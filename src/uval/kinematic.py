@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linalg import invert_scalar_matrix, scalar_matrix_det
+from .linalg import invert_scalar_matrix, scalar_leading_minors
 from .scalar import Scalar, binomial, double_factorial, factorial, omega
 from .valuation import (
     Valuation,
@@ -92,11 +92,7 @@ class TasakiMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def leading_minor_dets(self) -> list[Scalar]:
-        rows = [list(r) for r in self.entries]
-        return [
-            scalar_matrix_det([row[: j + 1] for row in rows[: j + 1]])
-            for j in range(self.size)
-        ]
+        return scalar_leading_minors(self.entries)
 
     def to_json(self) -> dict:
         return {

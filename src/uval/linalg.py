@@ -1,15 +1,18 @@
-"""Small exact linear algebra helpers over Fraction and Scalar matrices.
+"""Exact linear algebra helpers over Fraction and Scalar matrices.
 
-The matrices in this package are tiny (at most 5x5), so plain Gauss-Jordan
-elimination over Fraction and cofactor determinants over Scalar are exact
-and fast.  Scalar matrices arising from the duality pairing always carry a
-single common power of pi; inversion factors that power out and inverts
-the rational part.
+The matrices in this package are small (a Tasaki matrix at level n is
+(floor(n/2)+1) square, 17x17 at n = 32).  Inversion is Gauss-Jordan
+elimination over Fraction; determinants use fraction-free Bareiss
+elimination over the integers, so their cost is polynomial in the size.
+Scalar matrices arising from the duality pairing always carry a single
+common power of pi; inversion and determinants factor that power out and
+work on the rational part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .scalar import Scalar
@@ -18,6 +21,7 @@ __all__ = [
     "invert_fraction_matrix",
     "invert_scalar_matrix",
     "scalar_matrix_det",
+    "scalar_leading_minors",
     "fraction_matrix_rank",
 ]
 
@@ -71,23 +75,84 @@ def invert_scalar_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]
     return [[Scalar.of(x, -m) for x in row] for row in inv]
 
 
-def scalar_matrix_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant over the Scalar ring by cofactor expansion."""
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: (integer rows, row scales)."""
+    ints, scales = [], []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return ints, scales
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 22, 1968) of
+    a square integer matrix, in place.
+
+    Returns (swaps, pivots): the number of row exchanges and the pivot of
+    each step.  The determinant is (-1)^swaps times the last pivot; a
+    singular matrix ends with a zero pivot.  With no exchange, pivot j is
+    the leading (j+1)x(j+1) minor.
+    """
+    size = len(a)
+    swaps, prev, pivots = 0, 1, []
+    for k in range(size):
+        if a[k][k] == 0:
+            r = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if r is None:
+                return swaps, pivots + [0]
+            a[k], a[r] = a[r], a[k]
+            swaps += 1
+        p = a[k][k]
+        pivots.append(p)
+        row_k = a[k]
+        for i in range(k + 1, size):
+            row_i, f = a[i], a[i][k]
+            for j in range(k + 1, size):
+                row_i[j] = (row_i[j] * p - f * row_k[j]) // prev
+        prev = p
+    return swaps, pivots
+
+
+def _rational_part(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]], list[int]]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    if n == 0:
+    m = _common_pi_power(rows)
+    ints, scales = _integer_rows([[s.coefficient(m) for s in row] for row in rows])
+    return m, ints, scales
+
+
+def scalar_matrix_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a Scalar matrix whose entries share one pi power.
+
+    Writes the matrix as pi^m * R with R rational and returns
+    pi^{size*m} det R, with det R from Bareiss elimination.  Entries with
+    several pi powers are rejected, as in :func:`invert_scalar_matrix`.
+    """
+    m, ints, scales = _rational_part(rows)
+    if not ints:
         return Scalar.one()
-    if n == 1:
-        return rows[0][0]
-    det = Scalar.zero()
-    for j in range(n):
-        if rows[0][j].is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * scalar_matrix_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+    swaps, pivots = _bareiss(ints)
+    return Scalar.of(Fraction((-1) ** swaps * pivots[-1], prod(scales)), len(ints) * m)
+
+
+def scalar_leading_minors(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """All leading principal minors of a Scalar matrix with one pi power.
+
+    One Bareiss pass gives them as its pivots when no leading minor is
+    zero (always so for a positive definite matrix); otherwise each minor
+    is computed on its own with row exchanges.
+    """
+    m, ints, scales = _rational_part(rows)
+    swaps, pivots = _bareiss(ints)
+    if swaps or 0 in pivots:
+        return [scalar_matrix_det([row[: j + 1] for row in rows[: j + 1]]) for j in range(len(rows))]
+    out, den = [], 1
+    for j, (p, d) in enumerate(zip(pivots, scales)):
+        den *= d
+        out.append(Scalar.of(Fraction(p, den), (j + 1) * m))
+    return out
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

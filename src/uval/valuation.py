@@ -10,13 +10,15 @@ elementary symmetric polynomials of the squared cosines of the multiple
 Kaehler angle), the global monomials in (t, u), and the primitive elements
 are views computed from the mu coordinates.
 
-Locality is concentrated in a single map: :func:`from_monomial`, which
-sends a global polynomial to its restriction at level n by expanding each
-monomial in Tasaki valuations and dropping the mu terms that vanish
-locally.  Every other conversion is derived from it, so the quotient by
-the relation ideal (f_{n+1}, f_{n+2}) is handled in exactly one place.
-The Alesker product is computed through this quotient map:
-multiply(a, b) = from_monomial(n, to_monomial(a) * to_monomial(b)).
+Locality is concentrated in the restriction of global Tasaki valuations
+to level n, which drops the mu terms that vanish locally, so the quotient
+by the relation ideal (f_{n+1}, f_{n+2}) needs no polynomial reduction.
+:func:`from_monomial` applies it to a global polynomial in (t, u).  The
+Alesker product :func:`multiply` applies it to products computed with the
+Tasaki product formula on integer coordinate vectors, one pi shift per
+pair of degrees; the quotient-map route
+from_monomial(n, to_monomial(a) * to_monomial(b)) is kept as its
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from math import lcm
+from operator import mul
+from typing import Collection, Mapping, Sequence
 
 from .poly import GradedPoly, change_vars
 from .scalar import RationalLike, Scalar, binomial, factorial, omega
+from .scalar import _raw as _raw_scalar
 
 __all__ = [
     "Valuation",
@@ -246,11 +251,7 @@ def tau(n: int, k: int, q: int) -> Valuation:
         raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= q <= k // 2:
         raise ValueError(f"tau index (k={k}, q={q}) out of range")
-    coeffs = {
-        (k, i): Scalar.of(binomial(i, q))
-        for i in q_range(n, k)
-        if i >= q
-    }
+    coeffs = {(k, r): Scalar.of(row[q]) for r, row in _restriction(n, k) if r >= q}
     return _raw(n, coeffs)
 
 
@@ -278,8 +279,8 @@ def _tau_monomial(k: int, q: int) -> GradedPoly:
 def _mu_monomial(k: int, q: int) -> GradedPoly:
     """Global representative of mu_{k,q} = sum_i (-1)^{i+q} C(i,q) tau_{k,i}."""
     out = GradedPoly.zero()
-    for i in range(q, k // 2 + 1):
-        out = out + _tau_monomial(k, i) * Fraction((-1) ** (i + q) * binomial(i, q))
+    for i, c in _lift(k)[q]:
+        out = out + _tau_monomial(k, i) * Fraction(c)
     return out
 
 
@@ -321,15 +322,130 @@ def to_monomial(v: Valuation) -> GradedPoly:
     return out
 
 
-def multiply(a: Valuation, b: Valuation) -> Valuation:
-    """The Alesker product, computed on global representatives.
+# ----------------------------------------------------------------------
+# the Alesker product from the Tasaki product formula
+#
+# For the global Tasaki valuations
+#   tau_{k,i} tau_{l,j} = omega_{k+l}/(omega_k omega_l)
+#                         * C(k+l-2s, k-2i) C(2s, 2i) tau_{k+l,s},  s = i + j,
+# so every structure constant is an integer times one pi monomial fixed by
+# the two degrees.  The product runs on integer vectors, one per (degree,
+# pi exponent) part of each operand; the tables below are keyed by degrees
+# (and n for the restriction) and never grow with the operands.
 
-    Commutative and graded, with unit chi; exact by construction since the
-    quotient map is an algebra homomorphism.
+@lru_cache(maxsize=None)
+def _lift(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry q lists (i, (-1)^{i+q} C(i,q)) for q <= i <= k/2: the global
+    lift mu_{k,q} = sum_i (-1)^{i+q} C(i,q) tau_{k,i}."""
+    return tuple(
+        tuple((i, (-1) ** (i + q) * binomial(i, q)) for i in range(q, k // 2 + 1))
+        for q in range(k // 2 + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _product_weights(k: int, l: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Entry i lists (j, s, C(k+l-2s, k-2i) C(2s, 2i)) with s = i + j over
+    j <= l/2: the integer part of tau_{k,i} tau_{l,j}, for i <= k/2."""
+    return tuple(
+        tuple(
+            (j, i + j, binomial(k + l - 2 * (i + j), k - 2 * i) * binomial(2 * (i + j), 2 * i))
+            for j in range(l // 2 + 1)
+        )
+        for i in range(k // 2 + 1)
+    )
+
+
+def _omega_ratio(k: int, l: int) -> tuple[int, Fraction]:
+    """omega_{k+l}/(omega_k omega_l) as (pi exponent, rational coefficient)."""
+    return (omega(k + l) / (omega(k) * omega(l))).monomial()
+
+
+@lru_cache(maxsize=None)
+def _shift_denominator(m: int) -> int:
+    """A common denominator of omega_m/(omega_k omega_{m-k}) over 0 <= k <= m."""
+    return lcm(*(_omega_ratio(k, m - k)[1].denominator for k in range(m + 1)))
+
+
+@lru_cache(maxsize=None)
+def _pi_shift(k: int, l: int) -> tuple[int, int]:
+    """omega_{k+l}/(omega_k omega_l) as (pi exponent, integer numerator over
+    _shift_denominator(k + l))."""
+    e, c = _omega_ratio(k, l)
+    return e, int(c * _shift_denominator(k + l))
+
+
+@lru_cache(maxsize=None)
+def _restriction(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Pairs (r, (C(r,0), ..., C(r,r))) over r in q_range(n, m): the mu_{m,r}
+    coordinate of the restriction tau_{m,s} = sum_r C(r,s) mu_{m,r} at level n."""
+    return tuple((r, tuple(binomial(r, s) for s in range(r + 1))) for r in q_range(n, m))
+
+
+def _lifted_parts(
+    items: Collection[tuple[tuple[int, int], Scalar]],
+) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """Split (k, q) -> Scalar terms into parts per (degree k, pi exponent e),
+    cleared to integer numerators over one common denominator and lifted to
+    global Tasaki coordinates: (denominator, {(k, e): [alpha_0..alpha_{k//2}]})."""
+    den = 1
+    for _, c in items:
+        for _, f in c.items():
+            den = lcm(den, f.denominator)
+    parts: dict[tuple[int, int], list[int]] = {}
+    for (k, q), c in items:
+        column = _lift(k)[q]
+        for e, f in c.items():
+            alpha = parts.get((k, e))
+            if alpha is None:
+                alpha = parts[(k, e)] = [0] * (k // 2 + 1)
+            v = f.numerator * (den // f.denominator)
+            for i, w in column:
+                alpha[i] += w * v
+    return den, parts
+
+
+def multiply(a: Valuation, b: Valuation) -> Valuation:
+    """The Alesker product, from the Tasaki product formula.
+
+    Both operands are lifted to global Tasaki coordinates, each pair of
+    degree components (k, l) with k + l <= 2n is convolved with the integer
+    weights of the product formula and shifted by omega_{k+l}/(omega_k
+    omega_l), and the sum is restricted to level n.  Commutative and graded,
+    with unit chi.  The quotient-map route
+    from_monomial(n, to_monomial(a) * to_monomial(b)) gives the same result
+    and is the independent cross-check used by the checks and tests.
     """
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
-    return from_monomial(a.n, to_monomial(a) * to_monomial(b))
+    n = a.n
+    da, pa = _lifted_parts(a._coeffs.items())
+    db, pb = _lifted_parts(b._coeffs.items())
+    # (degree, pi exponent) -> global Tasaki coordinates over da*db*_shift_denominator
+    acc: dict[tuple[int, int], list[int]] = {}
+    for (k, e1), x in pa.items():
+        for (l, e2), y in pb.items():
+            m = k + l
+            if m > 2 * n:
+                continue
+            e, f = _pi_shift(k, l)
+            key = (m, e1 + e2 + e)
+            z = acc.get(key)
+            if z is None:
+                z = acc[key] = [0] * (m // 2 + 1)
+            for xi, row in zip(x, _product_weights(k, l)):
+                if xi:
+                    xi *= f
+                    for j, s, w in row:
+                        z[s] += w * xi * y[j]
+    out: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (m, e), z in acc.items():
+        den = da * db * _shift_denominator(m)
+        for r, row in _restriction(n, m):
+            num = sum(map(mul, row, z))
+            if num:
+                out.setdefault((m, r), {})[e] = Fraction(num, den)
+    return _raw(n, {kq: _raw_scalar(terms) for kq, terms in out.items()})
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +489,15 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
         raise ValueError(f"degree {k} out of range for n={n}")
     if k > n:
         return tau_coords(fourier(v.component(k)), 2 * n - k)
-    # invert tau_{k,q} = sum_i C(i,q) mu_{k,i}: coefficient of tau_{k,j}
-    # in mu_{k,q} is (-1)^{j+q} C(j,q)
-    a = v.mu_vector(k)
-    p = k // 2
-    return [
-        sum(
-            (Scalar.of((-1) ** (j + q) * binomial(j, q)) * a[q] for q in range(j + 1)),
-            Scalar.zero(),
-        )
-        for j in range(p + 1)
-    ]
+    # below the middle degree the tau_{k,j} are a basis and the global lift
+    # of mu_{k,q} is its expansion in them
+    den, parts = _lifted_parts([(kq, c) for kq, c in v._coeffs.items() if kq[0] == k])
+    coords: list[dict[int, Fraction]] = [{} for _ in range(k // 2 + 1)]
+    for (_, e), alpha in parts.items():
+        for terms, x in zip(coords, alpha):
+            if x:
+                terms[e] = Fraction(x, den)
+    return [_raw_scalar(terms) for terms in coords]
 
 
 def from_tau_coords(n: int, k: int, coords: Sequence[Scalar | RationalLike]) -> Valuation:

@@ -164,9 +164,13 @@ def test_tasaki_product_formula():
                                 * binomial(2 * p + 2 * q, 2 * p)
                             )
                         )
-                        assert multiply(tau(n, k, p), tau(n, l, q)) == tau(
-                            n, k + l, p + q
-                        ) * coeff, (n, k, l, p, q)
+                        rhs = tau(n, k + l, p + q) * coeff
+                        a, b = tau(n, k, p), tau(n, l, q)
+                        assert multiply(a, b) == rhs, (n, k, l, p, q)
+                        # multiply is built from this formula: the quotient
+                        # map is the independent route
+                        quotient = from_monomial(n, to_monomial(a) * to_monomial(b))
+                        assert quotient == rhs, (n, k, l, p, q)
 
 
 def test_anisotropic_ideal():
