@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from .cones import (
+    CurvExpr,
     first_variation,
     is_crofton_positive,
     is_monotone,
@@ -573,6 +574,40 @@ def check_intrinsic_volumes_monotone(level: str) -> None:
             assert is_monotone(tau(n, k, 0)).member, (n, k)
 
 
+def _first_variation_reference(n: int, v: Valuation) -> CurvExpr:
+    """delta(v) from the four-term expression for delta(mu_{k,q}), term by
+    term in Scalar arithmetic: the reference for the cached table behind
+    first_variation."""
+
+    def c_const(k: int, q: int) -> Scalar:
+        return Scalar.of(
+            Fraction(1, factorial(q) * factorial(n - k + q) * factorial(k - 2 * q))
+        ) / omega(2 * n - k)
+
+    acc: dict[tuple[str, int, int], Scalar] = {}
+
+    def add(sym: str, k: int, q: int, c: Scalar) -> None:
+        s = acc.get((sym, k, q), Scalar.zero()) + c
+        if s.is_zero:
+            acc.pop((sym, k, q), None)
+        else:
+            acc[(sym, k, q)] = s
+
+    for (k, q), a in v.items():
+        if k == 0:
+            continue
+        c2 = a * 2 * c_const(k, q)
+        if k - 1 >= 2 * q:
+            r_same = c2 / c_const(k - 1, q)
+            add("Gamma", k - 1, q, r_same * (k - 2 * q) ** 2)
+            add("B", k - 1, q, r_same * (-(k - 2 * q) * (k - 2 * q - 1)))
+        if q >= 1:
+            r_down = c2 / c_const(k - 1, q - 1)
+            add("Gamma", k - 1, q - 1, r_down * (-(n + q - k) * q))
+            add("B", k - 1, q - 1, r_down * Fraction(q * (2 * (n + q - k) + 1), 2))
+    return CurvExpr(n, acc)
+
+
 def check_norms(level: str) -> None:
     rng = random.Random(113)
     for n in range(1, 5):
@@ -586,11 +621,25 @@ def check_norms(level: str) -> None:
                 w = Valuation(n, {(k, q): rng.randint(-3, 3) for q in qs})
                 bound = norm_inf(v) * norm_one(w)
                 assert (bound - pairing_fourier(v, w)).sign() >= 0, (n, k)
-        # nu coordinates agree with the direct pairing definition
-        k = rng.randint(0, 2 * n)
-        v = Valuation(n, {(k, q): rng.randint(1, 5) for q in q_range(n, k)})
-        direct = [pairing_fourier(v, mu(n, k, q)) for q in q_range(n, k)]
-        assert nu_coeffs(v, k) == direct
+
+    # nu coordinates, norm_one and delta on coefficients with two pi powers
+    # and non-integer Fractions, every degree: the integer Gram blocks with
+    # their pi shift against the direct pairing, and the delta table
+    # against the four-term expansion
+    def fraction() -> Fraction:
+        return Fraction(2 * rng.randint(-10, 9) + 1, 2 * rng.randint(1, 6))  # odd/even
+
+    for n in range(1, 7):
+        for k in range(0, 2 * n + 1):
+            for exps in ((0, 1), (-1, 1)):
+                v = Valuation(n, {(k, q): Scalar({e: fraction() for e in exps}) for q in q_range(n, k)})
+                direct = [pairing_fourier(v, mu(n, k, q)) for q in q_range(n, k)]
+                assert nu_coeffs(v, k) == direct, (n, k, exps)
+                total = Scalar.zero()
+                for b in direct:
+                    total = total + abs(b)
+                assert norm_one(v) == total, (n, k, exps)
+                assert first_variation(n, v) == _first_variation_reference(n, v), (n, k, exps)
 
 
 # ----------------------------------------------------------------------

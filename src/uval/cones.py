@@ -20,7 +20,10 @@ the signs of its coefficients matter for monotonicity, and the sign
 pattern reproduces the inequalities above.  The symbols are never
 evaluated on convex bodies.
 
-All sign decisions are exact (see scalar.sign).
+All sign decisions are exact.  Everything runs on the integer parts of a
+valuation per pi exponent (valuation.integer_parts): each Gram block is an
+integer matrix times one pi power and delta is a cached table, so signs go
+to scalar.int_sign and Scalars are built only for results and witnesses.
 """
 
 from __future__ import annotations
@@ -28,12 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .kinematic import pairing_fourier
 from .linalg import invert_scalar_matrix
-from .scalar import Scalar, factorial, omega
-from .valuation import Valuation, mu, q_range
+from .scalar import Scalar, factorial, int_sign, omega
+from .scalar import _raw as _raw_scalar
+from .valuation import Valuation, integer_parts, mu, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -88,6 +94,20 @@ def mu_gram(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """mu_gram(n, k) as (columns, den, e): G_pq = columns[q][p] * pi^e / den.
+    Every block has a single pi power (checked for n <= 10)."""
+    gram = mu_gram(n, k)
+    exps = {e for row in gram for c in row for e, _ in c.items()}
+    if len(exps) != 1:
+        raise AssertionError(f"mu_gram({n}, {k}) mixes pi powers {sorted(exps)}")
+    (e,) = exps
+    den = lcm(*(c.coefficient(e).denominator for row in gram for c in row))
+    rows = [[int(c.coefficient(e) * den) for c in row] for row in gram]
+    return tuple(zip(*rows)), den, e
+
+
+@lru_cache(maxsize=None)
 def _mu_gram_inverse(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in invert_scalar_matrix(mu_gram(n, k)))
 
@@ -109,24 +129,36 @@ def nu(n: int, k: int, p: int) -> Valuation:
     return out
 
 
+def _nu_parts(n: int, k: int, parts: dict[tuple[int, int], list[int]]) -> list[dict[int, int]]:
+    """The nu coordinates b_q = sum_p a_p G_pq of the degree-k integer parts,
+    q ascending, each as {e: b_e}; see _nu_scalar for the value."""
+    columns, _, _ = _gram_block(n, k)
+    q0 = max(0, k - n)
+    out: list[dict[int, int]] = [{} for _ in columns]
+    for (kk, e), a in parts.items():
+        if kk == k:
+            a = a[q0:]
+            for b, column in zip(out, columns):
+                b[e] = sum(map(mul, column, a))
+    return out
+
+
+def _nu_scalar(n: int, k: int, den: int, b: dict[int, int]) -> Scalar:
+    """sum_e b_e pi^(e + e_G) / (den * den_G), one coordinate of _nu_parts."""
+    _, gram_den, shift = _gram_block(n, k)
+    return Scalar({e + shift: Fraction(x, den * gram_den) for e, x in b.items()})
+
+
 def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
     """Coordinates of a degree-k homogeneous valuation in the nu basis.
 
-    b_q = <v, mu_{k,q}>, computed through the cached Gram matrix (equal to
+    b_q = <v, mu_{k,q}>, computed through the cached Gram block (equal to
     the direct pairing by bilinearity).
     """
     if v.degrees() not in ([], [k]):
         raise ValueError("nu_coeffs requires a homogeneous valuation of the stated degree")
-    gram = mu_gram(v.n, k)
-    a = v.mu_vector(k)
-    out = []
-    for q in range(len(gram)):
-        s = Scalar.zero()
-        for p, ap in enumerate(a):
-            if not ap.is_zero:
-                s = s + gram[p][q] * ap
-        out.append(s)
-    return out
+    den, parts = integer_parts(v.items())
+    return [_nu_scalar(v.n, k, den, b) for b in _nu_parts(v.n, k, parts)]
 
 
 # ----------------------------------------------------------------------
@@ -145,13 +177,14 @@ def is_positive(v: Valuation) -> ConeVerdict:
 
 def is_crofton_positive(v: Valuation) -> ConeVerdict:
     """Membership in CP: every nu coordinate of every degree nonnegative."""
+    den, parts = integer_parts(v.items())
     for k in v.degrees():
-        qs = list(q_range(v.n, k))
-        for q, b in zip(qs, nu_coeffs(v.component(k), k)):
-            if b.sign() < 0:
+        for q, b in zip(q_range(v.n, k), _nu_parts(v.n, k, parts)):
+            if int_sign(b) < 0:
+                coordinate = str(_nu_scalar(v.n, k, den, b))
                 return ConeVerdict(
                     False,
-                    {"kind": "negative_nu_coordinate", "k": k, "q": q, "coordinate": str(b)},
+                    {"kind": "negative_nu_coordinate", "k": k, "q": q, "coordinate": coordinate},
                 )
     return _MEMBER
 
@@ -168,33 +201,39 @@ def is_monotone(v: Valuation) -> ConeVerdict:
     c0 = v.coefficient(0, 0)
     if c0.sign() < 0:
         return ConeVerdict(False, {"kind": "negative_point_value", "value": str(c0)})
+    den, parts = integer_parts(v.items())
     for k in v.degrees():
         if k == 0:
             continue
-        verdict = _component_monotone(n, k, {q: v.coefficient(k, q) for q in q_range(n, k)})
+        verdict = _component_monotone(n, k, den, {e: a for (kk, e), a in parts.items() if kk == k})
         if not verdict.member:
             return verdict
     return _MEMBER
 
 
-def _component_monotone(n: int, k: int, a: dict[int, Scalar]) -> ConeVerdict:
-    def coeff(q: int) -> Scalar:
-        return a.get(q, Scalar.zero())
+def _component_monotone(n: int, k: int, den: int, parts: dict[int, list[int]]) -> ConeVerdict:
+    """Both inequality families on the integer parts {e: [a_0..a_{k//2}]}
+    of one degree component over den; family 2 is taken times 2."""
+
+    def failure(family: int, q: int, slack: dict[int, int], scale: int) -> ConeVerdict:
+        text = str(Scalar({e: Fraction(x, scale) for e, x in slack.items()}))
+        return ConeVerdict(
+            False, {"kind": "inequality", "family": family, "k": k, "q": q, "slack": text}
+        )
 
     for q in range(max(0, k - n), (k - 1) // 2 + 1):
-        lhs = coeff(q) * (k - 2 * q) - coeff(q + 1) * (k - 2 * q - 1)
-        if lhs.sign() < 0:
-            return ConeVerdict(
-                False,
-                {"kind": "inequality", "family": 1, "k": k, "q": q, "slack": str(lhs)},
-            )
+        # (k-2q) a_q - (k-2q-1) a_{q+1}; a_{q+1} is out of range only where
+        # its factor is 0
+        w = k - 2 * q - 1
+        slack = {e: a[q] * (w + 1) - (a[q + 1] * w if w else 0) for e, a in parts.items()}
+        if int_sign(slack) < 0:
+            return failure(1, q, slack, den)
     for q in range(max(0, k - n - 1), (k - 2) // 2 + 1):
-        lhs = coeff(q + 1) * Fraction(2 * (n + q - k) + 3, 2) - coeff(q) * (n + q - k + 1)
-        if lhs.sign() < 0:
-            return ConeVerdict(
-                False,
-                {"kind": "inequality", "family": 2, "k": k, "q": q, "slack": str(lhs)},
-            )
+        # 2 * ((n+q-k+3/2) a_{q+1} - (n+q-k+1) a_q)
+        m = n + q - k
+        slack = {e: a[q + 1] * (2 * m + 3) - a[q] * (2 * m + 2) for e, a in parts.items()}
+        if int_sign(slack) < 0:
+            return failure(2, q, slack, 2 * den)
     return _MEMBER
 
 
@@ -252,6 +291,31 @@ def _c_const(n: int, k: int, q: int) -> Scalar:
     ) / omega(2 * n - k)
 
 
+@lru_cache(maxsize=None)
+def _delta_table(n: int, k: int) -> tuple[int, tuple[tuple, ...]]:
+    """delta(mu_{k,q}) over one common denominator: (den, rows), rows[q]
+    listing (symbol key, pi exponent, numerator), () outside q_range.  The
+    four-term expression here is the only source of these constants."""
+    terms = []
+    for q in range(k // 2 + 1):
+        row = []
+        if q in q_range(n, k):
+            c2 = _c_const(n, k, q) * 2
+            if k - 1 >= 2 * q:
+                r_same = c2 / _c_const(n, k - 1, q)
+                row.append((("Gamma", k - 1, q), r_same * (k - 2 * q) ** 2))
+                row.append((("B", k - 1, q), r_same * (-(k - 2 * q) * (k - 2 * q - 1))))
+            if q >= 1:
+                r_down = c2 / _c_const(n, k - 1, q - 1)
+                row.append((("Gamma", k - 1, q - 1), r_down * (-(n + q - k) * q)))
+                row.append((("B", k - 1, q - 1), r_down * Fraction(q * (2 * (n + q - k) + 1), 2)))
+        terms.append([(key, *c.monomial()) for key, c in row if not c.is_zero])
+    den = lcm(1, *(c.denominator for row in terms for _, _, c in row))
+    return den, tuple(
+        tuple((key, e, int(c * den)) for key, e, c in row) for row in terms
+    )
+
+
 def first_variation(n: int, v: Valuation) -> CurvExpr:
     """The first-variation curvature measure delta(v), as a CurvExpr.
 
@@ -260,31 +324,25 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     """
     if v.n != n:
         raise ValueError(f"ambient dimension mismatch: {v.n} vs {n}")
-    acc: dict[tuple[str, int, int], Scalar] = {}
-
-    def add(sym: str, k: int, q: int, c: Scalar) -> None:
-        if c.is_zero:
-            return
-        key = (sym, k, q)
-        s = acc.get(key, Scalar.zero()) + c
-        if s.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
-    for (k, q), a in v.items():
+    den, parts = integer_parts(v.items())
+    acc: dict[tuple[str, int, int], dict[int, int]] = {}
+    for (k, e), a in parts.items():
         if k == 0:
             continue
-        c2 = a * 2 * _c_const(n, k, q)
-        r_same = c2 / _c_const(n, k - 1, q) if k - 1 >= 2 * q else None
-        r_down = c2 / _c_const(n, k - 1, q - 1) if q >= 1 else None
-        if r_same is not None:
-            add("Gamma", k - 1, q, r_same * (k - 2 * q) ** 2)
-            add("B", k - 1, q, r_same * (-(k - 2 * q) * (k - 2 * q - 1)))
-        if r_down is not None:
-            add("Gamma", k - 1, q - 1, r_down * (-(n + q - k) * q))
-            add("B", k - 1, q - 1, r_down * Fraction(q * (2 * (n + q - k) + 1), 2))
-    return CurvExpr(n, acc)
+        rows = _delta_table(n, k)[1]
+        for x, row in zip(a, rows):
+            if x:
+                for key, f, c in row:
+                    t = acc.setdefault(key, {})
+                    t[e + f] = t.get(e + f, 0) + c * x
+    terms = {}
+    for key, t in acc.items():
+        # the source degree is key[1] + 1, so one table denominator per key
+        d = _delta_table(n, key[1] + 1)[0] * den
+        c = {e: Fraction(x, d) for e, x in t.items() if x}
+        if c:
+            terms[key] = _raw_scalar(c)
+    return CurvExpr(n, terms)
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +362,13 @@ def norm_inf(v: Valuation) -> Scalar:
 def norm_one(v: Valuation) -> Scalar:
     """sum_q |b_q| over the nu coordinates of a homogeneous valuation."""
     k = _require_homogeneous(v)
-    total = Scalar.zero()
-    for b in nu_coeffs(v, k):
-        total = total + abs(b)
-    return total
+    den, parts = integer_parts(v.items())
+    total: dict[int, int] = {}
+    for b in _nu_parts(v.n, k, parts):
+        s = int_sign(b)
+        for e, x in b.items():
+            total[e] = total.get(e, 0) + s * x
+    return _nu_scalar(v.n, k, den, total)
 
 
 def _require_homogeneous(v: Valuation) -> int:

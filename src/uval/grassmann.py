@@ -53,6 +53,9 @@ __all__ = [
 # Default tolerances; callers may override per call.
 ORTHONORMAL_TOL = 1e-12
 ANGLE_TOL = 1e-9
+# Most worker threads mc_crofton starts.  A fixed constant, not the CPU
+# count, so the output of a fixed (seed, threads) is the same on every host.
+MAX_THREADS = 64
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -288,7 +291,8 @@ def mc_crofton(
 
     E must have dimension k <= n and F dimension 2n - k.  Worker substreams
     are spawned deterministically from the seed and reduced in worker
-    order, so a fixed (seed, threads) is bit-reproducible.
+    order, so a fixed (seed, threads) is bit-reproducible.  threads above
+    MAX_THREADS or above samples is refused before any worker starts.
     """
     if not 1 <= k <= n:
         raise ValueError("mc_crofton needs 1 <= k <= n")
@@ -299,6 +303,10 @@ def mc_crofton(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     threads = max(1, threads)
+    if threads > MAX_THREADS:
+        raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
+    if threads > samples:
+        raise ValueError(f"more threads ({threads}) than samples ({samples})")
 
     e_cols = e_frame.vectors
     f_complex = _complex_columns(f_frame)

@@ -7,8 +7,8 @@ a Laurent polynomial in pi with Fraction coefficients, stored sparsely as
 a map {pi-exponent: coefficient}.  pi is treated as a formal transcendental:
 no floating point enters any algebraic computation.  The only numeric exits
 are :meth:`Scalar.to_float` (for display and the Monte-Carlo module) and
-:func:`sign`, which decides signs exactly using adaptive rational
-enclosures of pi.
+:func:`sign`, which decides signs exactly in integer arithmetic over a
+fixed ladder of rational enclosures of pi.
 
 The module also houses the small combinatorial constants used throughout:
 ball volumes omega_k, odd double factorials, binomials.
@@ -36,8 +36,8 @@ __all__ = [
 
 
 class UndecidableSignError(ArithmeticError):
-    """Raised when the sign of a Scalar cannot be decided at the smallest
-    pi-enclosure width this module is willing to use (10^-30)."""
+    """Raised when the sign of a Scalar is still undecided on the last of
+    the fixed enclosures of pi that :func:`sign` uses (width below 10^-48)."""
 
 
 class Scalar:
@@ -287,12 +287,17 @@ def _term_str(e: int, c: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
-# sign determination via rational enclosures of pi
+# rational enclosures of pi and exact signs
 
-# Classical convergents: 333/106 < pi < 355/113.
-_pi_lo = Fraction(333, 106)
-_pi_hi = Fraction(355, 113)
-_pi_terms = 2  # arctan series terms used so far
+# Classical convergents 333/106 < pi < 355/113, and the number of arctan
+# series terms Machin's formula starts refining from.
+_PI_START = (Fraction(333, 106), Fraction(355, 113), 2)
+
+# (lo, hi, terms) of the narrowest enclosure pi_bounds has built so far.  It
+# is replaced whole in one assignment and never updated in place, so every
+# reader sees a consistent triple; a racing writer can at worst put back a
+# wider (still valid) enclosure.
+_pi_cache = _PI_START
 
 
 def _arctan_inv_bounds(x: int, m: int) -> tuple[Fraction, Fraction]:
@@ -311,71 +316,110 @@ def _arctan_inv_bounds(x: int, m: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _refine(
+    state: tuple[Fraction, Fraction, int], eps: Fraction
+) -> tuple[Fraction, Fraction, int]:
+    """Narrow the enclosure (lo, hi, terms) with Machin's formula
+    pi = 16*arctan(1/5) - 4*arctan(1/239) until hi - lo < eps."""
+    lo, hi, terms = state
+    while hi - lo >= eps:
+        terms += 2
+        lo5, hi5 = _arctan_inv_bounds(5, terms)
+        lo239, hi239 = _arctan_inv_bounds(239, terms)
+        lo = max(lo, 16 * lo5 - 4 * hi239)
+        hi = min(hi, 16 * hi5 - 4 * lo239)
+    return lo, hi, terms
+
+
 def pi_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
     """A rational enclosure (lo, hi) of pi with hi - lo < eps.
 
-    Uses Machin's formula pi = 16*arctan(1/5) - 4*arctan(1/239), whose
-    alternating partial sums bracket the true values.  Results are cached
-    module-wide and refined on demand.
+    Uses Machin's formula, whose alternating partial sums bracket the true
+    values.  The narrowest enclosure built so far is cached module-wide and
+    refined on demand.  :func:`sign` never reads this cache.
     """
-    global _pi_lo, _pi_hi, _pi_terms
+    global _pi_cache
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    while _pi_hi - _pi_lo >= eps:
-        _pi_terms += 2
-        lo5, hi5 = _arctan_inv_bounds(5, _pi_terms)
-        lo239, hi239 = _arctan_inv_bounds(239, _pi_terms)
-        lo = 16 * lo5 - 4 * hi239
-        hi = 16 * hi5 - 4 * lo239
-        _pi_lo = max(_pi_lo, lo)
-        _pi_hi = min(_pi_hi, hi)
-    return _pi_lo, _pi_hi
+    state = _refine(_pi_cache, eps)
+    _pi_cache = state
+    return state[0], state[1]
 
 
-_MIN_WIDTH = Fraction(1, 10**30)
+# The fixed budget of sign(): rung 0 is the classical enclosure above and
+# rung i >= 1 the Machin enclosure narrower than _LADDER_WIDTHS[i].  The
+# Machin brackets are nested, so refining the start directly to a width
+# lands where refining it step by step to 10^-6, 10^-12, 10^-24 and 10^-48
+# does.
+_LADDER_WIDTHS = (None, *(Fraction(1, 10**d) for d in (6, 12, 24, 48)))
+
+
+@lru_cache(maxsize=None)
+def _rung(i: int) -> tuple[int, int, int]:
+    """Rung i of the ladder as integers (lo_num, hi_num, den), built on first use."""
+    lo, hi, _ = _PI_START if i == 0 else _refine(_PI_START, _LADDER_WIDTHS[i])
+    den = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
+def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
+    """The exact sign (-1, 0, 1) of sum_e parts[e] * pi^e, integer parts[e].
+
+    Without its lowest pi power this is an integer polynomial P(pi), bounded
+    in integer arithmetic on each rung of the ladder in turn.  Still
+    straddling zero on the last rung raises UndecidableSignError naming
+    ``shown`` (default: the scalar itself).
+    """
+    terms = [(e, c) for e, c in parts.items() if c]
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        return 1 if terms[0][1] > 0 else -1
+    e0 = min(e for e, _ in terms)
+    d = max(e for e, _ in terms) - e0
+    for i in range(len(_LADDER_WIDTHS)):
+        lo, hi, den = _rung(i)
+        # den^d * P(x) for x in [lo/den, hi/den]: each term c x^j is
+        # increasing in x for c > 0 and decreasing for c < 0
+        low = high = 0
+        for e, c in terms:
+            j = e - e0
+            scale = den ** (d - j)
+            at_lo, at_hi = c * lo**j * scale, c * hi**j * scale
+            if c > 0:
+                low += at_lo
+                high += at_hi
+            else:
+                low += at_hi
+                high += at_lo
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
+    raise UndecidableSignError(
+        f"sign of {Scalar(dict(terms)) if shown is None else shown} undecided "
+        "on the last enclosure of pi (width < 1e-48)"
+    )
 
 
 def sign(s: Scalar) -> int:
     """The exact sign (-1, 0, 1) of a Scalar evaluated at the real pi.
 
-    Monomials are decided from the rational coefficient.  Multi-term
-    scalars are evaluated in interval arithmetic over enclosures of pi,
-    refined adaptively; an interval still straddling zero at width 10^-30
-    raises UndecidableSignError rather than guessing.
+    Multi-term scalars are cleared to integers and decided by
+    :func:`int_sign` over a fixed ladder of five enclosures of pi; one still
+    straddling zero on the last (width below 10^-48) raises
+    UndecidableSignError rather than guessing.  The ladder is the whole
+    budget, so the verdict never depends on what ran earlier in the process.
     """
-    terms = s.items()
+    terms = s._terms
     if not terms:
         return 0
     if len(terms) == 1:
-        c = terms[0][1]
+        (c,) = terms.values()
         return 1 if c > 0 else -1
-    eps = Fraction(1, 10**6)
-    while True:
-        lo_pi, hi_pi = pi_bounds(eps)
-        lo = hi = Fraction(0)
-        for e, c in terms:
-            if e >= 0:
-                b_lo, b_hi = lo_pi**e, hi_pi**e
-            else:
-                b_lo, b_hi = hi_pi**e, lo_pi**e
-            if c >= 0:
-                lo += c * b_lo
-                hi += c * b_hi
-            else:
-                lo += c * b_hi
-                hi += c * b_lo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if lo == hi == 0:
-            return 0
-        if eps <= _MIN_WIDTH:
-            raise UndecidableSignError(
-                f"sign of {s} undecided at enclosure width 1e-30"
-            )
-        eps = eps * eps
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return int_sign({e: c.numerator * (den // c.denominator) for e, c in terms.items()}, s)
 
 
 # ----------------------------------------------------------------------

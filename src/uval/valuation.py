@@ -382,26 +382,37 @@ def _restriction(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((r, tuple(binomial(r, s) for s in range(r + 1))) for r in q_range(n, m))
 
 
-def _lifted_parts(
+def integer_parts(
     items: Collection[tuple[tuple[int, int], Scalar]],
 ) -> tuple[int, dict[tuple[int, int], list[int]]]:
     """Split (k, q) -> Scalar terms into parts per (degree k, pi exponent e),
-    cleared to integer numerators over one common denominator and lifted to
-    global Tasaki coordinates: (denominator, {(k, e): [alpha_0..alpha_{k//2}]})."""
-    den = 1
-    for _, c in items:
-        for _, f in c.items():
-            den = lcm(den, f.denominator)
+    cleared to integer numerators over one common denominator:
+    (den, {(k, e): [a_0..a_{k//2}]}) with coefficient sum_e a_q pi^e / den
+    at (k, q).  Entries outside q_range stay 0."""
+    den = lcm(*{f.denominator for _, c in items for f in c._terms.values()})
     parts: dict[tuple[int, int], list[int]] = {}
     for (k, q), c in items:
-        column = _lift(k)[q]
-        for e, f in c.items():
-            alpha = parts.get((k, e))
-            if alpha is None:
-                alpha = parts[(k, e)] = [0] * (k // 2 + 1)
-            v = f.numerator * (den // f.denominator)
-            for i, w in column:
-                alpha[i] += w * v
+        for e, f in c._terms.items():
+            a = parts.get((k, e))
+            if a is None:
+                a = parts[(k, e)] = [0] * (k // 2 + 1)
+            a[q] = f.numerator * (den // f.denominator)
+    return den, parts
+
+
+def _lifted_parts(
+    items: Collection[tuple[tuple[int, int], Scalar]],
+) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """integer_parts lifted to global Tasaki coordinates:
+    (denominator, {(k, e): [alpha_0..alpha_{k//2}]})."""
+    den, parts = integer_parts(items)
+    for (k, e), a in parts.items():
+        alpha = parts[(k, e)] = [0] * len(a)
+        lift = _lift(k)
+        for q, v in enumerate(a):
+            if v:
+                for i, w in lift[q]:
+                    alpha[i] += w * v
     return den, parts
 
 

@@ -4,7 +4,8 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,18 @@ def test_cli_exit_codes():
     assert code == 2
     code, _ = run_cli(["tasaki", "--n", "2", "--k", "7"])
     assert code == 2
+
+
+def test_cli_mc_thread_bound_exits_2():
+    before = threading.active_count()
+    for threads, samples in (("1000000000000", "10000000000000"), ("65", "1000"), ("11", "10")):
+        argv = ["mc", "--n", "2", "--k", "2", "--angles", "0", "--co-angles", "0",
+                "--samples", samples, "--threads", threads]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run_cli(argv)[0] == 2
+        assert "threads" in err.getvalue()
+    assert threading.active_count() == before
 
 
 def test_cli_usage_error_exits_2():

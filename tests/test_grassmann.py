@@ -1,12 +1,14 @@
 """Numeric angles, Haar sampling and the Monte-Carlo Crofton check."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from uval.grassmann import (
     ANGLE_TOL,
+    MAX_THREADS,
     Frame,
     complement_angles_check,
     crofton_prediction,
@@ -173,6 +175,18 @@ def test_mc_reproducible_and_thread_invariant_seeding():
     r1 = mc_crofton(2, 2, e, f, 20_000, seed=5, threads=3)
     r2 = mc_crofton(2, 2, e, f, 20_000, seed=5, threads=3)
     assert r1.estimate == r2.estimate and r1.stderr == r2.stderr
+
+
+def test_mc_thread_bound_refused_before_any_thread_starts():
+    e = Frame.model(2, 2, 1)
+    f = e.complement()
+    before = threading.active_count()
+    for threads, samples in ((10**12, 10**13), (MAX_THREADS + 1, 10**6), (101, 100)):
+        with pytest.raises(ValueError):
+            mc_crofton(2, 2, e, f, samples, seed=1, threads=threads)
+    assert threading.active_count() == before
+    r = mc_crofton(2, 2, e, f, 4, seed=1, threads=4)  # one sample per worker
+    assert r.samples == 4
 
 
 def test_mc_result_json():

@@ -1,6 +1,9 @@
 """Exact scalar arithmetic: Laurent polynomials in pi over Q."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,10 +120,86 @@ def test_sign_multiterm():
 
 
 def test_sign_undecidable_raises():
-    # (113 pi - 355)^8 is about 6.6e-37, below the refusal width
+    # (113 pi - 355)^8 is about 6.6e-37; its integer coefficients reach 7e20,
+    # far more than the last enclosure of pi can resolve
     base = Scalar.of(113, 1) - Scalar.of(355)
     with pytest.raises(UndecidableSignError):
         sign(base**8)
+
+
+# Partial quotients of the continued fraction of pi up to depth 44, whose
+# convergent p/q has a 25-digit q.
+PI_CF = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1, 84, 2,
+         1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1, 1, 6, 8, 1)
+
+
+def _near_pi(depth):
+    """p - q*pi for the depth-th convergent p/q of pi."""
+    h0, h1, k0, k1 = 1, PI_CF[0], 0, 1
+    for a in PI_CF[1 : depth + 1]:
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    return Scalar({0: h1, 1: -k1})
+
+
+def test_sign_budget_ignores_refined_pi():
+    edge = _near_pi(44)
+    assert len(str(edge.coefficient(1).numerator)) == 26  # "-" and 25 digits
+    with pytest.raises(UndecidableSignError):
+        sign(edge)
+    pi_bounds(Fraction(1, 10**80))
+    with pytest.raises(UndecidableSignError):
+        sign(edge)
+    with pytest.raises(UndecidableSignError):
+        sign(edge * Scalar.pi(-3))
+
+
+_FRESH_PROCESS = """
+import json, sys
+from fractions import Fraction
+import uval
+from uval import scalar
+from uval.scalar import Scalar, UndecidableSignError, pi_bounds, sign
+
+def verdict(s):
+    try:
+        return sign(s)
+    except UndecidableSignError:
+        return "undecidable"
+
+out = {"rungs_at_import": scalar._rung.cache_info().currsize, "verdicts": []}
+near = [Scalar({0: int(p), 1: -int(q)}) for p, q in json.loads(sys.argv[1])]
+if sys.argv[2] == "sign_first":
+    out["verdicts"].append([verdict(s) for s in near])
+    # the ladder is the chain of enclosures a fresh pi_bounds passes through;
+    # rung 0 is the starting enclosure, which pi_bounds(1) returns as it is
+    out["ladder_is_chain"] = all(
+        (Fraction(lo, den), Fraction(hi, den)) == pi_bounds(width or Fraction(1))
+        for (lo, hi, den), width in zip(map(scalar._rung, range(5)), scalar._LADDER_WIDTHS)
+    )
+pi_bounds(Fraction(1, 10**80))
+out["verdicts"].append([verdict(s) for s in near])
+print(json.dumps(out))
+"""
+
+
+def test_sign_history_independent_in_fresh_processes():
+    near = [_near_pi(41), _near_pi(44)]
+    argv = json.dumps([[str(s.coefficient(0)), str(-s.coefficient(1))] for s in near])
+    runs = {}
+    for order in ("sign_first", "refine_first"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS, argv, order],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        runs[order] = json.loads(proc.stdout)
+        assert runs[order]["rungs_at_import"] == 0
+    assert runs["sign_first"]["ladder_is_chain"]
+    # depth 41 is odd, so p/q > pi
+    want = [1, "undecidable"]
+    assert runs["sign_first"]["verdicts"] == [want, want]
+    assert runs["refine_first"]["verdicts"] == [want]
+    assert sign(near[0]) == 1
 
 
 def test_pi_bounds_width():
