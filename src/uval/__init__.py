@@ -16,7 +16,6 @@ from .valuation import (
     dim_val,
     fourier,
     from_monomial,
-    from_tau_coords,
     iota,
     klain,
     mu,

@@ -37,7 +37,7 @@ from .kinematic import (
 )
 from .linalg import fraction_matrix_rank
 from .poly import GradedPoly, change_vars, f_closed, f_recursive
-from .scalar import Scalar, binomial, double_factorial, factorial, omega
+from .scalar import Scalar, accumulate, binomial, double_factorial, factorial, omega
 from .sl2 import (
     apply_H,
     apply_L,
@@ -584,28 +584,21 @@ def _first_variation_reference(n: int, v: Valuation) -> CurvExpr:
             Fraction(1, factorial(q) * factorial(n - k + q) * factorial(k - 2 * q))
         ) / omega(2 * n - k)
 
-    acc: dict[tuple[str, int, int], Scalar] = {}
+    def terms():
+        for (k, q), a in v.items():
+            if k == 0:
+                continue
+            c2 = a * 2 * c_const(k, q)
+            if k - 1 >= 2 * q:
+                r_same = c2 / c_const(k - 1, q)
+                yield ("Gamma", k - 1, q), r_same * (k - 2 * q) ** 2
+                yield ("B", k - 1, q), r_same * (-(k - 2 * q) * (k - 2 * q - 1))
+            if q >= 1:
+                r_down = c2 / c_const(k - 1, q - 1)
+                yield ("Gamma", k - 1, q - 1), r_down * (-(n + q - k) * q)
+                yield ("B", k - 1, q - 1), r_down * Fraction(q * (2 * (n + q - k) + 1), 2)
 
-    def add(sym: str, k: int, q: int, c: Scalar) -> None:
-        s = acc.get((sym, k, q), Scalar.zero()) + c
-        if s.is_zero:
-            acc.pop((sym, k, q), None)
-        else:
-            acc[(sym, k, q)] = s
-
-    for (k, q), a in v.items():
-        if k == 0:
-            continue
-        c2 = a * 2 * c_const(k, q)
-        if k - 1 >= 2 * q:
-            r_same = c2 / c_const(k - 1, q)
-            add("Gamma", k - 1, q, r_same * (k - 2 * q) ** 2)
-            add("B", k - 1, q, r_same * (-(k - 2 * q) * (k - 2 * q - 1)))
-        if q >= 1:
-            r_down = c2 / c_const(k - 1, q - 1)
-            add("Gamma", k - 1, q - 1, r_down * (-(n + q - k) * q))
-            add("B", k - 1, q - 1, r_down * Fraction(q * (2 * (n + q - k) + 1), 2))
-    return CurvExpr(n, acc)
+    return CurvExpr(n, accumulate({}, terms()))
 
 
 def check_norms(level: str) -> None:

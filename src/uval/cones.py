@@ -36,7 +36,7 @@ from operator import mul
 from typing import Optional
 
 from .kinematic import pairing_fourier
-from .linalg import invert_scalar_matrix
+from .linalg import invert_scalar_matrix, pi_block
 from .scalar import Scalar, factorial, int_sign, omega
 from .scalar import _raw as _raw_scalar
 from .valuation import Valuation, integer_parts, mu, q_range
@@ -97,13 +97,7 @@ def mu_gram(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
 def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     """mu_gram(n, k) as (columns, den, e): G_pq = columns[q][p] * pi^e / den.
     Every block has a single pi power (checked for n <= 10)."""
-    gram = mu_gram(n, k)
-    exps = {e for row in gram for c in row for e, _ in c.items()}
-    if len(exps) != 1:
-        raise AssertionError(f"mu_gram({n}, {k}) mixes pi powers {sorted(exps)}")
-    (e,) = exps
-    den = lcm(*(c.coefficient(e).denominator for row in gram for c in row))
-    rows = [[int(c.coefficient(e) * den) for c in row] for row in gram]
+    e, den, rows = pi_block(mu_gram(n, k))
     return tuple(zip(*rows)), den, e
 
 

@@ -291,8 +291,8 @@ def mc_crofton(
 
     E must have dimension k <= n and F dimension 2n - k.  Worker substreams
     are spawned deterministically from the seed and reduced in worker
-    order, so a fixed (seed, threads) is bit-reproducible.  threads above
-    MAX_THREADS or above samples is refused before any worker starts.
+    order, so a fixed (seed, threads) is bit-reproducible.  threads below 1,
+    above MAX_THREADS or above samples is refused before any worker starts.
     """
     if not 1 <= k <= n:
         raise ValueError("mc_crofton needs 1 <= k <= n")
@@ -302,7 +302,8 @@ def mc_crofton(
         raise ValueError(f"need dim E = {k} and dim F = {2 * n - k}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    threads = max(1, threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if threads > MAX_THREADS:
         raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
     if threads > samples:

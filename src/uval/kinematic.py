@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .linalg import invert_scalar_matrix, scalar_leading_minors
+from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
 from .scalar import Scalar, binomial, double_factorial, factorial, omega
 from .valuation import (
     Valuation,
@@ -104,22 +104,12 @@ class TasakiMatrix:
     def pretty(self) -> str:
         """Render as `common_factor * [[...], [...]]` with integer-leaning
         entries; the factor is the gcd of the entries (single pi power)."""
-        exps = {s.monomial()[0] for row in self.entries for s in row if not s.is_zero}
-        if len(exps) > 1:  # pragma: no cover - prevented by pairing structure
-            raise ValueError("mixed pi powers in Tasaki matrix")
-        m = exps.pop() if exps else 0
-        fracs = [[s.coefficient(m) for s in row] for row in self.entries]
-        num = 0
-        den = 1
-        for row in fracs:
-            for c in row:
-                num = gcd(num, c.numerator)
-                den = den * c.denominator // gcd(den, c.denominator)
-        factor = Fraction(num, den) if num else Fraction(1)
+        m, den, ints = pi_block(self.entries)
+        g = gcd(*(x for row in ints for x in row)) or den
         body = "[" + ",".join(
-            "[" + ",".join(_frac_str(c / factor) for c in row) + "]" for row in fracs
+            "[" + ",".join(_frac_str(Fraction(x, g)) for x in row) + "]" for row in ints
         ) + "]"
-        return f"{Scalar.of(factor, m)} * {body}"
+        return f"{Scalar.of(Fraction(g, den), m)} * {body}"
 
 
 def _frac_str(c: Fraction) -> str:

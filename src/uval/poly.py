@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .scalar import RationalLike, Scalar, binomial
+from .scalar import RationalLike, Scalar, accumulate, binomial
 
 __all__ = ["GradedPoly", "change_vars", "f_recursive", "f_closed"]
 
@@ -119,14 +119,7 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_chart(other)
-        out = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            s = out.get(m, Scalar.zero()) + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return _raw(out, self.chart)
+        return _raw(accumulate(dict(self._coeffs), other._coeffs.items()), self.chart)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -143,16 +136,12 @@ class GradedPoly:
             return _raw({m: c * other for m, c in self._coeffs.items()}, self.chart)
         if isinstance(other, GradedPoly):
             self._check_chart(other)
-            out: dict[tuple[int, int], Scalar] = {}
-            for (a1, b1), c1 in self._coeffs.items():
-                for (a2, b2), c2 in other._coeffs.items():
-                    m = (a1 + a2, b1 + b2)
-                    s = out.get(m, Scalar.zero()) + c1 * c2
-                    if s.is_zero:
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-            return _raw(out, self.chart)
+            pairs = other._coeffs.items()
+            return _raw(accumulate({}, (
+                ((a1 + a2, b1 + b2), c1 * c2)
+                for (a1, b1), c1 in self._coeffs.items()
+                for (a2, b2), c2 in pairs
+            )), self.chart)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -187,13 +176,9 @@ class GradedPoly:
     @staticmethod
     def from_json(data: Iterable[Mapping], chart: str = "tu") -> "GradedPoly":
         key = "u" if chart == "tu" else "s"
-        coeffs: dict[tuple[int, int], Scalar] = {}
-        for entry in data:
-            m = (int(entry["t"]), int(entry[key]))
-            c = Scalar.from_json(entry["coeff"])
-            if not c.is_zero:
-                coeffs[m] = coeffs.get(m, Scalar.zero()) + c
-        return GradedPoly(coeffs, chart)
+        return GradedPoly(accumulate({}, (
+            ((int(entry["t"]), int(entry[key])), Scalar.from_json(entry["coeff"])) for entry in data
+        )), chart)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -230,23 +215,20 @@ def change_vars(p: GradedPoly, to: str) -> GradedPoly:
         raise ValueError(f"unknown chart {to!r}")
     if p.chart == to:
         return p
-    out: dict[tuple[int, int], Scalar] = {}
-    for (a, b), c in p.items():
+
+    def terms():
         # expand (4s - t^2)^b resp. ((u + t^2)/4)^b
-        for j in range(b + 1):
-            if to == "st":
-                # u^b = sum_j C(b,j) 4^j s^j (-1)^{b-j} t^{2(b-j)}
-                coeff = c * Fraction(binomial(b, j) * 4**j * (-1) ** (b - j))
-            else:
-                # s^b = 4^{-b} sum_j C(b,j) u^j t^{2(b-j)}
-                coeff = c * Fraction(binomial(b, j), 4**b)
-            m = (a + 2 * (b - j), j)
-            s = out.get(m, Scalar.zero()) + coeff
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return GradedPoly(out, to)
+        for (a, b), c in p.items():
+            for j in range(b + 1):
+                if to == "st":
+                    # u^b = sum_j C(b,j) 4^j s^j (-1)^{b-j} t^{2(b-j)}
+                    coeff = c * Fraction(binomial(b, j) * 4**j * (-1) ** (b - j))
+                else:
+                    # s^b = 4^{-b} sum_j C(b,j) u^j t^{2(b-j)}
+                    coeff = c * Fraction(binomial(b, j), 4**b)
+                yield (a + 2 * (b - j), j), coeff
+
+    return GradedPoly(accumulate({}, terms()), to)
 
 
 @lru_cache(maxsize=None)

@@ -120,42 +120,22 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, _F0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return _raw(terms)
+        return _raw(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.get(e, _F0) - c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return _raw(terms)
+        return self + -other
 
     def __neg__(self) -> "Scalar":
         return _raw({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
         if isinstance(other, Scalar):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    s = out.get(e, _F0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return _raw(out)
+            pairs = other._terms.items()
+            return _raw(accumulate({}, (
+                (e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in pairs
+            )))
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
@@ -238,13 +218,9 @@ class Scalar:
 
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "Scalar":
-        terms: dict[int, Fraction] = {}
-        for entry in data:
-            e = int(entry["pi"])
-            c = Fraction(int(entry["num"]), int(entry["den"]))
-            if c:
-                terms[e] = terms.get(e, _F0) + c
-        return Scalar(terms)
+        return _raw(accumulate({}, (
+            (int(entry["pi"]), Fraction(int(entry["num"]), int(entry["den"]))) for entry in data
+        )))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -262,13 +238,31 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def accumulate(out: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, value) of items into out, in place, and return out.
+
+    A new key stores its value, a known key adds to the stored one, and a
+    key whose value or sum is zero is dropped, so out never holds a zero.
+    Values need only + and truth (Fraction, int, Scalar).
+    """
+    get = out.get
+    for key, value in items:
+        old = get(key)
+        if old is not None:
+            value = old + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
+
+
 def _raw(terms: dict[int, Fraction]) -> Scalar:
     s = Scalar.__new__(Scalar)
     object.__setattr__(s, "_terms", terms)
     return s
 
 
-_F0 = Fraction(0)
 _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import invert_fraction_matrix
-from .scalar import Scalar, double_factorial, factorial
+from .scalar import Scalar, accumulate, double_factorial, factorial
 from .valuation import Valuation, dim_val, q_range, tau
 
 __all__ = [
@@ -41,34 +41,34 @@ __all__ = [
 ]
 
 
-def _add_term(out: dict, n: int, k: int, q: int, c: Scalar) -> None:
-    if c.is_zero or not 0 <= k <= 2 * n or q not in q_range(n, k):
-        return
-    s = out.get((k, q), Scalar.zero()) + c
-    if s.is_zero:
-        out.pop((k, q), None)
-    else:
-        out[(k, q)] = s
+def _collect(n: int, terms) -> Valuation:
+    """The sum of the ((k, q), c) terms c * mu_{k,q}, out-of-range (k, q) dropped."""
+    return Valuation(n, accumulate({}, (
+        ((k, q), c) for (k, q), c in terms if 0 <= k <= 2 * n and q in q_range(n, k)
+    )))
 
 
 def apply_L(v: Valuation) -> Valuation:
     """The degree-raising operator; kills the top-degree component."""
-    n = v.n
-    out: dict[tuple[int, int], Scalar] = {}
-    for (k, q), c in v.items():
-        _add_term(out, n, k + 1, q + 1, c * 2 * (q + 1))
-        _add_term(out, n, k + 1, q, c * (k - 2 * q + 1))
-    return Valuation(n, out)
+
+    def terms():
+        for (k, q), c in v.items():
+            yield (k + 1, q + 1), c * 2 * (q + 1)
+            yield (k + 1, q), c * (k - 2 * q + 1)
+
+    return _collect(v.n, terms())
 
 
 def apply_Lambda(v: Valuation) -> Valuation:
     """The degree-lowering operator; kills the Euler characteristic."""
     n = v.n
-    out: dict[tuple[int, int], Scalar] = {}
-    for (k, q), c in v.items():
-        _add_term(out, n, k - 1, q, c * 2 * (n - k + q + 1))
-        _add_term(out, n, k - 1, q - 1, c * (k - 2 * q + 1))
-    return Valuation(n, out)
+
+    def terms():
+        for (k, q), c in v.items():
+            yield (k - 1, q), c * 2 * (n - k + q + 1)
+            yield (k - 1, q - 1), c * (k - 2 * q + 1)
+
+    return _collect(n, terms())
 
 
 def apply_H(v: Valuation) -> Valuation:

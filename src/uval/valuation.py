@@ -31,7 +31,7 @@ from operator import mul
 from typing import Collection, Mapping, Sequence
 
 from .poly import GradedPoly, change_vars
-from .scalar import RationalLike, Scalar, binomial, factorial, omega
+from .scalar import RationalLike, Scalar, accumulate, binomial, factorial, omega
 from .scalar import _raw as _raw_scalar
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "iota",
     "klain",
     "tau_coords",
-    "from_tau_coords",
 ]
 
 
@@ -138,14 +137,7 @@ class Valuation:
         if not isinstance(other, Valuation):
             return NotImplemented
         self._check_n(other)
-        out = dict(self._coeffs)
-        for kq, c in other._coeffs.items():
-            s = out.get(kq, Scalar.zero()) + c
-            if s.is_zero:
-                out.pop(kq, None)
-            else:
-                out[kq] = s
-        return _raw(self.n, out)
+        return _raw(self.n, accumulate(dict(self._coeffs), other._coeffs.items()))
 
     def __sub__(self, other: "Valuation") -> "Valuation":
         return self + (-other)
@@ -509,19 +501,6 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
             if x:
                 terms[e] = Fraction(x, den)
     return [_raw_scalar(terms) for terms in coords]
-
-
-def from_tau_coords(n: int, k: int, coords: Sequence[Scalar | RationalLike]) -> Valuation:
-    """The valuation sum_j coords[j] * tau_{k,j} (k <= n), inverse of tau_coords."""
-    if k > n:
-        raise ValueError("from_tau_coords requires k <= n")
-    out = Valuation.zero(n)
-    for j, c in enumerate(coords):
-        if not isinstance(c, Scalar):
-            c = Scalar.of(c)
-        if not c.is_zero:
-            out = out + tau(n, k, j) * c
-    return out
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,9 @@ def test_cli_exit_codes():
 
 def test_cli_mc_thread_bound_exits_2():
     before = threading.active_count()
-    for threads, samples in (("1000000000000", "10000000000000"), ("65", "1000"), ("11", "10")):
+    for threads, samples in (
+        ("1000000000000", "10000000000000"), ("65", "1000"), ("11", "10"), ("0", "10"), ("-1", "10"),
+    ):
         argv = ["mc", "--n", "2", "--k", "2", "--angles", "0", "--co-angles", "0",
                 "--samples", samples, "--threads", threads]
         err = io.StringIO()

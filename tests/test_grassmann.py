@@ -181,7 +181,7 @@ def test_mc_thread_bound_refused_before_any_thread_starts():
     e = Frame.model(2, 2, 1)
     f = e.complement()
     before = threading.active_count()
-    for threads, samples in ((10**12, 10**13), (MAX_THREADS + 1, 10**6), (101, 100)):
+    for threads, samples in ((10**12, 10**13), (MAX_THREADS + 1, 10**6), (101, 100), (0, 100), (-1, 100)):
         with pytest.raises(ValueError):
             mc_crofton(2, 2, e, f, samples, seed=1, threads=threads)
     assert threading.active_count() == before

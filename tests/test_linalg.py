@@ -1,4 +1,5 @@
-"""Exact determinants: Bareiss elimination against the Leibniz sum."""
+"""Exact linear algebra: Bareiss determinants against the Leibniz sum, and
+the inverse, rank and pi-block format from the same elimination."""
 
 import random
 import time
@@ -8,7 +9,14 @@ from itertools import permutations
 import pytest
 
 from uval.kinematic import tasaki_matrix_closed
-from uval.linalg import scalar_leading_minors, scalar_matrix_det
+from uval.linalg import (
+    fraction_matrix_rank,
+    invert_fraction_matrix,
+    invert_scalar_matrix,
+    pi_block,
+    scalar_leading_minors,
+    scalar_matrix_det,
+)
 from uval.scalar import Scalar
 
 
@@ -94,8 +102,145 @@ def test_tasaki_leading_minors_are_fast():
 
 
 def test_mixed_pi_powers_rejected():
-    rows = [[Scalar.one(), Scalar.pi()], [Scalar.pi(), Scalar.one()]]
+    mixed = [[Scalar.one(), Scalar.pi()], [Scalar.pi(), Scalar.one()]]
+    two_term = [[Scalar.one() + Scalar.pi(), Scalar.zero()], [Scalar.zero(), Scalar.one()]]
+    for rows in (mixed, two_term):
+        for fn in (scalar_matrix_det, scalar_leading_minors, invert_scalar_matrix, pi_block):
+            with pytest.raises(ValueError):
+                fn(rows)
+    for fn in (scalar_matrix_det, scalar_leading_minors, invert_scalar_matrix):
+        with pytest.raises(ValueError):
+            fn([[Scalar.one(), Scalar.one()]])
     with pytest.raises(ValueError):
-        scalar_matrix_det(rows)
-    with pytest.raises(ValueError):
-        scalar_matrix_det([[Scalar.one(), Scalar.one()]])
+        invert_fraction_matrix([[Fraction(1), Fraction(2)]])
+
+
+def _invertible(rng, size, entry):
+    """A random invertible matrix with zeros whose top-left entry is 0, so
+    elimination has to exchange rows at its first step."""
+    while True:
+        rows = [[entry(rng) if rng.random() < 0.6 else 0 for _ in range(size)] for _ in range(size)]
+        rows[0][0] = 0
+        if not _leibniz([[Scalar.of(x) for x in row] for row in rows]).is_zero:
+            return rows
+
+
+def test_fraction_inverse_is_exact():
+    rng = random.Random(34)
+    for size in range(2, 7):
+        for _ in range(10):
+            a = _invertible(rng, size, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
+            inv = invert_fraction_matrix(a)
+            for i in range(size):
+                for j in range(size):
+                    assert sum(a[i][t] * inv[t][j] for t in range(size)) == int(i == j), a
+
+
+def test_scalar_inverse_is_exact():
+    rng = random.Random(35)
+    for size in range(2, 7):
+        for pi_exp in (-2, 0, 1):
+            a = _invertible(rng, size, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
+            rows = [[Scalar.of(x, pi_exp) for x in row] for row in a]
+            inv = invert_scalar_matrix(rows)
+            for i in range(size):
+                for j in range(size):
+                    total = Scalar.zero()
+                    for t in range(size):
+                        total = total + rows[i][t] * inv[t][j]
+                    assert total == (Scalar.one() if i == j else Scalar.zero()), rows
+    assert invert_scalar_matrix([]) == [] == invert_fraction_matrix([])
+
+
+def test_singular_inverse_raises():
+    rng = random.Random(36)
+    for size in range(1, 7):
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(size)] for _ in range(size)]
+        # the last row is a multiple of the first (the zero row when size is 1)
+        a[-1] = [x * (size - 1) for x in a[0]]
+        with pytest.raises(ZeroDivisionError):
+            invert_fraction_matrix(a)
+        with pytest.raises(ZeroDivisionError):
+            invert_scalar_matrix([[Scalar.of(x, 1) for x in row] for row in a])
+
+
+def test_rank_of_products_of_known_rank():
+    rng = random.Random(37)
+
+    def full_rank(rows, cols, r, tall):
+        """A random integer rows x cols matrix of rank r: an r x r identity
+        in r random rows (tall) or columns (wide), random entries elsewhere."""
+        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        picked = rng.sample(range(rows if tall else cols), r)
+        for t, p in enumerate(picked):
+            for u in range(r):
+                if tall:
+                    m[p][u] = int(t == u)
+                else:
+                    m[u][p] = int(t == u)
+        return m
+
+    for _ in range(60):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.3:
+            m = n
+        r = rng.randint(0, min(n, m))
+        b, c = full_rank(n, r, r, True), full_rank(r, m, r, False)
+        prod_rows = [[Fraction(sum(b[i][t] * c[t][j] for t in range(r)), i + 1) for j in range(m)] for i in range(n)]
+        assert fraction_matrix_rank(prod_rows) == r, (n, m, r, prod_rows)
+    assert fraction_matrix_rank([]) == 0
+
+
+# TasakiMatrix.pretty() for every 0 <= k <= n <= 8, as printed before the
+# matrix was read through pi_block.
+PRETTY = {
+    (1, 0): '1 * [[1]]',
+    (1, 1): '2/π * [[1]]',
+    (2, 0): '1 * [[1]]',
+    (2, 1): '4/(3π) * [[1]]',
+    (2, 2): '1/8 * [[3,-1],[-1,3]]',
+    (3, 0): '1 * [[1]]',
+    (3, 1): '16/(15π) * [[1]]',
+    (3, 2): '1/24 * [[5,-1],[-1,5]]',
+    (3, 3): '2/(27π) * [[9,-3],[-3,5]]',
+    (4, 0): '1 * [[1]]',
+    (4, 1): '32/(35π) * [[1]]',
+    (4, 2): '1/48 * [[7,-1],[-1,7]]',
+    (4, 3): '1/(45π) * [[15,-3],[-3,7]]',
+    (4, 4): '1/384 * [[45,-15,9],[-15,19,-15],[9,-15,45]]',
+    (5, 0): '1 * [[1]]',
+    (5, 1): '256/(315π) * [[1]]',
+    (5, 2): '1/80 * [[9,-1],[-1,9]]',
+    (5, 3): '16/(525π) * [[7,-1],[-1,3]]',
+    (5, 4): '1/640 * [[35,-7,3],[-7,11,-7],[3,-7,35]]',
+    (5, 5): '1/(375π) * [[75,-25,15],[-25,27,-21],[15,-21,35]]',
+    (6, 0): '1 * [[1]]',
+    (6, 1): '512/(693π) * [[1]]',
+    (6, 2): '1/120 * [[11,-1],[-1,11]]',
+    (6, 3): '16/(2835π) * [[27,-3],[-3,11]]',
+    (6, 4): '1/1920 * [[63,-9,3],[-9,17,-9],[3,-9,63]]',
+    (6, 5): '4/(7875π) * [[175,-35,15],[-35,43,-27],[15,-27,63]]',
+    (6, 6): '1/46080 * [[1575,-525,315,-225],[-525,511,-393,315],[315,-393,511,-525],[-225,315,-525,1575]]',
+    (7, 0): '1 * [[1]]',
+    (7, 1): '2048/(3003π) * [[1]]',
+    (7, 2): '1/168 * [[13,-1],[-1,13]]',
+    (7, 3): '256/(72765π) * [[33,-3],[-3,13]]',
+    (7, 4): '1/13440 * [[297,-33,9],[-33,73,-33],[9,-33,297]]',
+    (7, 5): '16/(33075π) * [[105,-15,5],[-15,21,-11],[5,-11,33]]',
+    (7, 6): '1/107520 * [[1575,-315,135,-75],[-315,327,-203,135],[135,-203,327,-315],[-75,135,-315,1575]]',
+    (7, 7): '2/(385875π) * [[11025,-3675,2205,-1575],[-3675,3325,-2535,2025],[2205,-2535,2889,-2835],[-1575,2025,-2835,4725]]',
+    (8, 0): '1 * [[1]]',
+    (8, 1): '4096/(6435π) * [[1]]',
+    (8, 2): '1/224 * [[15,-1],[-1,15]]',
+    (8, 3): '64/(9009π) * [[13,-1],[-1,5]]',
+    (8, 4): '1/8960 * [[143,-13,3],[-13,33,-13],[3,-13,143]]',
+    (8, 5): '8/(121275π) * [[495,-55,15],[-55,87,-39],[15,-39,143]]',
+    (8, 6): '1/143360 * [[1155,-165,55,-25],[-165,187,-97,55],[55,-97,187,-165],[-25,55,-165,1155]]',
+    (8, 7): '1/(154350π) * [[3675,-735,315,-175],[-735,675,-415,275],[315,-415,539,-495],[-175,275,-495,1155]]',
+    (8, 8): '1/1146880 * [[11025,-3675,2205,-1575,1225],[-3675,3150,-2385,1900,-1575],[2205,-2385,2509,-2385,2205],[-1575,1900,-2385,3150,-3675],[1225,-1575,2205,-3675,11025]]',
+}
+
+
+def test_tasaki_pretty_unchanged():
+    for (n, k), text in PRETTY.items():
+        assert tasaki_matrix_closed(n, k).pretty() == text, (n, k)
