@@ -24,8 +24,11 @@ from .cones import (
     nu_coeffs,
 )
 from .kinematic import (
+    KinematicTensor,
+    _degree_inverse_gram,
     additive_kinematic,
     bezout_check,
+    canonical_basis,
     cpn_normalize,
     kinematic,
     pairing_fourier,
@@ -50,6 +53,7 @@ from .sl2 import (
 from .valuation import (
     Valuation,
     chi,
+    dim_val,
     fourier,
     from_monomial,
     iota,
@@ -461,6 +465,71 @@ def check_principal_kinematic(level: str) -> None:
         assert pk.block(2 * n, 0) == ((Scalar.one(),),)
     pk1 = principal_kinematic(1)
     assert pk1.block(1, 1) == ((Scalar.of(2) / Scalar.pi(1),),)
+    # run here rather than as a registry entry of its own, so that the
+    # lines of the selftest report stay the same
+    check_kinematic_reference_route(level)
+
+
+def _kinematic_reference(n: int, m: Valuation) -> KinematicTensor:
+    """k(m) basis element by basis element in Scalar arithmetic: one
+    multiply and one tau_coords per canonical basis element phi_i, then
+    K_ij times each coordinate.  The reference for the cached integer
+    blocks behind kinematic."""
+    if m.n != n:
+        raise ValueError(f"ambient dimension mismatch: {m.n} vs {n}")
+    acc: dict[tuple[int, int], list[list[Scalar]]] = {}
+    for k in range(2 * n + 1):
+        kmat = _degree_inverse_gram(n, k)
+        basis = canonical_basis(n, k)
+        b_deg = 2 * n - k
+        for i, phi in enumerate(basis):
+            prod = multiply(m, phi)
+            if prod.is_zero:
+                continue
+            for a in prod.degrees():
+                coords = tau_coords(prod, a)
+                block = acc.setdefault(
+                    (a, b_deg),
+                    [[Scalar.zero()] * dim_val(n, b_deg) for _ in range(dim_val(n, a))],
+                )
+                for row, cval in enumerate(coords):
+                    if cval.is_zero:
+                        continue
+                    for j in range(len(basis)):
+                        kij = kmat[i, j]
+                        if not kij.is_zero:
+                            block[row][j] = block[row][j] + kij * cval
+    blocks = {
+        ab: tuple(tuple(row) for row in matrix)
+        for ab, matrix in acc.items()
+        if any(not s.is_zero for row in matrix for s in row)
+    }
+    return KinematicTensor(n=n, mu=m, blocks=blocks)
+
+
+def check_kinematic_reference_route(level: str) -> None:
+    """kinematic and additive_kinematic against _kinematic_reference on
+    seeded valuations of mixed degree with pi^-1, pi^0 and pi^1 terms and
+    non-integer Fractions, and on the zero valuation."""
+    rng = random.Random(115)
+    top_n = 8 if level == "full" else 5
+
+    def coefficient() -> Scalar:
+        # odd over even is never an integer
+        return Scalar({
+            e: Fraction(2 * rng.randint(-10, 9) + 1, 2 * rng.randint(1, 6))
+            for e in rng.sample((-1, 0, 1), rng.randint(1, 3))
+        })
+
+    for n in range(1, top_n + 1):
+        mixed = Valuation(n, {
+            (k, rng.choice(q_range(n, k))): coefficient() for k in rng.sample(range(2 * n + 1), 3)
+        })
+        for m in (Valuation(n), mixed):
+            assert kinematic(n, m) == _kinematic_reference(n, m), (n, m)
+            base = _kinematic_reference(n, fourier(m))
+            flipped = {(2 * n - a, 2 * n - b): matrix for (a, b), matrix in base.blocks.items()}
+            assert additive_kinematic(n, m).blocks == flipped, (n, m)
 
 
 def check_primitive_pairing(level: str) -> None:
@@ -795,18 +864,29 @@ CHECKS: list[tuple[str, object]] = [
 
 
 def run_selftest(level: str = "full", write=print) -> tuple[int, int]:
-    """Run every check at the given level; returns (passed, failed)."""
+    """Run every check at the given level; returns (passed, failed).
+
+    A check that needs numpy is reported as skipped, not failed, when
+    numpy cannot be imported; the summary names the skipped count only
+    when there is one.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown selftest level {level!r}")
-    passed = failed = 0
+    passed = failed = skipped = 0
     for name, fn in CHECKS:
         try:
             fn(level)
         except AssertionError as exc:
             failed += 1
             write(f"FAIL {name}: {exc}")
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            skipped += 1
+            write(f"skip {name}: numpy is not installed")
         else:
             passed += 1
             write(f"ok   {name}")
-    write(f"selftest: {passed} passed, {failed} failed (level={level})")
+    skips = f", {skipped} skipped" if skipped else ""
+    write(f"selftest: {passed} passed, {failed} failed{skips} (level={level})")
     return passed, failed

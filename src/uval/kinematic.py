@@ -8,6 +8,15 @@ phi_i, psi_j run through bases of the degree-k piece and its complementary
 piece and M_ij = (phi_i, psi_j) is the duality pairing, then the degree-k
 contribution is sum K_ij (m phi_i) x psi_j with K = M^{-1}.
 
+The operator is linear in m, and block (c+k, 2n-k) of k(mu_{c,q}) is an
+integer matrix times one power of pi fixed by the degrees.  These blocks
+are cached per (n, c, k), built once from the integer tau-coordinates of
+mu_{c,q} phi_i and the integer inverse Gram block of degree k.
+:func:`kinematic` splits m into integer parts per (degree, pi exponent),
+sums the cached blocks in int and builds one Scalar per entry at the
+end.  The per-basis route in Scalar arithmetic is kept as the reference
+in :mod:`uval.checks`.
+
 Two fully independent routes produce the Tasaki matrices T^n_k = K for the
 Tasaki basis: exact inversion of the pairing Gram matrix, and the closed
 double-factorial sum obtained from the primitive (Lefschetz) basis, in
@@ -27,19 +36,23 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
 from .scalar import Scalar, binomial, double_factorial, factorial, omega
+from .scalar import _raw as _raw_scalar
 from .valuation import (
     Valuation,
     chi,
     dim_val,
     fourier,
+    integer_parts,
     multiply,
     mu,
+    q_range,
     tau,
-    tau_coords,
 )
+from .valuation import _product_coords
 
 __all__ = [
     "pairing_pd",
@@ -244,39 +257,84 @@ def _degree_inverse_gram(n: int, k: int) -> TasakiMatrix:
     return tasaki_matrix_oracle(n, k if k <= n else 2 * n - k)
 
 
+@lru_cache(maxsize=None)
+def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]] | None:
+    """Block (c+k, 2n-k) of the kinematic tensor of mu_{c,q}, for every q in
+    q_range(n, c), as (pi exponent, common denominator, ((q, ints), ...)):
+    entry (row, j) of the block of mu_{c,q} is ints[row * dim + j] * pi^e / den
+    with dim = dim_val(n, k).  None if the block is zero for every q.
+
+    Row q's integers are sum_i A_q[i][row] K[i][j], a plain int product of
+    the integer tau-coordinates A_q[i] of mu_{c,q} phi_i and the integer
+    inverse Gram block K of degree k (one pi_block).  mu_{c,q} and phi_i
+    have integer coordinates and no pi, so every product has one pi
+    exponent, the one of omega_{c+k}/(omega_c omega_k), and the same
+    denominator.
+    """
+    basis = canonical_basis(n, k)
+    ek, dk, kmat = pi_block(_degree_inverse_gram(n, k).entries)
+    cols = list(zip(*kmat))
+    rows = []
+    for q in q_range(n, c):
+        a = []
+        for phi in basis:
+            da, parts = _product_coords(n, mu(n, c, q), phi, c + k)
+            ((ea, ints),) = parts.items()
+            a.append(ints)
+        rows.append((q, [sum(map(mul, row, col)) for row in zip(*a) for col in cols]))
+    g = gcd(*(x for _, w in rows for x in w))
+    if not g:
+        return None
+    den = da * dk
+    g = gcd(g, den)
+    return ea + ek, den // g, tuple((q, tuple(x // g for x in w)) for q, w in rows)
+
+
 def kinematic(n: int, m: Valuation) -> KinematicTensor:
     """The kinematic tensor of m: sum over degrees k of
     K_ij (m phi_i) x psi_j with phi the canonical basis, psi its Fourier
-    transform and K the inverse pairing matrix of the degree."""
+    transform and K the inverse pairing matrix of the degree.
+
+    m is split into integer parts per (degree c, pi exponent) over one
+    denominator.  Block (c+k, 2n-k) receives sum_q x_q W_q in int, with
+    W_q the cached integer block of mu_{c,q} from _kinematic_block and one
+    pi shift per degree pair; one Scalar per entry is built at the end.
+    A block (a, b) comes from the single degree pair c = a + b - 2n,
+    k = 2n - b, so each block has one denominator.  All-zero blocks are
+    dropped.
+    """
     if m.n != n:
         raise ValueError(f"ambient dimension mismatch: {m.n} vs {n}")
-    acc: dict[tuple[int, int], list[list[Scalar]]] = {}
-    for k in range(2 * n + 1):
-        kmat = _degree_inverse_gram(n, k)
-        basis = canonical_basis(n, k)
-        b_deg = 2 * n - k
-        for i, phi in enumerate(basis):
-            prod = multiply(m, phi)
-            if prod.is_zero:
+    den, parts = integer_parts(m.items())
+    # (a, b) -> (table denominator, {pi exponent: flat integer block})
+    acc: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
+    for (c, e), x in parts.items():
+        for k in range(2 * n - c + 1):
+            table = _kinematic_block(n, c, k)
+            if table is None:
                 continue
-            for a in prod.degrees():
-                coords = tau_coords(prod, a)
-                block = acc.setdefault(
-                    (a, b_deg),
-                    [[Scalar.zero()] * dim_val(n, b_deg) for _ in range(dim_val(n, a))],
-                )
-                for row, cval in enumerate(coords):
-                    if cval.is_zero:
-                        continue
-                    for j in range(len(basis)):
-                        kij = kmat[i, j]
-                        if not kij.is_zero:
-                            block[row][j] = block[row][j] + kij * cval
-    blocks = {
-        ab: tuple(tuple(row) for row in matrix)
-        for ab, matrix in acc.items()
-        if any(not s.is_zero for row in matrix for s in row)
-    }
+            shift, wden, rows = table
+            _, sums = acc.setdefault((c + k, 2 * n - k), (wden, {}))
+            z = sums.get(e + shift)
+            for q, w in rows:
+                xq = x[q]
+                if xq:
+                    z = [xq * v for v in w] if z is None else [u + xq * v for u, v in zip(z, w)]
+            if z is not None:
+                sums[e + shift] = z
+    blocks = {}
+    for (a, b), (wden, sums) in acc.items():
+        d, size = den * wden, dim_val(n, b)
+        entries: list[dict[int, Fraction]] = [{} for _ in range(dim_val(n, a) * size)]
+        for e, z in sums.items():
+            for terms, v in zip(entries, z):
+                if v:
+                    terms[e] = Fraction(v, d)
+        if any(entries):
+            scalars = [_raw_scalar(terms) for terms in entries]
+            blocks[(a, b)] = tuple(
+                tuple(scalars[r:r + size]) for r in range(0, len(scalars), size)
+            )
     return KinematicTensor(n=n, mu=m, blocks=blocks)
 
 
@@ -295,28 +353,26 @@ def _pi_tau_coeff(n: int, k: int, r: int, i: int) -> Fraction:
 
 def _principal_primitive_route(n: int) -> dict[tuple[int, int], tuple[tuple[Scalar, ...], ...]]:
     """k(chi) assembled from the primitive-basis formula, converted to the
-    tau x F(tau) block convention."""
+    tau x F(tau) block convention.  The prefactor omega_k omega_{2n-k}/pi^n
+    is one pi monomial, so each block is summed in Fraction and one Scalar
+    is built per entry."""
     blocks: dict[tuple[int, int], tuple[tuple[Scalar, ...], ...]] = {}
     for k in range(2 * n + 1):
         p = min(k // 2, (2 * n - k) // 2)
         dim_left = dim_val(n, k)
-        matrix = [[Scalar.zero()] * dim_left for _ in range(dim_left)]
+        matrix = [[Fraction(0)] * dim_left for _ in range(dim_left)]
         low = min(k, 2 * n - k)  # tau degree used for the expansions
+        e, pref = (omega(k) * omega(2 * n - k) / Scalar.pi(n)).monomial()
         for r in range(p + 1):
-            c = (
-                omega(k)
-                * omega(2 * n - k)
-                / Scalar.pi(n)
-                * Fraction(
-                    factorial(2 * n - 2 * r - k)
-                    * factorial(n - r)
-                    * double_factorial(2 * n - 2 * r + 1),
-                    8**r
-                    * factorial(k - 2 * r)
-                    * factorial(2 * n - 4 * r)
-                    * double_factorial(2 * n - 4 * r + 1)
-                    * binomial(n, 2 * r),
-                )
+            c = pref * Fraction(
+                factorial(2 * n - 2 * r - k)
+                * factorial(n - r)
+                * double_factorial(2 * n - 2 * r + 1),
+                8**r
+                * factorial(k - 2 * r)
+                * factorial(2 * n - 4 * r)
+                * double_factorial(2 * n - 4 * r + 1)
+                * binomial(n, 2 * r),
             )
             if k > n:
                 # pi_{k,r} = (k-2r)!/(low-2r)! F(pi_{low,r}); same factor on
@@ -329,8 +385,10 @@ def _principal_primitive_route(n: int) -> dict[tuple[int, int], tuple[tuple[Scal
                     continue
                 for j, cj in enumerate(expansion):
                     if cj:
-                        matrix[i][j] = matrix[i][j] + c * (ci * cj)
-        blocks[(k, 2 * n - k)] = tuple(tuple(row) for row in matrix)
+                        matrix[i][j] += c * (ci * cj)
+        blocks[(k, 2 * n - k)] = tuple(
+            tuple(Scalar.of(x, e) if x else Scalar.zero() for x in row) for row in matrix
+        )
     return blocks
 
 

@@ -392,6 +392,18 @@ def integer_parts(
     return den, parts
 
 
+def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
+    """The global lift of the degree-k mu-coordinates a (indexed by q):
+    its global Tasaki coordinates [alpha_0..alpha_{k//2}]."""
+    alpha = [0] * (k // 2 + 1)
+    lift = _lift(k)
+    for q, v in enumerate(a):
+        if v:
+            for i, w in lift[q]:
+                alpha[i] += w * v
+    return alpha
+
+
 def _lifted_parts(
     items: Collection[tuple[tuple[int, int], Scalar]],
 ) -> tuple[int, dict[tuple[int, int], list[int]]]:
@@ -399,13 +411,34 @@ def _lifted_parts(
     (denominator, {(k, e): [alpha_0..alpha_{k//2}]})."""
     den, parts = integer_parts(items)
     for (k, e), a in parts.items():
-        alpha = parts[(k, e)] = [0] * len(a)
-        lift = _lift(k)
-        for q, v in enumerate(a):
-            if v:
-                for i, w in lift[q]:
-                    alpha[i] += w * v
+        parts[(k, e)] = _lift_vector(k, a)
     return den, parts
+
+
+def _product_parts(
+    n: int, pa: Mapping[tuple[int, int], list[int]], pb: Mapping[tuple[int, int], list[int]],
+) -> dict[tuple[int, int], list[int]]:
+    """The product formula on lifted parts: {(m, e): global Tasaki
+    coordinates of degree m and pi exponent e} over the product of the
+    parts' denominators times _shift_denominator(m); degrees above 2n are
+    dropped."""
+    acc: dict[tuple[int, int], list[int]] = {}
+    for (k, e1), x in pa.items():
+        for (l, e2), y in pb.items():
+            m = k + l
+            if m > 2 * n:
+                continue
+            e, f = _pi_shift(k, l)
+            key = (m, e1 + e2 + e)
+            z = acc.get(key)
+            if z is None:
+                z = acc[key] = [0] * (m // 2 + 1)
+            for xi, row in zip(x, _product_weights(k, l)):
+                if xi:
+                    xi *= f
+                    for j, s, w in row:
+                        z[s] += w * xi * y[j]
+    return acc
 
 
 def multiply(a: Valuation, b: Valuation) -> Valuation:
@@ -424,31 +457,29 @@ def multiply(a: Valuation, b: Valuation) -> Valuation:
     n = a.n
     da, pa = _lifted_parts(a._coeffs.items())
     db, pb = _lifted_parts(b._coeffs.items())
-    # (degree, pi exponent) -> global Tasaki coordinates over da*db*_shift_denominator
-    acc: dict[tuple[int, int], list[int]] = {}
-    for (k, e1), x in pa.items():
-        for (l, e2), y in pb.items():
-            m = k + l
-            if m > 2 * n:
-                continue
-            e, f = _pi_shift(k, l)
-            key = (m, e1 + e2 + e)
-            z = acc.get(key)
-            if z is None:
-                z = acc[key] = [0] * (m // 2 + 1)
-            for xi, row in zip(x, _product_weights(k, l)):
-                if xi:
-                    xi *= f
-                    for j, s, w in row:
-                        z[s] += w * xi * y[j]
     out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (m, e), z in acc.items():
+    for (m, e), z in _product_parts(n, pa, pb).items():
         den = da * db * _shift_denominator(m)
         for r, row in _restriction(n, m):
             num = sum(map(mul, row, z))
             if num:
                 out.setdefault((m, r), {})[e] = Fraction(num, den)
     return _raw(n, {kq: _raw_scalar(terms) for kq, terms in out.items()})
+
+
+def _product_coords(n: int, a: Valuation, b: Valuation, m: int) -> tuple[int, dict[int, list[int]]]:
+    """tau_coords(multiply(a, b), m) in integers: (den, {e: coords}), the
+    pi^e part of canonical coordinate j being coords[j] / den."""
+    da, pa = _lifted_parts(a._coeffs.items())
+    db, pb = _lifted_parts(b._coeffs.items())
+    parts = {}
+    for (l, e), z in _product_parts(n, pa, pb).items():
+        if l == m:
+            restricted = [0] * (m // 2 + 1)  # mu_{m,r} coordinates, 0 outside q_range
+            for r, row in _restriction(n, m):
+                restricted[r] = sum(map(mul, row, z))
+            parts[e] = _canonical_coords(n, m, restricted)
+    return da * db * _shift_denominator(m), parts
 
 
 # ----------------------------------------------------------------------
@@ -490,17 +521,25 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
     n = v.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    if k > n:
-        return tau_coords(fourier(v.component(k)), 2 * n - k)
-    # below the middle degree the tau_{k,j} are a basis and the global lift
-    # of mu_{k,q} is its expansion in them
-    den, parts = _lifted_parts([(kq, c) for kq, c in v._coeffs.items() if kq[0] == k])
-    coords: list[dict[int, Fraction]] = [{} for _ in range(k // 2 + 1)]
-    for (_, e), alpha in parts.items():
-        for terms, x in zip(coords, alpha):
+    den, parts = integer_parts([(kq, c) for kq, c in v._coeffs.items() if kq[0] == k])
+    coords: list[dict[int, Fraction]] = [{} for _ in range(dim_val(n, k))]
+    for (_, e), a in parts.items():
+        for terms, x in zip(coords, _canonical_coords(n, k, a)):
             if x:
                 terms[e] = Fraction(x, den)
     return [_raw_scalar(terms) for terms in coords]
+
+
+def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:
+    """Coordinates in the canonical degree-k basis of the degree-k
+    mu-coordinates a (indexed by q).  Below the middle degree the
+    tau_{k,j} are a basis and the global lift of mu_{k,q} is its expansion
+    in them; above it the Fourier transform mu_{k,q} -> mu_{2n-k,n-k+q} is
+    lifted at degree 2n-k."""
+    if k <= n:
+        return _lift_vector(k, a)
+    low = 2 * n - k
+    return _lift_vector(low, [a[k - n + i] for i in range(low // 2 + 1)])
 
 
 @dataclass(frozen=True)
