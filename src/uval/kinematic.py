@@ -19,8 +19,10 @@ in :mod:`uval.checks`.
 
 Two fully independent routes produce the Tasaki matrices T^n_k = K for the
 Tasaki basis: exact inversion of the pairing Gram matrix, and the closed
-double-factorial sum obtained from the primitive (Lefschetz) basis, in
-which the pairing is antidiagonal.  Their exact agreement is the central
+sum T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive
+(Lefschetz) basis, in which the pairing is diagonal; e_r is the closed
+tau-expansion of pi_{k,r} from :mod:`uval.sl2`.  Their exact agreement,
+enforced block by block on k(chi) by principal_kinematic, is the central
 cross-check of the package.
 
 Block convention: the leg of degree a is expressed in tau_{a, .} when
@@ -35,12 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
 from .scalar import Scalar, binomial, double_factorial, factorial, omega
 from .scalar import _raw as _raw_scalar
+from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
     chi,
@@ -129,47 +132,46 @@ def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
-    """T^n_k from the closed double-factorial sum (0 <= k <= n).
+def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
+    """(pi_{k,r}, F(pi_{k,r})) without its pi power pi^n/(omega_k omega_{2n-k})."""
+    return Fraction(
+        8**r * binomial(n, 2 * r) * factorial(k - 2 * r) * factorial(2 * n - 4 * r)
+        * double_factorial(2 * n - 4 * r + 1),
+        factorial(n - r) * factorial(2 * n - 2 * r - k) * double_factorial(2 * n - 2 * r + 1),
+    )
 
-    Entry (i, j) is (-1)^{i+j} omega_k omega_{2n-k} / pi^n times a finite
-    sum over the primitive degrees r = max(i,j) .. floor(k/2); no further
-    simplification of the sum is attempted.
+
+def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
+    """T^n_k from the primitive basis, where the pairing is diagonal
+    (0 <= k <= n): T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F(pi_{k,r})) over
+    r = 0..k/2, with e_r the closed tau-expansion of pi_{k,r}.
+
+    The sum runs in int over one denominator and takes the single pi power
+    of omega_k omega_{2n-k}/pi^n; one Scalar is built per entry.  No
+    product, pairing or elimination is used, so this route is independent
+    of tasaki_matrix_oracle.
     """
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
+    if n < 1:
+        raise ValueError("ambient complex dimension must be >= 1")
     p = k // 2
-    pref = omega(k) * omega(2 * n - k) / Scalar.pi(n)
-    rows = []
-    for i in range(p + 1):
-        row = []
-        for j in range(p + 1):
-            total = Fraction(0)
-            for r in range(max(i, j), p + 1):
-                num = (
-                    factorial(2 * n - 2 * r - k)
-                    * factorial(n - r)
-                    * factorial(k - 2 * i)
-                    * factorial(k - 2 * j)
-                    * double_factorial(2 * n - 2 * r + 1)
-                    * double_factorial(2 * n - 4 * r + 1)
-                    * double_factorial(2 * r - 2 * i - 1)
-                    * double_factorial(2 * r - 2 * j - 1)
-                )
-                den = (
-                    binomial(n, 2 * r)
-                    * 8**r
-                    * factorial(k - 2 * r)
-                    * factorial(2 * n - 4 * r)
-                    * factorial(2 * r - 2 * i)
-                    * factorial(2 * r - 2 * j)
-                    * double_factorial(2 * n - 2 * r - 2 * i + 1)
-                    * double_factorial(2 * n - 2 * r - 2 * j + 1)
-                )
-                total += Fraction(num, den)
-            row.append(pref * ((-1) ** (i + j) * total))
-        rows.append(tuple(row))
-    return TasakiMatrix(n, k, tuple(rows))
+    e, pref = (omega(k) * omega(2 * n - k) / Scalar.pi(n)).monomial()
+    # e_r = a/d adds weight * a a^T; every term of entry (i, j) has the
+    # sign (-1)^{i+j}, so no entry is zero
+    terms = []
+    for r in range(p + 1):
+        d, a = _primitive_tau_coeffs(n, k, r)
+        terms.append((pref / (_primitive_pairing(n, k, r) * d * d), a))
+    den = lcm(*(w.denominator for w, _ in terms))
+    sums = [[0] * (p + 1) for _ in range(p + 1)]
+    for w, a in terms:
+        for ai, row in zip(a, sums):
+            x = w.numerator * (den // w.denominator) * ai
+            for j, aj in enumerate(a):
+                row[j] += x * aj
+    rows = tuple(tuple(_raw_scalar({e: Fraction(x, den)}) for x in row) for row in sums)
+    return TasakiMatrix(n, k, rows)
 
 
 @lru_cache(maxsize=None)
@@ -338,76 +340,23 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
     return KinematicTensor(n=n, mu=m, blocks=blocks)
 
 
-def _pi_tau_coeff(n: int, k: int, r: int, i: int) -> Fraction:
-    """Coefficient of tau_{k,i} in the closed expansion of pi_{k,r}."""
-    if i > r:
-        return Fraction(0)
-    return Fraction(
-        (-1) ** (r + i)
-        * double_factorial(2 * n - 4 * r + 1)
-        * factorial(k - 2 * i)
-        * double_factorial(2 * r - 2 * i - 1),
-        factorial(2 * r - 2 * i) * double_factorial(2 * n - 2 * r - 2 * i + 1),
-    )
-
-
-def _principal_primitive_route(n: int) -> dict[tuple[int, int], tuple[tuple[Scalar, ...], ...]]:
-    """k(chi) assembled from the primitive-basis formula, converted to the
-    tau x F(tau) block convention.  The prefactor omega_k omega_{2n-k}/pi^n
-    is one pi monomial, so each block is summed in Fraction and one Scalar
-    is built per entry."""
-    blocks: dict[tuple[int, int], tuple[tuple[Scalar, ...], ...]] = {}
-    for k in range(2 * n + 1):
-        p = min(k // 2, (2 * n - k) // 2)
-        dim_left = dim_val(n, k)
-        matrix = [[Fraction(0)] * dim_left for _ in range(dim_left)]
-        low = min(k, 2 * n - k)  # tau degree used for the expansions
-        e, pref = (omega(k) * omega(2 * n - k) / Scalar.pi(n)).monomial()
-        for r in range(p + 1):
-            c = pref * Fraction(
-                factorial(2 * n - 2 * r - k)
-                * factorial(n - r)
-                * double_factorial(2 * n - 2 * r + 1),
-                8**r
-                * factorial(k - 2 * r)
-                * factorial(2 * n - 4 * r)
-                * double_factorial(2 * n - 4 * r + 1)
-                * binomial(n, 2 * r),
-            )
-            if k > n:
-                # pi_{k,r} = (k-2r)!/(low-2r)! F(pi_{low,r}); same factor on
-                # the Fourier side, squared in the block
-                ratio = Fraction(factorial(k - 2 * r), factorial(low - 2 * r))
-                c = c * (ratio * ratio)
-            expansion = [_pi_tau_coeff(n, low, r, i) for i in range(dim_left)]
-            for i, ci in enumerate(expansion):
-                if not ci:
-                    continue
-                for j, cj in enumerate(expansion):
-                    if cj:
-                        matrix[i][j] += c * (ci * cj)
-        blocks[(k, 2 * n - k)] = tuple(
-            tuple(Scalar.of(x, e) if x else Scalar.zero() for x in row) for row in matrix
-        )
-    return blocks
-
-
 def principal_kinematic(n: int, cross_check: bool = True) -> KinematicTensor:
     """The principal kinematic tensor k(chi).
 
-    Assembled from the per-degree inverse pairing matrices; with
-    cross_check (the default) the primitive-basis closed formula is also
-    assembled and exact agreement of all blocks is enforced.
+    Assembled by :func:`kinematic` from the Gram-inverse Tasaki matrices;
+    block (k, 2n-k) is T^n_{min(k, 2n-k)}.  With cross_check (the default)
+    every block is compared with the closed primitive-basis matrix
+    tasaki_matrix_closed(n, min(k, 2n-k)), each computed once, and exact
+    agreement is enforced.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tensor = kinematic(n, chi(n))
     if cross_check:
-        alt = _principal_primitive_route(n)
-        if alt != tensor.blocks:
-            raise AssertionError(
-                f"principal kinematic routes disagree at n={n}"
-            )  # pragma: no cover - guarded by the test suite
+        closed = [tasaki_matrix_closed(n, k).entries for k in range(n + 1)]
+        want = {(k, 2 * n - k): closed[min(k, 2 * n - k)] for k in range(2 * n + 1)}
+        if want != tensor.blocks:
+            raise AssertionError(f"principal kinematic routes disagree at n={n}")
     return tensor
 
 
@@ -475,16 +424,8 @@ def primitive_pairing_closed(n: int, k: int, r: int) -> Scalar:
     8^r pi^n/(omega_k omega_{2n-k}) C(n,2r) (k-2r)!(2n-4r)!/((n-r)!(2n-2r-k)!)
     * (2n-4r+1)!!/(2n-2r+1)!!.
     """
+    if n < 1:
+        raise ValueError("ambient complex dimension must be >= 1")
     if not (0 <= 2 * r <= min(k, 2 * n - k)):
         raise ValueError(f"(k,r)=({k},{r}) out of range at n={n}")
-    num = Fraction(
-        8**r
-        * binomial(n, 2 * r)
-        * factorial(k - 2 * r)
-        * factorial(2 * n - 4 * r)
-        * double_factorial(2 * n - 4 * r + 1),
-        factorial(n - r)
-        * factorial(2 * n - 2 * r - k)
-        * double_factorial(2 * n - 2 * r + 1),
-    )
-    return Scalar.pi(n) / (omega(k) * omega(2 * n - k)) * num
+    return Scalar.pi(n) / (omega(k) * omega(2 * n - k)) * _primitive_pairing(n, k, r)

@@ -15,6 +15,8 @@ survives as a cross-check invariant in the test suite.
 Primitive elements pi_{k,r} (kernel of Lambda, one per admissible (k, r))
 are built from their closed Tasaki expansion, normalised so that the
 tau_{2r,r} coefficient of pi_{2r,r} is 1; pi_{k,r} = L^{k-2r} pi_{2r,r}.
+That expansion has one source, _primitive_tau_coeffs, which the closed
+Tasaki route of :mod:`uval.kinematic` reads as well.
 The Lefschetz decomposition expands each graded piece in this basis by
 exact rational linear algebra.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .linalg import invert_fraction_matrix
 from .scalar import Scalar, accumulate, double_factorial, factorial
@@ -103,24 +106,31 @@ class Sl2Operator:
 # ----------------------------------------------------------------------
 # primitive elements
 
-def primitive(n: int, r: int) -> Valuation:
-    """The primitive element pi_{2r,r}, 0 <= 2r <= n.
+@lru_cache(maxsize=None)
+def _primitive_tau_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """The closed tau-expansion of pi_{k,r} as (d, a): the coefficient of
+    tau_{k,i} is a[i]/d for i <= r and 0 for i > r, where a[i]/d is
+    (-1)^{r+i} (2n-4r+1)!! (k-2i)! (2r-2i-1)!! / ((2r-2i)! (2n-2r-2i+1)!!).
+    The caller checks the range."""
+    lead = (-1) ** r * double_factorial(2 * n - 4 * r + 1)
+    coeffs = [
+        Fraction(
+            lead * (-1) ** i * factorial(k - 2 * i) * double_factorial(2 * r - 2 * i - 1),
+            factorial(2 * r - 2 * i) * double_factorial(2 * n - 2 * r - 2 * i + 1),
+        )
+        for i in range(r + 1)
+    ]
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
-    pi_{2r,r} = (-1)^r (2n-4r+1)!! sum_i (-1)^i (2r-2i-1)!!/(2n-2r-2i+1)!!
-    tau_{2r,i}; it spans the kernel of Lambda in degree 2r and its leading
-    tau_{2r,r} coefficient is 1.
-    """
+
+def primitive(n: int, r: int) -> Valuation:
+    """The primitive element pi_{2r,r} = primitive_general(n, 2r, r),
+    0 <= 2r <= n; it spans the kernel of Lambda in degree 2r and its
+    leading tau_{2r,r} coefficient is 1."""
     if r < 0 or 2 * r > n:
         raise ValueError(f"primitive element needs 0 <= 2r <= n, got r={r}, n={n}")
-    out = Valuation.zero(n)
-    lead = (-1) ** r * double_factorial(2 * n - 4 * r + 1)
-    for i in range(r + 1):
-        c = Fraction(
-            lead * (-1) ** i * double_factorial(2 * r - 2 * i - 1),
-            double_factorial(2 * n - 2 * r - 2 * i + 1),
-        )
-        out = out + tau(n, 2 * r, i) * c
-    return out
+    return primitive_general(n, 2 * r, r)
 
 
 def primitive_general(n: int, k: int, r: int) -> Valuation:
@@ -131,14 +141,10 @@ def primitive_general(n: int, k: int, r: int) -> Valuation:
     """
     if not (0 <= 2 * r <= k <= 2 * n - 2 * r):
         raise ValueError(f"primitive element needs 2r <= k <= 2n-2r, got (n,k,r)=({n},{k},{r})")
+    d, a = _primitive_tau_coeffs(n, k, r)
     out = Valuation.zero(n)
-    lead = (-1) ** r * double_factorial(2 * n - 4 * r + 1)
-    for i in range(r + 1):
-        c = Fraction(
-            lead * (-1) ** i * factorial(k - 2 * i) * double_factorial(2 * r - 2 * i - 1),
-            factorial(2 * r - 2 * i) * double_factorial(2 * n - 2 * r - 2 * i + 1),
-        )
-        out = out + tau(n, k, i) * c
+    for i, x in enumerate(a):
+        out = out + tau(n, k, i) * Fraction(x, d)
     return out
 
 

@@ -233,10 +233,15 @@ class _Parser:
                 raise ValSpecError(str(exc), pos) from None
         if k < 0:
             raise ValSpecError("negative power of a valuation", pos)
-        out: _Value = chi(self.n)
-        for _ in range(k):
-            out = multiply(out, a)
-        return out
+        # repeated squaring, as Scalar.__pow__; a zero square ends it early
+        out = chi(self.n)
+        while k and not a.is_zero:
+            if k & 1:
+                out = multiply(out, a)
+            k >>= 1
+            if k:
+                a = multiply(a, a)
+        return a if k else out
 
 
 def parse_valspec(text: str, n: int) -> Valuation:

@@ -5,12 +5,14 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from uval.cli import main
+from uval.kinematic import primitive_pairing_closed, tasaki_matrix_closed
 from uval.scalar import Scalar
 from uval.valspec import ValSpecError, parse_valspec
 from uval.valuation import Valuation, chi, fourier, iota, mu, multiply, q_range, tau, vol
@@ -47,6 +49,21 @@ def test_parse_powers_are_products():
     t = parse_valspec("t", 2)
     assert parse_valspec("t^2", 2) == multiply(t, t)
     assert parse_valspec("t^0", 2) == chi(2)
+    # powers by repeated squaring equal repeated products, also with a chi part
+    bases = ["t", "chi + t", "3/2*chi - pi*mu[1,0] + s", "2/pi * tau[1,0] - 1/3 * chi + u"]
+    for n in range(1, 4):
+        for text in bases:
+            base = parse_valspec(text, n)
+            want = chi(n)
+            for k in range(13):
+                assert parse_valspec(f"({text})^{k}", n) == want, (n, text, k)
+                want = multiply(want, base)
+
+
+def test_parse_huge_power_of_nilpotent_is_fast():
+    start = time.perf_counter()
+    assert parse_valspec("t^10000000", 1).is_zero
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_scalar_literals():
@@ -241,6 +258,20 @@ def test_cli_exit_codes():
     assert code == 2
     code, _ = run_cli(["tasaki", "--n", "2", "--k", "7"])
     assert code == 2
+
+
+def test_closed_routes_reject_n0():
+    message = "ambient complex dimension must be >= 1"
+    with pytest.raises(ValueError, match=message):
+        tasaki_matrix_closed(0, 0)
+    with pytest.raises(ValueError, match=message):
+        primitive_pairing_closed(0, 0, 0)
+    for route in ([], ["--oracle"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["tasaki", "--n", "0", "--k", "0", *route])
+        assert (code, out) == (2, ""), route
+        assert message in err.getvalue(), route
 
 
 def test_cli_mc_thread_bound_exits_2():

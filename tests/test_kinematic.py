@@ -1,10 +1,12 @@
 """Pairings, Tasaki matrices and kinematic tensors."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from uval.kinematic import (
+    TasakiMatrix,
     additive_kinematic,
     basis_label,
     bezout_check,
@@ -92,7 +94,7 @@ def test_closed_printed_n4():
 
 
 def test_routes_agree():
-    for n in range(1, 7):
+    for n in (*range(1, 7), 12, 17):
         for k in range(0, n + 1):
             assert tasaki_matrix_closed(n, k).entries == tasaki_matrix_oracle(n, k).entries, (n, k)
 
@@ -143,13 +145,31 @@ def test_principal_n1_classical():
 
 
 def test_principal_routes_cross_checked():
-    # cross_check=True raises if the primitive-basis assembly disagrees
+    # cross_check=True raises if a block differs from the closed primitive-basis matrix
     for n in range(1, 5):
         pk = principal_kinematic(n, cross_check=True)
         assert pk.block(0, 2 * n) == ((Scalar.one(),),)
         mid = pk.block(n, n)
         want = tasaki_matrix_oracle(n, n)
         assert mid == want.entries
+
+
+def test_principal_cross_check_can_fail(monkeypatch):
+    module = importlib.import_module("uval.kinematic")
+    closed = module.tasaki_matrix_closed
+
+    def perturbed(n, k):
+        t = closed(n, k)
+        if k != 2:
+            return t
+        rows = [list(row) for row in t.entries]
+        rows[0][0] = rows[0][0] + Scalar.one()
+        return TasakiMatrix(n, k, tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(module, "tasaki_matrix_closed", perturbed)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        principal_kinematic(3)
+    principal_kinematic(3, cross_check=False)  # the Gram-inverse route alone is unaffected
 
 
 def test_kinematic_of_chi_is_principal():
