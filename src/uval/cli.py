@@ -187,9 +187,14 @@ def _cmd_mc(args) -> int:
     e_frame = Frame.from_angles(n, k, parse_angles(args.angles))
     co = Frame.from_angles(n, k, parse_angles(args.co_angles))
     f_frame = co.complement()
-    result = mc_crofton(
-        n, k, e_frame, f_frame, args.samples, seed=args.seed, threads=args.threads
-    )
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("UVAL_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"UVAL_SEED must be an integer, got {text!r}") from None
+    result = mc_crofton(n, k, e_frame, f_frame, args.samples, seed=seed, threads=args.threads)
     if args.json:
         _print_json(result.to_json())
     else:
@@ -268,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", default="", help="Kaehler angles of E (radians, comma separated)")
     p.add_argument("--co-angles", dest="co_angles", default="", help="angles of the complement of F")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=int(os.environ.get("UVAL_SEED", "0")))
+    p.add_argument("--seed", type=int, default=None, help="default: UVAL_SEED, else 0")
     p.add_argument("--threads", type=int, default=1)
 
     p = add("selftest", _cmd_selftest, "run the invariant suite")

@@ -50,12 +50,17 @@ __all__ = [
     "MCResult",
 ]
 
-# Default tolerances; callers may override per call.
+# Fixed tolerances: Frame and AngleVector validation, and the angle
+# comparison of complement_angles_check.
 ORTHONORMAL_TOL = 1e-12
 ANGLE_TOL = 1e-9
 # Most worker threads mc_crofton starts.  A fixed constant, not the CPU
 # count, so the output of a fixed (seed, threads) is the same on every host.
 MAX_THREADS = 64
+# Samples per Haar batch in an mc_crofton worker.  Part of what fixes the
+# output of a (seed, threads) pair: the batches draw from the worker's
+# stream in this size.
+MC_CHUNK = 1 << 15
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -177,7 +182,7 @@ def kahler_cos2(f: Frame) -> list[float]:
     return [c * c for c in _kahler_cosines(f)]
 
 
-def kahler_angles(f: Frame, tol: float = ANGLE_TOL) -> AngleVector:
+def kahler_angles(f: Frame) -> AngleVector:
     """The multiple Kaehler angle of the span of a frame.
 
     For k <= n the angles are arccos of the paired singular values, sorted
@@ -186,12 +191,12 @@ def kahler_angles(f: Frame, tol: float = ANGLE_TOL) -> AngleVector:
     """
     n, k = f.n, f.k
     if k > n:
-        inner = kahler_angles(f.complement(), tol)
+        inner = kahler_angles(f.complement())
         return AngleVector((0.0,) * (k - n) + inner.thetas)
     return AngleVector(tuple(math.acos(c) for c in _kahler_cosines(f)))
 
 
-def complement_angles_check(f: Frame, tol: float = ANGLE_TOL) -> bool:
+def complement_angles_check(f: Frame) -> bool:
     """Numeric check that Theta(E_perp) = (0, ..., 0, Theta(E)) for k <= n."""
     if f.k > f.n:
         raise ValueError("complement check expects dim <= n")
@@ -199,7 +204,7 @@ def complement_angles_check(f: Frame, tol: float = ANGLE_TOL) -> bool:
     outer = kahler_angles(f.complement())
     expected = (0.0,) * (f.n - f.k) + inner.thetas
     return len(outer.thetas) == len(expected) and all(
-        abs(a - b) <= tol for a, b in zip(outer.thetas, expected)
+        abs(a - b) <= ANGLE_TOL for a, b in zip(outer.thetas, expected)
     )
 
 
@@ -285,7 +290,6 @@ def mc_crofton(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk: int = 1 << 15,
 ) -> MCResult:
     """Monte-Carlo mean of |det [E | gF]| over Haar g, with exact prediction.
 
@@ -322,7 +326,7 @@ def mc_crofton(
         total_sq = 0.0
         left = count
         while left > 0:
-            batch = min(left, chunk)
+            batch = min(left, MC_CHUNK)
             g = _haar_batch(n, batch, rng)
             moved = _real_columns(g @ f_complex)
             stacked = np.concatenate(

@@ -287,12 +287,6 @@ def _term_str(e: int, c: Fraction) -> str:
 # series terms Machin's formula starts refining from.
 _PI_START = (Fraction(333, 106), Fraction(355, 113), 2)
 
-# (lo, hi, terms) of the narrowest enclosure pi_bounds has built so far.  It
-# is replaced whole in one assignment and never updated in place, so every
-# reader sees a consistent triple; a racing writer can at worst put back a
-# wider (still valid) enclosure.
-_pi_cache = _PI_START
-
 
 def _arctan_inv_bounds(x: int, m: int) -> tuple[Fraction, Fraction]:
     """Bounds for arctan(1/x) from m and m+1 terms of the alternating series."""
@@ -329,16 +323,14 @@ def pi_bounds(eps: Fraction) -> tuple[Fraction, Fraction]:
     """A rational enclosure (lo, hi) of pi with hi - lo < eps.
 
     Uses Machin's formula, whose alternating partial sums bracket the true
-    values.  The narrowest enclosure built so far is cached module-wide and
-    refined on demand.  :func:`sign` never reads this cache.
+    values.  Every call refines from the same classical start, so the
+    result depends on eps alone, never on earlier calls.
     """
-    global _pi_cache
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    state = _refine(_pi_cache, eps)
-    _pi_cache = state
-    return state[0], state[1]
+    lo, hi, _ = _refine(_PI_START, eps)
+    return lo, hi
 
 
 # The fixed budget of sign(): rung 0 is the classical enclosure above and

@@ -10,10 +10,19 @@ Scalar division.  Scalars occurring where a valuation is needed are read
 as multiples of chi.
 
 Errors carry the byte offset of the offending token.
+
+Two limits keep the parser's work bounded by the text.  Parentheses,
+F(...) and iota(...) nest at most MAX_NESTING deep; runs of unary minus
+fold in a loop and take any length.  A power whose result would need
+more decimal digits than ``sys.get_int_max_str_digits()``, the most
+Python prints of one integer (its default 4300 when that limit is off),
+is refused before it is computed.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,7 +32,12 @@ from .valuation import Valuation, chi, fourier, iota, mu, multiply, tau, vol
 from .poly import GradedPoly
 from .valuation import from_monomial
 
-__all__ = ["ValSpecError", "parse_valspec"]
+__all__ = ["MAX_NESTING", "ValSpecError", "parse_valspec"]
+
+# Deepest nesting of parentheses, F(...) and iota(...) that parses; each
+# level costs a handful of Python frames, so this stays well inside the
+# default recursion limit.
+MAX_NESTING = 100
 
 
 class ValSpecError(ValueError):
@@ -88,6 +102,7 @@ class _Parser:
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> _Token:
@@ -151,26 +166,35 @@ class _Parser:
         return value
 
     def unary(self) -> _Value:
-        if self.peek().text == "-":
+        negate = False
+        while self.peek().text == "-":
             self.next()
-            return -self.unary()
-        return self.primary()
+            negate = not negate
+        value = self.primary()
+        return -value if negate else value
+
+    def nested(self, opener: _Token) -> _Value:
+        """The expression inside a parenthesis, F( or iota( and its ")"."""
+        if self.depth == MAX_NESTING:
+            raise ValSpecError(f"nesting deeper than {MAX_NESTING} levels", opener.pos)
+        self.depth += 1
+        value = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return value
 
     def primary(self) -> _Value:
         t = self.next()
         if t.kind == "num":
             return Scalar.of(int(t.text))
         if t.text == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
+            return self.nested(t)
         if t.kind != "ident":
             raise ValSpecError(f"unexpected {t.text!r}", t.pos)
         name = t.text
         if name in ("F", "iota"):
             self.expect("(")
-            inner = self.as_valuation(self.expr())
-            self.expect(")")
+            inner = self.as_valuation(self.nested(t))
             try:
                 return fourier(inner) if name == "F" else iota(inner)
             except ValueError as exc:
@@ -226,6 +250,15 @@ class _Parser:
             raise ValSpecError(str(exc), pos) from None
 
     def power(self, a: _Value, k: int, pos: int) -> _Value:
+        # v = c*chi + w with w nilpotent, so the size of v^k grows as c^k
+        digits = _power_digits(a if isinstance(a, Scalar) else a.coefficient(0, 0), k)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if digits > limit:
+            raise ValSpecError(
+                f"power too large: about {digits:.3g} decimal digits, "
+                f"more than the {limit} that can be printed",
+                pos,
+            )
         if isinstance(a, Scalar):
             try:
                 return a**k
@@ -242,6 +275,18 @@ class _Parser:
             if k:
                 a = multiply(a, a)
         return a if k else out
+
+
+def _power_digits(s: Scalar, k: int) -> float:
+    """|k| log10(S D) for s = sum_e (a_e / D) pi^e over the common
+    denominator D, with S = sum_e |a_e|.  Every numerator of s^k is at
+    most S^k and every denominator at most D^k, so neither has more
+    decimal digits than this.  0 for 0, 1, pi and the like."""
+    if s.is_zero or k == 0:
+        return 0.0
+    den = math.lcm(*(c.denominator for _, c in s.items()))
+    total = sum(abs(c.numerator) * (den // c.denominator) for _, c in s.items())
+    return abs(k) * math.log10(total * den)
 
 
 def parse_valspec(text: str, n: int) -> Valuation:

@@ -562,16 +562,6 @@ class KlainPolynomial:
         es = elementary_symmetric_float(cos2)
         return sum(float(c.to_float()) * e for c, e in zip(self.sigma_coeffs, es))
 
-    def evaluate_exact(self, cos2: Sequence[Fraction]) -> Scalar:
-        """Exact value at rational squared cosines."""
-        if len(cos2) != self.degree // 2:
-            raise ValueError("wrong number of angle cosines")
-        es = elementary_symmetric_exact([Fraction(x) for x in cos2])
-        out = Scalar.zero()
-        for c, e in zip(self.sigma_coeffs, es):
-            out = out + c * e
-        return out
-
 
 def elementary_symmetric_float(xs: Sequence[float]) -> list[float]:
     """All elementary symmetric polynomials e_0..e_len(xs) of the values."""

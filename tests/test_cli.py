@@ -14,7 +14,7 @@ import pytest
 from uval.cli import main
 from uval.kinematic import primitive_pairing_closed, tasaki_matrix_closed
 from uval.scalar import Scalar
-from uval.valspec import ValSpecError, parse_valspec
+from uval.valspec import MAX_NESTING, ValSpecError, parse_valspec
 from uval.valuation import Valuation, chi, fourier, iota, mu, multiply, q_range, tau, vol
 
 
@@ -64,6 +64,63 @@ def test_parse_huge_power_of_nilpotent_is_fast():
     start = time.perf_counter()
     assert parse_valspec("t^10000000", 1).is_zero
     assert time.perf_counter() - start < 1.0
+
+
+def _timed_cli(argv):
+    """(exit code, stdout, stderr, seconds) of one in-process run."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stderr(err):
+        code, out = run_cli(argv)
+    return code, out, err.getvalue(), time.perf_counter() - start
+
+
+def test_parse_nesting_limit():
+    deep = MAX_NESTING + 1
+    for text, offset in (
+        ("(" * 3000 + "chi" + ")" * 3000, MAX_NESTING),
+        ("F(" * 400 + "chi" + ")" * 400, 2 * MAX_NESTING),
+        ("iota(" * deep + "chi" + ")" * deep, 5 * MAX_NESTING),
+        ("(" * deep + "chi" + ")" * deep, MAX_NESTING),
+    ):
+        with pytest.raises(ValSpecError, match="nesting deeper") as exc:
+            parse_valspec(text, 2)
+        assert exc.value.pos == offset
+        code, out, err, took = _timed_cli(["convert", "--n", "2", "--val", text, "--to", "mu"])
+        assert (code, out) == (2, "") and "nesting deeper" in err
+        assert took < 1.0
+    # unary minus folds in a loop: any run length parses
+    assert parse_valspec("-" * 100_000 + "tau[1,0]", 2) == tau(2, 1, 0)
+    assert parse_valspec("-" * 3001 + "tau[1,0]", 2) == -tau(2, 1, 0)
+    t = parse_valspec("t", 2)
+    assert parse_valspec("--t^2", 2) == multiply(t, t)  # unary minus binds tighter than ^
+    assert parse_valspec("chi - -t", 2) == chi(2) + t
+    # nesting up to the limit, mixing all three kinds
+    third = MAX_NESTING // 3
+    want = tau(2, 2, 1)
+    for _ in range(third):
+        want = fourier(iota(want))
+    assert parse_valspec("F(iota((" * third + "tau[2,1]" + ")))" * third, 2) == want
+    top = "(" * MAX_NESTING + "-chi" + ")" * MAX_NESTING
+    assert parse_valspec(top, 2) == -chi(2)
+
+
+def test_parse_power_budget():
+    # refused before any work: the result would need more decimal digits
+    # than sys.get_int_max_str_digits()
+    for text in ("2^20000", "2^1000000000000", "(2*chi+t)^1000000000000", "(2/3)^-1000000000000"):
+        code, out, err, took = _timed_cli(["convert", "--n", "2", "--val", text, "--to", "mu"])
+        assert (code, out) == (2, "") and "power too large" in err, text
+        assert took < 1.0, text
+    # a unit chi coefficient (or none) keeps the sizes small at any exponent
+    for text, n in (("t^10000000", 1), ("(chi+t)^1000000000000", 2), ("(pi*chi-t)^1000000000000", 1)):
+        code, out, err, took = _timed_cli(["convert", "--n", str(n), "--val", text, "--to", "mu"])
+        assert code == 0 and err == "", text
+        assert took < 1.0, text
+    k = 10**12
+    assert parse_valspec(f"(chi+t)^{k}", 1) == chi(1) + parse_valspec(f"{k}*t + {k * (k - 1) // 2}*t^2", 1)
+    # below the budget the power is computed as before
+    assert parse_valspec("2^14000", 1) == chi(1) * 2**14000
 
 
 def test_parse_scalar_literals():
@@ -286,6 +343,20 @@ def test_cli_mc_thread_bound_exits_2():
             assert run_cli(argv)[0] == 2
         assert "threads" in err.getvalue()
     assert threading.active_count() == before
+
+
+def test_cli_uval_seed_read_only_by_mc(monkeypatch):
+    mc = ["mc", "--n", "2", "--k", "2", "--angles", "0", "--co-angles", "0", "--samples", "2000"]
+    monkeypatch.setenv("UVAL_SEED", "abc")
+    assert run_cli(["tasaki", "--n", "2", "--k", "2"]) == (0, "1/8 * [[3,-1],[-1,3]]\n")
+    code, out, err, _ = _timed_cli(mc)
+    assert (code, out) == (2, "") and "UVAL_SEED" in err and "'abc'" in err
+    assert run_cli([*mc, "--seed", "7"])[0] == 0  # an explicit seed never reads it
+    monkeypatch.setenv("UVAL_SEED", "7")
+    assert run_cli(mc) == run_cli([*mc, "--seed", "7"])
+    assert run_cli(mc) != run_cli([*mc, "--seed", "8"])
+    monkeypatch.delenv("UVAL_SEED")
+    assert run_cli(mc) == run_cli([*mc, "--seed", "0"])
 
 
 def test_cli_usage_error_exits_2():

@@ -5,6 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from uval.checks import (
+    check_cone_chain,
+    check_cone_strictness_witnesses,
+    check_first_variation_consistency,
+)
 from uval.cones import (
     CurvExpr,
     first_variation,
@@ -84,51 +89,11 @@ def test_monotone_witness_contents():
 
 
 def test_cone_chain_random():
-    rng = random.Random(14)
-    for n in range(1, 5):
-        for k in range(0, 2 * n + 1):
-            qs = list(q_range(n, k))
-            for _ in range(400):
-                v = Valuation(n, {(k, q): rng.randint(-4, 4) for q in qs})
-                in_cp = is_crofton_positive(v).member
-                in_m = is_monotone(v).member
-                in_p = is_positive(v).member
-                assert (not in_cp) or in_m
-                assert (not in_m) or in_p
-            for _ in range(40):
-                v = Valuation.zero(n)
-                for q in qs:
-                    v = v + nu(n, k, q) * rng.randint(0, 3)
-                assert is_crofton_positive(v).member
-                assert is_monotone(v).member and is_positive(v).member
+    check_cone_chain("full")
 
 
 def test_strictness_witnesses():
-    # P strictly contains M: the pseudo-volume
-    for n in range(2, 7):
-        v = mu(n, n, 0)
-        assert is_positive(v).member and not is_monotone(v).member
-    # M strictly contains CP: frozen witness found by grid search at (3,3);
-    # 12 mu_{3,0} + 17 mu_{3,1} satisfies both monotonicity families but its
-    # second nu coordinate is negative
-    w = mu(3, 3, 0) * 12 + mu(3, 3, 1) * 17
-    assert is_monotone(w).member
-    assert not is_crofton_positive(w).member
-    # search reproduces witnesses at n = 3 and n = 4
-    for n in (3, 4):
-        found = None
-        for k in range(1, 2 * n + 1):
-            qs = list(q_range(n, k))
-            if len(qs) < 2:
-                continue
-            for a0 in range(0, 25):
-                v = Valuation(n, {(k, qs[0]): a0, (k, qs[1]): 24})
-                if is_monotone(v).member and not is_crofton_positive(v).member:
-                    found = (k, a0)
-                    break
-            if found:
-                break
-        assert found is not None, n
+    check_cone_strictness_witnesses("full")
 
 
 # ----------------------------------------------------------------------
@@ -197,17 +162,7 @@ def test_delta_lowers_degree_and_is_linear():
 
 
 def test_monotone_iff_delta_nonnegative():
-    rng = random.Random(16)
-    for n in range(1, 5):
-        for k in range(1, 2 * n + 1):
-            qs = list(q_range(n, k))
-            for _ in range(150):
-                v = Valuation(n, {(k, q): rng.randint(-3, 3) for q in qs})
-                via_delta = (
-                    first_variation(n, v).all_nonnegative()
-                    and v.coefficient(0, 0).sign() >= 0
-                )
-                assert is_monotone(v).member == via_delta, (n, k)
+    check_first_variation_consistency("full")
 
 
 def test_curv_expr_index_conditions():

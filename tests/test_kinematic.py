@@ -5,6 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from uval.checks import (
+    check_primitive_pairing,
+    check_printed_tasaki_matrices,
+    check_tasaki_positive_definite,
+    check_tasaki_routes,
+    check_tasaki_symmetries,
+)
 from uval.kinematic import (
     TasakiMatrix,
     additive_kinematic,
@@ -67,13 +74,7 @@ def test_oracle_examples():
 
 
 def test_closed_printed_n2():
-    for n in range(2, 9):
-        t = tasaki_matrix_closed(n, 2)
-        pref = Scalar.of(Fraction(1, 4 * n * (n - 1)))
-        grid = [[2 * n - 1, -1], [-1, 2 * n - 1]]
-        for i in range(2):
-            for j in range(2):
-                assert t[i, j] == pref * grid[i][j], (n, i, j)
+    check_printed_tasaki_matrices("full")
 
 
 def test_closed_printed_n3():
@@ -94,32 +95,18 @@ def test_closed_printed_n4():
 
 
 def test_routes_agree():
-    for n in (*range(1, 7), 12, 17):
+    check_tasaki_routes("full")  # n = 1..6
+    for n in (12, 17):
         for k in range(0, n + 1):
             assert tasaki_matrix_closed(n, k).entries == tasaki_matrix_oracle(n, k).entries, (n, k)
 
 
 def test_symmetry_palindrome_and_pi_powers():
-    for n in range(1, 9):
-        for k in range(0, n + 1):
-            t = tasaki_matrix_closed(n, k)
-            p = t.size - 1
-            for i in range(p + 1):
-                for j in range(p + 1):
-                    assert t[i, j] == t[j, i]
-                    if k % 2 == 0:
-                        assert t[i, j] == t[k // 2 - i, k // 2 - j]
-            want = 0 if k % 2 == 0 else -1
-            for row in t.entries:
-                for s in row:
-                    assert s.is_zero or s.monomial()[0] == want
+    check_tasaki_symmetries("full")
 
 
 def test_positive_definite_minors():
-    for n in range(1, 7):
-        for k in range(0, n + 1):
-            for minor in tasaki_matrix_closed(n, k).leading_minor_dets():
-                assert minor.sign() > 0, (n, k)
+    check_tasaki_positive_definite("full")
 
 
 def test_out_of_range_rejected():
@@ -268,11 +255,7 @@ def test_primitive_pairing_closed_n2():
 
 
 def test_primitive_pairing_closed_all_small():
-    for n in range(1, 6):
-        for k in range(0, 2 * n + 1):
-            for r in range(0, min(k, 2 * n - k) // 2 + 1):
-                pk = primitive_general(n, k, r)
-                assert primitive_pairing_closed(n, k, r) == pairing_pd(pk, fourier(pk)), (n, k, r)
+    check_primitive_pairing("full")
 
 
 def test_primitive_pairing_positive():

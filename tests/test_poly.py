@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from uval.checks import check_relation_polynomials
 from uval.poly import GradedPoly, change_vars, f_closed, f_recursive
 from uval.scalar import Scalar
 
@@ -75,16 +76,11 @@ def test_f_closed_values():
 
 
 def test_f_routes_agree():
-    for k in range(1, 17):
-        assert f_recursive(k) == f_closed(k), k
+    check_relation_polynomials("full")
 
 
 def test_f_degree_and_leading_coefficient():
-    for k in range(1, 17):
-        fk = f_closed(k)
-        assert fk.degree() == k
-        st = change_vars(fk, "st")
-        assert st.coefficient(k, 0) == Scalar.of(Fraction((-1) ** (k + 1), k))
+    check_relation_polynomials("full")
 
 
 def test_grading():

@@ -202,6 +202,23 @@ def test_sign_history_independent_in_fresh_processes():
     assert sign(near[0]) == 1
 
 
+def test_pi_bounds_and_to_float_ignore_history():
+    rng = random.Random(18)
+    scalars = [Scalar({e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in (-1, 0, 2)})
+               for _ in range(50)]
+
+    def observe():
+        return pi_bounds(Fraction(1, 10**30)), [s.to_float(digits=12) for s in scalars]
+
+    before = observe()
+    pi_bounds(Fraction(1, 10**100))
+    assert observe() == before
+    # not narrowed by any earlier call in this process either (the sign
+    # oracle module asks for 10^-100 when it is collected)
+    lo, hi = before[0]
+    assert Fraction(1, 10**40) < hi - lo < Fraction(1, 10**30)
+
+
 def test_pi_bounds_width():
     lo, hi = pi_bounds(Fraction(1, 10**40))
     assert hi - lo < Fraction(1, 10**40)

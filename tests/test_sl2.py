@@ -1,13 +1,20 @@
 """The sl(2) operators, primitive basis and Lefschetz decomposition."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from uval.kinematic import pairing_pd
-from uval.linalg import fraction_matrix_rank
-from uval.scalar import Scalar, factorial, omega
+from uval.checks import (
+    check_L_is_multiplication,
+    check_hard_lefschetz,
+    check_iterated_commutators,
+    check_lambda_normalization,
+    check_lefschetz_decomposition,
+    check_primitive_elements,
+    check_primitive_pairing,
+    check_sl2_commutators,
+)
+from uval.scalar import Scalar, factorial
 from uval.sl2 import (
     Sl2Operator,
     apply_H,
@@ -21,22 +28,10 @@ from uval.sl2 import (
 from uval.valuation import (
     Valuation,
     chi,
-    fourier,
     mu,
-    multiply,
-    q_range,
     tau,
     vol,
 )
-
-
-def _rand_valuation(rng, n):
-    coeffs = {}
-    for _ in range(rng.randint(1, 4)):
-        k = rng.randint(0, 2 * n)
-        q = rng.choice(list(q_range(n, k)))
-        coeffs[(k, q)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return Valuation(n, coeffs)
 
 
 def test_L_examples():
@@ -71,45 +66,15 @@ def test_operator_dispatch():
 
 
 def test_commutators_on_basis():
-    for n in range(1, 7):
-        for k in range(0, 2 * n + 1):
-            for q in q_range(n, k):
-                v = mu(n, k, q)
-                assert apply_L(apply_Lambda(v)) - apply_Lambda(apply_L(v)) == apply_H(v)
-                assert apply_H(apply_L(v)) - apply_L(apply_H(v)) == apply_L(v) * 2
-                assert apply_H(apply_Lambda(v)) - apply_Lambda(apply_H(v)) == apply_Lambda(v) * (-2)
+    check_sl2_commutators("full")
 
 
 def test_iterated_commutators():
-    rng = random.Random(11)
-
-    def l_pow(w, m):
-        for _ in range(m):
-            w = apply_L(w)
-        return w
-
-    for n in range(1, 6):
-        for _ in range(4):
-            v = _rand_valuation(rng, n)
-            for i in range(1, 5):
-                lhs = l_pow(apply_Lambda(v), i) - apply_Lambda(l_pow(v, i))
-                rhs = l_pow(apply_H(v), i - 1) * i + l_pow(v, i - 1) * (i * (i - 1))
-                assert lhs == rhs, (n, i)
+    check_iterated_commutators("full")
 
 
 def test_hard_lefschetz_bijective():
-    for n in range(1, 7):
-        for k in range(0, n + 1):
-            qs = list(q_range(n, k))
-            target = list(q_range(n, 2 * n - k))
-            cols = []
-            for q in qs:
-                w = mu(n, k, q)
-                for _ in range(2 * n - 2 * k):
-                    w = apply_L(w)
-                cols.append([w.coefficient(2 * n - k, t).as_fraction() for t in target])
-            matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(target))]
-            assert fraction_matrix_rank(matrix) == len(qs) == len(target), (n, k)
+    check_hard_lefschetz("full")
 
 
 def test_primitive_base_cases():
@@ -124,18 +89,11 @@ def test_primitive_base_cases():
 
 
 def test_primitive_is_primitive():
-    for n in range(1, 7):
-        for r in range(0, n // 2 + 1):
-            assert apply_Lambda(primitive(n, r)).is_zero, (n, r)
+    check_primitive_elements("full")
 
 
 def test_primitive_general_two_routes():
-    for n in range(1, 7):
-        for r in range(0, n // 2 + 1):
-            iterated = primitive(n, r)
-            for k in range(2 * r, 2 * n - 2 * r + 1):
-                assert primitive_general(n, k, r) == iterated, (n, k, r)
-                iterated = apply_L(iterated)
+    check_primitive_elements("full")
     with pytest.raises(ValueError):
         primitive_general(3, 6, 1)  # k > 2n - 2r
 
@@ -147,49 +105,19 @@ def test_pi_k0_is_scaled_intrinsic_volume():
 
 
 def test_magic_formula():
-    for n in range(1, 7):
-        for r in range(0, n // 2 + 1):
-            for k in range(2 * r, 2 * n - 2 * r + 1):
-                pk = primitive_general(n, k, r)
-                want = primitive_general(n, 2 * n - k, r) * Fraction(
-                    factorial(k - 2 * r), factorial(2 * n - 2 * r - k)
-                )
-                assert fourier(pk) == want, (n, k, r)
+    check_primitive_elements("full")
 
 
 def test_primitive_orthogonality():
-    for n in range(1, 6):
-        for k in range(0, 2 * n + 1):
-            top = min(k, 2 * n - k) // 2
-            for r in range(top + 1):
-                for s in range(top + 1):
-                    if r != s:
-                        prod = pairing_pd(
-                            primitive_general(n, k, r), primitive_general(n, 2 * n - k, s)
-                        )
-                        assert prod.is_zero, (n, k, r, s)
+    check_primitive_pairing("full")
 
 
 def test_lambda_matches_derivative_normalization():
-    # Lambda tau_{1,0} = 2n tau_{0,0}, the instance pinning the
-    # omega_{2n-k}/omega_{2n-k+1} renormalization of the derivative operator
-    for n in range(1, 7):
-        assert apply_Lambda(tau(n, 1, 0)) == chi(n) * (2 * n)
+    check_lambda_normalization("full")
 
 
 def test_L_is_renormalized_multiplication():
-    rng = random.Random(12)
-    for n in range(1, 6):
-        mu1 = tau(n, 1, 0)
-        for _ in range(6):
-            v = _rand_valuation(rng, n)
-            prod = multiply(mu1, v)
-            expected = Valuation.zero(n)
-            for k in v.degrees():
-                expected = expected + prod.component(k + 1) * (
-                    Scalar.of(2) * omega(k) / omega(k + 1)
-                )
-            assert apply_L(v) == expected, n
+    check_L_is_multiplication("full")
 
 
 def test_lefschetz_decompose_examples():
@@ -210,8 +138,4 @@ def test_lefschetz_decompose_examples():
 
 
 def test_lefschetz_decompose_random_roundtrip():
-    rng = random.Random(13)
-    for n in range(1, 6):
-        for _ in range(6):
-            v = _rand_valuation(rng, n)
-            assert reconstruct(n, lefschetz_decompose(v)) == v
+    check_lefschetz_decomposition("full")

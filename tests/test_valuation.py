@@ -5,8 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from uval.checks import (
+    check_anisotropic_ideal,
+    check_fourier_and_iota,
+    check_fourier_restriction_map,
+    check_ideal_vanishing,
+    check_kazarnovskii_normalization,
+    check_monomial_roundtrip,
+    check_multiplication_by_u,
+    check_product_algebra,
+    check_tasaki_product_formula,
+)
 from uval.poly import GradedPoly, change_vars, f_closed
-from uval.scalar import Scalar, binomial, factorial, omega
+from uval.scalar import Scalar
 from uval.valuation import (
     Valuation,
     chi,
@@ -19,7 +30,6 @@ from uval.valuation import (
     multiply,
     q_range,
     tau,
-    tau_coords,
     to_monomial,
     vol,
 )
@@ -93,26 +103,11 @@ def test_to_monomial_examples():
 
 
 def test_monomial_roundtrip_random():
-    rng = random.Random(4)
-    for n in range(1, 7):
-        for _ in range(15):
-            v = _rand_valuation(rng, n)
-            assert from_monomial(n, to_monomial(v)) == v
+    check_monomial_roundtrip("full")
 
 
 def test_ideal_vanishes():
-    for n in range(1, 7):
-        for shift in (1, 2):
-            f = f_closed(n + shift)
-            bound = 2 * n - (n + shift)
-            for a in range(bound + 1):
-                for b in range((bound - a) // 2 + 1):
-                    assert from_monomial(n, GradedPoly.monomial(a, b) * f).is_zero, (
-                        n,
-                        shift,
-                        a,
-                        b,
-                    )
+    check_ideal_vanishing("full")
 
 
 # ----------------------------------------------------------------------
@@ -137,12 +132,7 @@ def test_product_tau20_squared_at_n2():
 
 
 def test_product_commutative_associative():
-    rng = random.Random(6)
-    for n in range(1, 5):
-        for _ in range(5):
-            a, b, c = (_rand_valuation(rng, n, 2) for _ in range(3))
-            assert multiply(a, b) == multiply(b, a)
-            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    check_product_algebra("full")
 
 
 def test_product_dimension_mismatch():
@@ -151,66 +141,19 @@ def test_product_dimension_mismatch():
 
 
 def test_tasaki_product_formula():
-    for n in range(1, 6):
-        for k in range(0, 2 * n + 1):
-            for l in range(0, 2 * n + 1 - k):
-                for p in range(k // 2 + 1):
-                    for q in range(l // 2 + 1):
-                        coeff = (
-                            omega(k + l)
-                            / (omega(k) * omega(l))
-                            * Fraction(
-                                binomial(k + l - 2 * p - 2 * q, k - 2 * p)
-                                * binomial(2 * p + 2 * q, 2 * p)
-                            )
-                        )
-                        rhs = tau(n, k + l, p + q) * coeff
-                        a, b = tau(n, k, p), tau(n, l, q)
-                        assert multiply(a, b) == rhs, (n, k, l, p, q)
-                        # multiply is built from this formula: the quotient
-                        # map is the independent route
-                        quotient = from_monomial(n, to_monomial(a) * to_monomial(b))
-                        assert quotient == rhs, (n, k, l, p, q)
+    check_tasaki_product_formula("full")
 
 
 def test_anisotropic_ideal():
-    rng = random.Random(7)
-    for n in range(1, 6):
-        u_val = from_monomial(n, GradedPoly.u())
-        for _ in range(10):
-            v = _rand_valuation(rng, n)
-            prod = multiply(u_val, v)
-            for k in range(0, n + 1):
-                assert prod.coefficient(k, 0).is_zero
+    check_anisotropic_ideal("full")
 
 
 def test_kazarnovskii_normalization():
-    n = 10
-    for k in range(1, 11):
-        pref = Scalar.of(
-            Fraction((-1) ** (k + 1) * 2**k, 2 * factorial(k - 1)), k
-        ) / omega(k)
-        assert to_monomial(mu(n, k, 0)) == f_closed(k) * pref, k
+    check_kazarnovskii_normalization("full")
 
 
 def test_multiplication_by_u_exact():
-    # exact equality, which subsumes the congruence modulo higher mu terms
-    for n in range(1, 6):
-        u_val = from_monomial(n, GradedPoly.u())
-        for k in range(0, 2 * n - 1):
-            for p in q_range(n, k):
-                lhs = multiply(u_val, mu(n, k, p))
-                pref = Scalar.of(Fraction(4 * (p + 1), k + 2), -1)
-                rhs = Valuation.zero(n)
-                if p + 1 in q_range(n, k + 2):
-                    rhs = rhs + mu(n, k + 2, p + 1) * (2 * p + 1)
-                if p + 2 in q_range(n, k + 2):
-                    rhs = rhs - mu(n, k + 2, p + 2) * (2 * (p + 2))
-                assert lhs == rhs * pref, (n, k, p)
-                # the congruence statement itself: no mu_{k+2,i}, i > p+2
-                for i in q_range(n, k + 2):
-                    if i > p + 2:
-                        assert lhs.coefficient(k + 2, i).is_zero
+    check_multiplication_by_u("full")
 
 
 # ----------------------------------------------------------------------
@@ -241,26 +184,11 @@ def test_iota_rejects_odd_degree():
 
 
 def test_iota_commutes_with_fourier():
-    rng = random.Random(9)
-    for n in range(1, 6):
-        for _ in range(6):
-            v = _rand_valuation(rng, n)
-            even = sum(
-                (v.component(k) for k in v.degrees() if k % 2 == 0), Valuation.zero(n)
-            )
-            assert iota(fourier(even)) == fourier(iota(even))
+    check_fourier_and_iota("full")
 
 
 def test_fourier_is_restriction_on_tasaki():
-    # F(tau_{2(n-p),i}) in tau_{2p,.} coordinates carries C(n-2p, i-j)
-    for n in range(1, 6):
-        for p in range(0, n // 2 + 1):
-            m = n - p
-            for i in range(m + 1):
-                coords = tau_coords(fourier(tau(n, 2 * m, i)), 2 * p)
-                for j, c in enumerate(coords):
-                    want = binomial(m - p, i - j) if 0 <= i - j <= m - p else 0
-                    assert c == Scalar.of(want), (n, p, i, j)
+    check_fourier_restriction_map("full")
 
 
 # ----------------------------------------------------------------------
