@@ -4,6 +4,10 @@ Subcommands: tasaki, pkf, kinematic, additive, cone, convert, sl2,
 primitive, mc, selftest.  Output is deterministic (stable ordering
 everywhere) and UTF-8; `--json` switches to the machine format.  Exit
 codes: 0 success, 1 failed selftest or undecidable sign, 2 usage error.
+
+Every --n is at most a cap per subcommand (MAX_N, else DEFAULT_MAX_N),
+and mc --samples at most grassmann.MAX_SAMPLES; larger values exit 2
+before any work.
 """
 
 from __future__ import annotations
@@ -27,34 +31,22 @@ from .kinematic import (
 from .scalar import Scalar, UndecidableSignError
 from .sl2 import Sl2Operator, lefschetz_decompose, primitive_general
 from .valspec import ValSpecError, parse_valspec
-from .valuation import tau_coords, to_monomial
+from .valuation import _format_combo, tau_coords, to_monomial
 
 __all__ = ["main"]
+
+# Largest --n per subcommand.  Each cap keeps the heaviest input within
+# about 15 s on one core (measured, 2 shared cores, Python 3.11): at
+# n = 32 pkf takes 0.6 s, additive of (chi+t)^64 14 s and convert --to
+# prim of it 1.2 s; the Gram-inverse Tasaki matrix takes 2 s at n = 64.
+# mc holds a batch of MC_CHUNK Haar samples of 2n x 2n matrices per
+# thread, about 150 MB at n = 8.
+MAX_N = {"tasaki": 64, "mc": 8}
+DEFAULT_MAX_N = 32
 
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def _format_combo(terms: list[tuple[Scalar, str]]) -> str:
-    """Deterministic rendering of sum coeff * atom with unit elision."""
-    parts = []
-    for c, atom in terms:
-        if c.is_zero:
-            continue
-        if c == Scalar.one():
-            text = atom
-        elif c == -Scalar.one():
-            text = f"-{atom}"
-        else:
-            text = f"({c})*{atom}"
-        parts.append(text)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
 
 
 def _tensor_cmd(args, tensor: KinematicTensor) -> int:
@@ -206,6 +198,13 @@ def _cmd_mc(args) -> int:
     return 0
 
 
+def _check_n(args) -> None:
+    """Refuse an --n above the subcommand's cap, before any work."""
+    n, cap = getattr(args, "n", None), MAX_N.get(args.command, DEFAULT_MAX_N)
+    if n is not None and n > cap:
+        raise ValueError(f"{args.command} --n is at most {cap}, got {n}")
+
+
 def _cmd_selftest(args) -> int:
     _, failed = run_selftest(args.level)
     return 1 if failed else 0
@@ -286,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_n(args)
         return args.fn(args)
     except UndecidableSignError as exc:
         print(f"error: {exc}", file=sys.stderr)

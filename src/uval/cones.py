@@ -20,26 +20,28 @@ the signs of its coefficients matter for monotonicity, and the sign
 pattern reproduces the inequalities above.  The symbols are never
 evaluated on convex bodies.
 
-All sign decisions are exact.  Everything runs on the integer parts of a
-valuation per pi exponent (valuation.integer_parts): each Gram block is an
-integer matrix times one pi power and delta is a cached table, so signs go
-to scalar.int_sign and Scalars are built only for results and witnesses.
+All sign decisions are exact.  Everything runs on the store of a
+Valuation, its integer numerators per degree and pi exponent over one
+denominator: each Gram block is an integer matrix times one pi power and
+delta is a cached table, so every sign goes to scalar.int_sign.  Scalars
+are built only where a result is read: nu_coeffs, the norms, the terms and
+text of a CurvExpr, and the witness of a failed ConeVerdict, which is
+built when .witness or to_json() is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
-from typing import Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .kinematic import pairing_fourier
 from .linalg import invert_scalar_matrix, pi_block
 from .scalar import Scalar, factorial, int_sign, omega
-from .scalar import _raw as _raw_scalar
-from .valuation import Valuation, integer_parts, mu, q_range
+from .valuation import Valuation, mu, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -56,21 +58,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeVerdict:
-    """Outcome of a cone membership test; carries a witness on failure."""
+    """Outcome of a cone membership test; carries a witness on failure.
+
+    The witness may be given as a function of no arguments that builds it.
+    The predicates below do so, so a failure's witness dict, and the text
+    in it, is built only when .witness or to_json() is first read.
+    """
 
     member: bool
-    witness: Optional[dict] = None
+    _witness: Union[dict, Callable[[], dict], None] = None
 
     def __post_init__(self):
-        if self.member and self.witness is not None:
+        if self.member and self._witness is not None:
             raise ValueError("a member verdict carries no witness")
-        if not self.member and self.witness is None:
+        if not self.member and self._witness is None:
             raise ValueError("a failure verdict requires a witness")
+
+    @cached_property
+    def witness(self) -> Optional[dict]:
+        return self._witness() if callable(self._witness) else self._witness
 
     def __bool__(self) -> bool:
         return self.member
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConeVerdict):
+            return NotImplemented
+        return self.member == other.member and self.witness == other.witness
 
     def to_json(self) -> dict:
         return {"member": self.member, "witness": self.witness}
@@ -123,24 +139,24 @@ def nu(n: int, k: int, p: int) -> Valuation:
     return out
 
 
-def _nu_parts(n: int, k: int, parts: dict[tuple[int, int], list[int]]) -> list[dict[int, int]]:
-    """The nu coordinates b_q = sum_p a_p G_pq of the degree-k integer parts,
-    q ascending, each as {e: b_e}; see _nu_scalar for the value."""
+def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:
+    """The nu coordinates b_q = sum_p a_p G_pq of the degree-k part
+    {e: [a_0..a_{k//2}]} of a store, q ascending, each as {e: b_e}; see
+    _nu_scalar for the value."""
     columns, _, _ = _gram_block(n, k)
     q0 = max(0, k - n)
     out: list[dict[int, int]] = [{} for _ in columns]
-    for (kk, e), a in parts.items():
-        if kk == k:
-            a = a[q0:]
-            for b, column in zip(out, columns):
-                b[e] = sum(map(mul, column, a))
+    for e, a in parts.items():
+        a = a[q0:]
+        for b, column in zip(out, columns):
+            b[e] = sum(map(mul, column, a))
     return out
 
 
 def _nu_scalar(n: int, k: int, den: int, b: dict[int, int]) -> Scalar:
     """sum_e b_e pi^(e + e_G) / (den * den_G), one coordinate of _nu_parts."""
     _, gram_den, shift = _gram_block(n, k)
-    return Scalar({e + shift: Fraction(x, den * gram_den) for e, x in b.items()})
+    return Scalar.from_parts({e + shift: x for e, x in b.items()}, den * gram_den)
 
 
 def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
@@ -151,8 +167,7 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
     """
     if v.degrees() not in ([], [k]):
         raise ValueError("nu_coeffs requires a homogeneous valuation of the stated degree")
-    den, parts = integer_parts(v.items())
-    return [_nu_scalar(v.n, k, den, b) for b in _nu_parts(v.n, k, parts)]
+    return [_nu_scalar(v.n, k, v._den, b) for b in _nu_parts(v.n, k, v._parts.get(k, {}))]
 
 
 # ----------------------------------------------------------------------
@@ -160,26 +175,31 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
 
 def is_positive(v: Valuation) -> ConeVerdict:
     """Membership in P: every mu coefficient nonnegative."""
-    for (k, q), c in v.items():
-        if c.sign() < 0:
-            return ConeVerdict(
-                False,
-                {"kind": "negative_mu_coefficient", "k": k, "q": q, "coefficient": str(c)},
-            )
+    den = v._den
+    for k in v.degrees():
+        parts = v._parts[k]
+        if min(map(min, parts.values())) >= 0:
+            continue  # nonnegative numerators give nonnegative coefficients
+        for q in range(k // 2 + 1):
+            c = {e: a[q] for e, a in parts.items()}
+            if int_sign(c, lambda: Scalar.from_parts(c, den)) < 0:
+                return ConeVerdict(False, lambda: {
+                    "kind": "negative_mu_coefficient", "k": k, "q": q,
+                    "coefficient": str(Scalar.from_parts(c, den)),
+                })
     return _MEMBER
 
 
 def is_crofton_positive(v: Valuation) -> ConeVerdict:
     """Membership in CP: every nu coordinate of every degree nonnegative."""
-    den, parts = integer_parts(v.items())
+    n, den = v.n, v._den
     for k in v.degrees():
-        for q, b in zip(q_range(v.n, k), _nu_parts(v.n, k, parts)):
+        for q, b in zip(q_range(n, k), _nu_parts(n, k, v._parts[k])):
             if int_sign(b) < 0:
-                coordinate = str(_nu_scalar(v.n, k, den, b))
-                return ConeVerdict(
-                    False,
-                    {"kind": "negative_nu_coordinate", "k": k, "q": q, "coordinate": coordinate},
-                )
+                return ConeVerdict(False, lambda: {
+                    "kind": "negative_nu_coordinate", "k": k, "q": q,
+                    "coordinate": str(_nu_scalar(n, k, den, b)),
+                })
     return _MEMBER
 
 
@@ -191,29 +211,30 @@ def is_monotone(v: Valuation) -> ConeVerdict:
     outside the valid mu range enter with coefficient zero, matching the
     local vanishing of the corresponding basis elements.
     """
-    n = v.n
-    c0 = v.coefficient(0, 0)
-    if c0.sign() < 0:
-        return ConeVerdict(False, {"kind": "negative_point_value", "value": str(c0)})
-    den, parts = integer_parts(v.items())
+    n, den = v.n, v._den
+    c0 = {e: a[0] for e, a in v._parts.get(0, {}).items()}
+    if int_sign(c0, lambda: Scalar.from_parts(c0, den)) < 0:
+        return ConeVerdict(False, lambda: {
+            "kind": "negative_point_value", "value": str(Scalar.from_parts(c0, den)),
+        })
     for k in v.degrees():
         if k == 0:
             continue
-        verdict = _component_monotone(n, k, den, {e: a for (kk, e), a in parts.items() if kk == k})
+        verdict = _component_monotone(n, k, den, v._parts[k])
         if not verdict.member:
             return verdict
     return _MEMBER
 
 
-def _component_monotone(n: int, k: int, den: int, parts: dict[int, list[int]]) -> ConeVerdict:
+def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int, ...]]) -> ConeVerdict:
     """Both inequality families on the integer parts {e: [a_0..a_{k//2}]}
     of one degree component over den; family 2 is taken times 2."""
 
     def failure(family: int, q: int, slack: dict[int, int], scale: int) -> ConeVerdict:
-        text = str(Scalar({e: Fraction(x, scale) for e, x in slack.items()}))
-        return ConeVerdict(
-            False, {"kind": "inequality", "family": family, "k": k, "q": q, "slack": text}
-        )
+        return ConeVerdict(False, lambda: {
+            "kind": "inequality", "family": family, "k": k, "q": q,
+            "slack": str(Scalar.from_parts(slack, scale)),
+        })
 
     for q in range(max(0, k - n), (k - 1) // 2 + 1):
         # (k-2q) a_q - (k-2q-1) a_{q+1}; a_{q+1} is out of range only where
@@ -234,45 +255,64 @@ def _component_monotone(n: int, k: int, den: int, parts: dict[int, list[int]]) -
 # ----------------------------------------------------------------------
 # first variation
 
-@dataclass(frozen=True)
 class CurvExpr:
     """A formal combination of curvature-measure symbols.
 
-    terms maps ("B" | "Gamma", k, q) to a Scalar coefficient.  B_{k,q}
+    The keys are ("B" | "Gamma", k, q) with Scalar coefficients.  B_{k,q}
     requires k > 2q and Gamma_{k,q} requires n > k - q; both conditions
     are enforced at construction.  The symbols stay formal: only their
-    coefficients are ever inspected.
+    coefficients are ever inspected.  Each coefficient is kept as integer
+    parts over a denominator; terms, items() and str build the Scalars on
+    read, and all_nonnegative() decides in int.
     """
 
-    n: int
-    terms: dict[tuple[str, int, int], Scalar]
+    __slots__ = ("n", "_parts")  # _parts: {key: ({pi exponent: numerator}, den)}
 
-    def __post_init__(self):
-        for (sym, k, q), c in self.terms.items():
+    def __init__(self, n: int, terms: Mapping[tuple[str, int, int], Scalar]):
+        for sym, k, q in terms:
             if sym == "B":
                 if not k > 2 * q:
                     raise ValueError(f"B_({k},{q}) needs k > 2q")
             elif sym == "Gamma":
-                if not self.n > k - q:
+                if not n > k - q:
                     raise ValueError(f"Gamma_({k},{q}) needs n > k - q")
             else:
                 raise ValueError(f"unknown curvature symbol {sym!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_parts", {key: c.to_parts() for key, c in terms.items() if c})
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("CurvExpr is immutable")
+
+    @property
+    def terms(self) -> dict[tuple[str, int, int], Scalar]:
+        return {key: Scalar.from_parts(*parts) for key, parts in self._parts.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._parts
 
     def coefficient(self, sym: str, k: int, q: int) -> Scalar:
-        return self.terms.get((sym, k, q), Scalar.zero())
+        return Scalar.from_parts(*self._parts.get((sym, k, q), ({}, 1)))
 
     def items(self):
         return sorted(self.terms.items())
 
     def all_nonnegative(self) -> bool:
-        return all(c.sign() >= 0 for c in self.terms.values())
+        return all(
+            int_sign(t, lambda: Scalar.from_parts(t, den)) >= 0 for t, den in self._parts.values()
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurvExpr):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"CurvExpr(n={self.n!r}, terms={self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._parts:
             return "0"
         return " + ".join(f"({c})*{sym}[{k},{q}]" for (sym, k, q), c in self.items())
 
@@ -318,25 +358,25 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     """
     if v.n != n:
         raise ValueError(f"ambient dimension mismatch: {v.n} vs {n}")
-    den, parts = integer_parts(v.items())
-    acc: dict[tuple[str, int, int], dict[int, int]] = {}
-    for (k, e), a in parts.items():
+    parts = {}
+    for k, by_e in v._parts.items():
         if k == 0:
             continue
-        rows = _delta_table(n, k)[1]
-        for x, row in zip(a, rows):
-            if x:
-                for key, f, c in row:
-                    t = acc.setdefault(key, {})
-                    t[e + f] = t.get(e + f, 0) + c * x
-    terms = {}
-    for key, t in acc.items():
-        # the source degree is key[1] + 1, so one table denominator per key
-        d = _delta_table(n, key[1] + 1)[0] * den
-        c = {e: Fraction(x, d) for e, x in t.items() if x}
-        if c:
-            terms[key] = _raw_scalar(c)
-    return CurvExpr(n, terms)
+        den, rows = _delta_table(n, k)
+        acc: dict[tuple[str, int, int], dict[int, int]] = {}
+        for e, a in by_e.items():
+            for x, row in zip(a, rows):
+                if x:
+                    for key, f, c in row:
+                        t = acc.setdefault(key, {})
+                        t[e + f] = t.get(e + f, 0) + c * x
+        for key, t in acc.items():
+            t = {e: x for e, x in t.items() if x}
+            if t:
+                parts[key] = (t, den * v._den)
+    expr = CurvExpr(n, {})
+    object.__setattr__(expr, "_parts", parts)
+    return expr
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +396,12 @@ def norm_inf(v: Valuation) -> Scalar:
 def norm_one(v: Valuation) -> Scalar:
     """sum_q |b_q| over the nu coordinates of a homogeneous valuation."""
     k = _require_homogeneous(v)
-    den, parts = integer_parts(v.items())
     total: dict[int, int] = {}
-    for b in _nu_parts(v.n, k, parts):
+    for b in _nu_parts(v.n, k, v._parts.get(k, {})):
         s = int_sign(b)
         for e, x in b.items():
             total[e] = total.get(e, 0) + s * x
-    return _nu_scalar(v.n, k, den, total)
+    return _nu_scalar(v.n, k, v._den, total)
 
 
 def _require_homogeneous(v: Valuation) -> int:

@@ -57,6 +57,9 @@ ANGLE_TOL = 1e-9
 # Most worker threads mc_crofton starts.  A fixed constant, not the CPU
 # count, so the output of a fixed (seed, threads) is the same on every host.
 MAX_THREADS = 64
+# Most samples mc_crofton draws: its time is linear in them, and this is
+# ten times the 10^6 of the documented examples.
+MAX_SAMPLES = 10_000_000
 # Samples per Haar batch in an mc_crofton worker.  Part of what fixes the
 # output of a (seed, threads) pair: the batches draw from the worker's
 # stream in this size.
@@ -296,7 +299,8 @@ def mc_crofton(
     E must have dimension k <= n and F dimension 2n - k.  Worker substreams
     are spawned deterministically from the seed and reduced in worker
     order, so a fixed (seed, threads) is bit-reproducible.  threads below 1,
-    above MAX_THREADS or above samples is refused before any worker starts.
+    above MAX_THREADS or above samples, and samples above MAX_SAMPLES, are
+    refused before any worker starts.
     """
     if not 1 <= k <= n:
         raise ValueError("mc_crofton needs 1 <= k <= n")
@@ -312,6 +316,8 @@ def mc_crofton(
         raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
     if threads > samples:
         raise ValueError(f"more threads ({threads}) than samples ({samples})")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples, got {samples}")
 
     e_cols = e_frame.vectors
     f_complex = _complex_columns(f_frame)

@@ -42,14 +42,12 @@ from operator import mul
 
 from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
 from .scalar import Scalar, binomial, double_factorial, factorial, omega
-from .scalar import _raw as _raw_scalar
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
     chi,
     dim_val,
     fourier,
-    integer_parts,
     multiply,
     mu,
     q_range,
@@ -170,7 +168,7 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
             x = w.numerator * (den // w.denominator) * ai
             for j, aj in enumerate(a):
                 row[j] += x * aj
-    rows = tuple(tuple(_raw_scalar({e: Fraction(x, den)}) for x in row) for row in sums)
+    rows = tuple(tuple(Scalar.from_parts({e: x}, den) for x in row) for row in sums)
     return TasakiMatrix(n, k, rows)
 
 
@@ -297,7 +295,7 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
     K_ij (m phi_i) x psi_j with phi the canonical basis, psi its Fourier
     transform and K the inverse pairing matrix of the degree.
 
-    m is split into integer parts per (degree c, pi exponent) over one
+    m's store holds integer parts per (degree c, pi exponent) over one
     denominator.  Block (c+k, 2n-k) receives sum_q x_q W_q in int, with
     W_q the cached integer block of mu_{c,q} from _kinematic_block and one
     pi shift per degree pair; one Scalar per entry is built at the end.
@@ -307,33 +305,31 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
     """
     if m.n != n:
         raise ValueError(f"ambient dimension mismatch: {m.n} vs {n}")
-    den, parts = integer_parts(m.items())
     # (a, b) -> (table denominator, {pi exponent: flat integer block})
     acc: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
-    for (c, e), x in parts.items():
+    for c, by_e in m._parts.items():
         for k in range(2 * n - c + 1):
             table = _kinematic_block(n, c, k)
             if table is None:
                 continue
             shift, wden, rows = table
             _, sums = acc.setdefault((c + k, 2 * n - k), (wden, {}))
-            z = sums.get(e + shift)
-            for q, w in rows:
-                xq = x[q]
-                if xq:
-                    z = [xq * v for v in w] if z is None else [u + xq * v for u, v in zip(z, w)]
-            if z is not None:
-                sums[e + shift] = z
+            for e, x in by_e.items():
+                z = sums.get(e + shift)
+                for q, w in rows:
+                    xq = x[q]
+                    if xq:
+                        z = [xq * v for v in w] if z is None else [u + xq * v for u, v in zip(z, w)]
+                if z is not None:
+                    sums[e + shift] = z
     blocks = {}
     for (a, b), (wden, sums) in acc.items():
-        d, size = den * wden, dim_val(n, b)
-        entries: list[dict[int, Fraction]] = [{} for _ in range(dim_val(n, a) * size)]
-        for e, z in sums.items():
-            for terms, v in zip(entries, z):
-                if v:
-                    terms[e] = Fraction(v, d)
-        if any(entries):
-            scalars = [_raw_scalar(terms) for terms in entries]
+        d, size = m._den * wden, dim_val(n, b)
+        scalars = [
+            Scalar.from_parts({e: z[i] for e, z in sums.items()}, d)
+            for i in range(dim_val(n, a) * size)
+        ]
+        if any(scalars):
             blocks[(a, b)] = tuple(
                 tuple(scalars[r:r + size]) for r in range(0, len(scalars), size)
             )

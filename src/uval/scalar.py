@@ -81,6 +81,17 @@ class Scalar:
     def pi(exp: int = 1) -> "Scalar":
         return Scalar({exp: Fraction(1)})
 
+    @staticmethod
+    def from_parts(parts: Mapping[int, int], den: int = 1) -> "Scalar":
+        """The scalar sum_e parts[e] * pi^e / den of integer parts, den > 0."""
+        return _raw({e: Fraction(x, den) for e, x in parts.items() if x})
+
+    def to_parts(self) -> tuple[dict[int, int], int]:
+        """(parts, den) with den the least common denominator: the inverse
+        of from_parts."""
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+
     # ------------------------------------------------------------------
     # inspection
 
@@ -355,8 +366,12 @@ def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
     Without its lowest pi power this is an integer polynomial P(pi), bounded
     in integer arithmetic on each rung of the ladder in turn.  Still
     straddling zero on the last rung raises UndecidableSignError naming
-    ``shown`` (default: the scalar itself).
+    ``shown`` (default: the scalar with these numerators), or what
+    ``shown()`` returns if it is callable, so callers can defer building it.
     """
+    if len(parts) == 1:
+        (c,) = parts.values()
+        return (c > 0) - (c < 0)
     terms = [(e, c) for e, c in parts.items() if c]
     if not terms:
         return 0
@@ -383,8 +398,12 @@ def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
             return 1
         if high < 0:
             return -1
+    if shown is None:
+        shown = Scalar(dict(terms))
+    elif callable(shown):
+        shown = shown()
     raise UndecidableSignError(
-        f"sign of {Scalar(dict(terms)) if shown is None else shown} undecided "
+        f"sign of {shown} undecided "
         "on the last enclosure of pi (width < 1e-48)"
     )
 
@@ -404,8 +423,7 @@ def sign(s: Scalar) -> int:
     if len(terms) == 1:
         (c,) = terms.values()
         return 1 if c > 0 else -1
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return int_sign({e: c.numerator * (den // c.denominator) for e, c in terms.items()}, s)
+    return int_sign(s.to_parts()[0], s)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,11 @@ are built from their closed Tasaki expansion, normalised so that the
 tau_{2r,r} coefficient of pi_{2r,r} is 1; pi_{k,r} = L^{k-2r} pi_{2r,r}.
 That expansion has one source, _primitive_tau_coeffs, which the closed
 Tasaki route of :mod:`uval.kinematic` reads as well.
-The Lefschetz decomposition expands each graded piece in this basis by
-exact rational linear algebra.
+The Lefschetz decomposition expands each graded piece in this basis with
+a cached integer inverse over one denominator, applied to the integer
+vectors of the valuation's store (see :mod:`uval.valuation`); one Scalar
+is built per output coefficient.  L, Lambda and H read and build
+coefficients as Scalars: they sit on no hot path.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
-from .linalg import invert_fraction_matrix
+from .linalg import _clear, invert_fraction_matrix
 from .scalar import Scalar, accumulate, double_factorial, factorial
 from .valuation import Valuation, dim_val, q_range, tau
 
@@ -149,36 +153,37 @@ def primitive_general(n: int, k: int, r: int) -> Valuation:
 
 
 @lru_cache(maxsize=None)
-def _primitive_basis_inverse(n: int, k: int) -> list[list[Fraction]]:
+def _primitive_basis_inverse(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Inverse of the matrix whose columns are the mu coordinates of
-    pi_{k,r}, r = 0..p; the coordinates are rational numbers."""
+    pi_{k,r}, r = 0..p, as (den, rows): entry (r, i) is rows[r][i] / den.
+    The coordinates are rational numbers, so no pi enters."""
     qs = list(q_range(n, k))
     cols = []
     for r in range(dim_val(n, k)):
         p = primitive_general(n, k, r)
         cols.append([p.coefficient(k, q).as_fraction() for q in qs])
     matrix = [[cols[r][i] for r in range(len(cols))] for i in range(len(qs))]
-    return invert_fraction_matrix(matrix)
+    den, rows = _clear(invert_fraction_matrix(matrix))
+    return den, tuple(map(tuple, rows))
 
 
 def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:
     """Expansion of v in the primitive basis: [(k, r, coefficient), ...].
 
     The pi_{k,r} with 0 <= r <= min(k, 2n-k)/2 form a basis of each graded
-    piece; coefficients are recovered by exact linear algebra and
-    reconstruction (sum of c * pi_{k,r}) is exact.
+    piece.  The cached integer inverse of each degree is applied in int to
+    every pi exponent's vector of v's store, and one Scalar is built per
+    nonzero coefficient.  Reconstruction (sum of c * pi_{k,r}) is exact.
     """
     n = v.n
     out: list[tuple[int, int, Scalar]] = []
     for k in v.degrees():
-        inv = _primitive_basis_inverse(n, k)
-        a = v.mu_vector(k)
+        den, inv = _primitive_basis_inverse(n, k)
+        q0 = max(0, k - n)
+        parts = {e: a[q0:] for e, a in v._parts[k].items()}
         for r, row in enumerate(inv):
-            c = Scalar.zero()
-            for x, coeff in zip(row, a):
-                if x:
-                    c = c + coeff * x
-            if not c.is_zero:
+            c = Scalar.from_parts({e: sum(map(mul, row, a)) for e, a in parts.items()}, den * v._den)
+            if c:
                 out.append((k, r, c))
     return out
 

@@ -11,12 +11,13 @@ as multiples of chi.
 
 Errors carry the byte offset of the offending token.
 
-Two limits keep the parser's work bounded by the text.  Parentheses,
+Three limits keep the parser's work bounded by the text.  Parentheses,
 F(...) and iota(...) nest at most MAX_NESTING deep; runs of unary minus
-fold in a loop and take any length.  A power whose result would need
-more decimal digits than ``sys.get_int_max_str_digits()``, the most
-Python prints of one integer (its default 4300 when that limit is off),
-is refused before it is computed.
+fold in a loop and take any length.  A power is refused before it is
+computed when its result would need more decimal digits than
+``sys.get_int_max_str_digits()``, the most Python prints of one integer
+(its default 4300 when that limit is off), or more than MAX_POWER_TERMS
+powers of pi.
 """
 
 from __future__ import annotations
@@ -32,12 +33,18 @@ from .valuation import Valuation, chi, fourier, iota, mu, multiply, tau, vol
 from .poly import GradedPoly
 from .valuation import from_monomial
 
-__all__ = ["MAX_NESTING", "ValSpecError", "parse_valspec"]
+__all__ = ["MAX_NESTING", "MAX_POWER_TERMS", "ValSpecError", "parse_valspec"]
 
 # Deepest nesting of parentheses, F(...) and iota(...) that parses; each
 # level costs a handful of Python frames, so this stays well inside the
 # default recursion limit.
 MAX_NESTING = 100
+
+# Most pi-terms a power may have.  s^k of a scalar whose pi exponents
+# spread over d has up to |k| d + 1 terms, and the squarings that build it
+# cost about the square of that in products: (1+pi)^255 takes a few tenths
+# of a second, (1+pi)^500 over a second.
+MAX_POWER_TERMS = 256
 
 
 class ValSpecError(ValueError):
@@ -251,7 +258,14 @@ class _Parser:
 
     def power(self, a: _Value, k: int, pos: int) -> _Value:
         # v = c*chi + w with w nilpotent, so the size of v^k grows as c^k
-        digits = _power_digits(a if isinstance(a, Scalar) else a.coefficient(0, 0), k)
+        base = a if isinstance(a, Scalar) else a.coefficient(0, 0)
+        exps = [e for e, _ in base.items()]
+        terms = abs(k) * (max(exps) - min(exps)) + 1 if exps else 1
+        if terms > MAX_POWER_TERMS:
+            raise ValSpecError(
+                f"power too large: {terms} powers of pi, more than {MAX_POWER_TERMS}", pos
+            )
+        digits = _power_digits(base, k)
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         if digits > limit:
             raise ValSpecError(
@@ -284,9 +298,8 @@ def _power_digits(s: Scalar, k: int) -> float:
     decimal digits than this.  0 for 0, 1, pi and the like."""
     if s.is_zero or k == 0:
         return 0.0
-    den = math.lcm(*(c.denominator for _, c in s.items()))
-    total = sum(abs(c.numerator) * (den // c.denominator) for _, c in s.items())
-    return abs(k) * math.log10(total * den)
+    parts, den = s.to_parts()
+    return abs(k) * math.log10(sum(map(abs, parts.values())) * den)
 
 
 def parse_valspec(text: str, n: int) -> Valuation:

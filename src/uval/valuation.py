@@ -5,20 +5,30 @@ algebra of continuous, translation- and U(n)-invariant convex valuations.
 The internal coordinates are the hermitian intrinsic volumes mu_{k,q},
 indexed by degree 0 <= k <= 2n and max(0, k-n) <= q <= floor(k/2); these
 form a genuine basis in every degree and the Fourier transform permutes
-them.  The Tasaki valuations tau_{k,q} (whose Klain functions are the
+them.  The Tasaki valuations tau_{k,i} (whose Klain functions are the
 elementary symmetric polynomials of the squared cosines of the multiple
 Kaehler angle), the global monomials in (t, u), and the primitive elements
 are views computed from the mu coordinates.
+
+Every coefficient is a rational combination of powers of pi, so a
+Valuation stores integers only: one least common denominator and, per
+degree k and pi exponent e, the vector of numerators indexed by q.  The
+store is canonical (no all-zero vector, no common factor of the
+denominator and all numerators), so equal values have equal stores.
+Arithmetic, the product, the Fourier transform and the readers in
+:mod:`uval.cones`, :mod:`uval.sl2` and :mod:`uval.kinematic` work on it
+in int.  Scalars are built only when a coefficient is read: items(),
+coefficient(), mu_vector(), str, to_json and the Scalar-valued results.
 
 Locality is concentrated in the restriction of global Tasaki valuations
 to level n, which drops the mu terms that vanish locally, so the quotient
 by the relation ideal (f_{n+1}, f_{n+2}) needs no polynomial reduction.
 :func:`from_monomial` applies it to a global polynomial in (t, u).  The
 Alesker product :func:`multiply` applies it to products computed with the
-Tasaki product formula on integer coordinate vectors, one pi shift per
+Tasaki product formula on the stored integer vectors, one pi shift per
 pair of degrees; the quotient-map route
-from_monomial(n, to_monomial(a) * to_monomial(b)) is kept as its
-independent cross-check.
+from_monomial(n, to_monomial(a) * to_monomial(b)), in Scalar and
+GradedPoly arithmetic, is kept as its independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,13 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
-from typing import Collection, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .poly import GradedPoly, change_vars
-from .scalar import RationalLike, Scalar, accumulate, binomial, factorial, omega
-from .scalar import _raw as _raw_scalar
+from .scalar import RationalLike, Scalar, binomial, factorial, omega
 
 __all__ = [
     "Valuation",
@@ -52,6 +61,8 @@ __all__ = [
     "tau_coords",
 ]
 
+_ONE = Scalar.one()
+
 
 def q_range(n: int, k: int) -> range:
     """Valid mu indices q at degree k in C^n: max(0, k-n) <= q <= floor(k/2)."""
@@ -67,29 +78,52 @@ def dim_val(n: int, k: int) -> int:
     return len(q_range(n, k))
 
 
+@lru_cache(maxsize=None)
+def _mu_keys(n: int) -> frozenset[tuple[int, int]]:
+    return frozenset((k, q) for k in range(2 * n + 1) for q in q_range(n, k))
+
+
+# The store: {k: {e: (a_0, ..., a_{k//2})}}, the mu_{k,q} coefficient being
+# sum_e a_q pi^e / den; a_q = 0 for q outside q_range(n, k).
+Parts = dict[int, dict[int, tuple[int, ...]]]
+
+
 class Valuation:
     """An element of the valuation algebra at level n, in mu coordinates.
 
-    The coefficient map {(k, q): Scalar} stores no zeros and only valid
-    indices.  Instances are immutable values; all operations are pure.
+    Stored as integer numerators over one least common denominator, per
+    degree and pi exponent (see the module docstring); coefficients are
+    built as Scalars on read.  Instances are immutable values; all
+    operations are pure.
     """
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n", "_den", "_parts")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Scalar | RationalLike] | None = None):
         if n < 1:
             raise ValueError("ambient complex dimension must be >= 1")
-        clean: dict[tuple[int, int], Scalar] = {}
+        terms = []  # (k, q, e, numerator, denominator)
         if coeffs:
+            keys = _mu_keys(n)
             for (k, q), c in coeffs.items():
-                if q not in q_range(n, k):
+                if (k, q) not in keys:
+                    q_range(n, k)  # names a bad degree
                     raise ValueError(f"mu index (k={k}, q={q}) out of range at n={n}")
+                if isinstance(c, int):
+                    if c:
+                        terms.append((k, q, 0, c, 1))
+                    continue
                 if not isinstance(c, Scalar):
                     c = Scalar.of(c)
-                if not c.is_zero:
-                    clean[(k, q)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_coeffs", clean)
+                terms += [(k, q, e, f.numerator, f.denominator) for e, f in c._terms.items()]
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*[t[4] for t in terms])
+        parts: dict[int, dict[int, list[int]]] = {}
+        for k, q, e, num, d in terms:
+            by_e = parts.get(k) or parts.setdefault(k, {})
+            a = by_e.get(e) or by_e.setdefault(e, [0] * (k // 2 + 1))
+            a[q] = num * (den // d)
+        _init(self, n, den, {k: {e: tuple(a) for e, a in by_e.items()} for k, by_e in parts.items()})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Valuation is immutable")
@@ -100,20 +134,26 @@ class Valuation:
         return Valuation(n)
 
     def items(self) -> list[tuple[tuple[int, int], Scalar]]:
-        return sorted(self._coeffs.items())
+        """The nonzero coefficients, sorted by (k, q)."""
+        return [
+            ((k, q), c) for k in self.degrees() for q in range(k // 2 + 1) if (c := self.coefficient(k, q))
+        ]
 
     def coefficient(self, k: int, q: int) -> Scalar:
-        return self._coeffs.get((k, q), Scalar.zero())
+        by_e = self._parts.get(k)
+        if not by_e or not 0 <= q <= k // 2:
+            return Scalar.zero()
+        return Scalar.from_parts({e: a[q] for e, a in by_e.items()}, self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._parts
 
     def degrees(self) -> list[int]:
-        return sorted({k for k, _ in self._coeffs})
+        return sorted(self._parts)
 
     def component(self, k: int) -> "Valuation":
-        return _raw(self.n, {kq: c for kq, c in self._coeffs.items() if kq[0] == k})
+        return _combine(self.n, self._den, [(1, 0, {k: self._parts.get(k, {})})])
 
     def homogeneous_degree(self) -> int | None:
         """The degree if homogeneous (zero counts as every degree), else None."""
@@ -137,22 +177,25 @@ class Valuation:
         if not isinstance(other, Valuation):
             return NotImplemented
         self._check_n(other)
-        return _raw(self.n, accumulate(dict(self._coeffs), other._coeffs.items()))
+        den = lcm(self._den, other._den)
+        return _combine(self.n, den, [
+            (den // self._den, 0, self._parts), (den // other._den, 0, other._parts),
+        ])
 
     def __sub__(self, other: "Valuation") -> "Valuation":
         return self + (-other)
 
     def __neg__(self) -> "Valuation":
-        return _raw(self.n, {kq: -c for kq, c in self._coeffs.items()})
+        parts = {k: {e: tuple(-x for x in a) for e, a in by_e.items()} for k, by_e in self._parts.items()}
+        return _raw(self.n, self._den, parts)
 
     def __mul__(self, other):
         """Scalar rescaling; use :func:`multiply` for the Alesker product."""
         if isinstance(other, (Scalar, int, Fraction)):
             if not isinstance(other, Scalar):
                 other = Scalar.of(other)
-            if other.is_zero:
-                return Valuation.zero(self.n)
-            return _raw(self.n, {kq: c * other for kq, c in self._coeffs.items()})
+            parts, d = other.to_parts()
+            return _combine(self.n, self._den * d, [(x, e, self._parts) for e, x in parts.items()])
         if isinstance(other, Valuation):
             return multiply(self, other)
         return NotImplemented
@@ -162,16 +205,17 @@ class Valuation:
     def __truediv__(self, other):
         """Division by a nonzero rational or monomial Scalar."""
         if isinstance(other, (Scalar, int, Fraction)):
-            return _raw(self.n, {kq: c / other for kq, c in self._coeffs.items()})
+            return self * (_ONE / other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Valuation):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return self.n == other.n and self._den == other._den and self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self.items())))
+        parts = sorted((k, tuple(sorted(by_e.items()))) for k, by_e in self._parts.items())
+        return hash((self.n, self._den, tuple(parts)))
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
@@ -190,29 +234,68 @@ class Valuation:
         return Valuation(n, coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for (k, q), c in self.items():
-            atom = f"mu[{k},{q}]"
-            if c == Scalar.one():
-                term = atom
-            elif c == -Scalar.one():
-                term = f"-{atom}"
-            else:
-                term = f"({c})*{atom}"
-            parts.append(term)
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format_combo([(c, f"mu[{k},{q}]") for (k, q), c in self.items()])
 
     def __repr__(self) -> str:
         return f"Valuation(n={self.n}, {self})"
 
 
-def _raw(n: int, coeffs: dict[tuple[int, int], Scalar]) -> Valuation:
-    v = Valuation.__new__(Valuation)
+def _format_combo(terms: list[tuple[Scalar, str]]) -> str:
+    """Deterministic rendering of sum coeff * atom with unit elision."""
+    parts = []
+    for c, atom in terms:
+        if c.is_zero:
+            continue
+        if c == _ONE:
+            text = atom
+        elif c == -_ONE:
+            text = f"-{atom}"
+        else:
+            text = f"({c})*{atom}"
+        parts.append(text)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def _init(v: Valuation, n: int, den: int, parts: Parts) -> None:
     object.__setattr__(v, "n", n)
-    object.__setattr__(v, "_coeffs", coeffs)
+    object.__setattr__(v, "_den", den)
+    object.__setattr__(v, "_parts", parts)
+
+
+def _raw(n: int, den: int, parts: Parts) -> Valuation:
+    """A Valuation from a store already in canonical form."""
+    v = Valuation.__new__(Valuation)
+    _init(v, n, den, parts)
     return v
+
+
+def _combine(n: int, den: int, terms: Iterable[tuple[int, int, Mapping]]) -> Valuation:
+    """The Valuation sum f * pi^s * parts / den over the (f, s, parts) of
+    terms, den > 0, brought to canonical form: all-zero vectors dropped and
+    the common factor of den and the numerators divided out."""
+    acc: dict[int, dict[int, list[int]]] = {}
+    for f, s, parts in terms:
+        for k, by_e in parts.items():
+            out = acc.setdefault(k, {})
+            for e, a in by_e.items():
+                old = out.get(e + s)
+                out[e + s] = [f * x for x in a] if old is None else [u + f * x for u, x in zip(old, a)]
+    g, kept = den, {}
+    for k, by_e in acc.items():
+        by_e = {e: a for e, a in by_e.items() if any(a)}
+        if by_e:
+            kept[k] = by_e
+            for a in by_e.values():
+                g = gcd(g, *a)
+    g = g if kept else den
+    return _raw(n, den // g, {
+        k: {e: tuple(x // g for x in a) for e, a in by_e.items()} for k, by_e in kept.items()
+    })
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +310,7 @@ def mu(n: int, k: int, q: int) -> Valuation:
     """
     if q not in q_range(n, k):
         raise ValueError(f"mu index (k={k}, q={q}) out of range at n={n}")
-    return _raw(n, {(k, q): Scalar.one()})
+    return _raw(n, 1, {k: {0: tuple(int(i == q) for i in range(k // 2 + 1))}})
 
 
 def tau(n: int, k: int, q: int) -> Valuation:
@@ -243,8 +326,11 @@ def tau(n: int, k: int, q: int) -> Valuation:
         raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= q <= k // 2:
         raise ValueError(f"tau index (k={k}, q={q}) out of range")
-    coeffs = {(k, r): Scalar.of(row[q]) for r, row in _restriction(n, k) if r >= q}
-    return _raw(n, coeffs)
+    a = [0] * (k // 2 + 1)
+    for r, row in _restriction(n, k):
+        if r >= q:
+            a[r] = row[q]
+    return _raw(n, 1, {k: {0: tuple(a)}})
 
 
 def chi(n: int) -> Valuation:
@@ -374,24 +460,6 @@ def _restriction(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((r, tuple(binomial(r, s) for s in range(r + 1))) for r in q_range(n, m))
 
 
-def integer_parts(
-    items: Collection[tuple[tuple[int, int], Scalar]],
-) -> tuple[int, dict[tuple[int, int], list[int]]]:
-    """Split (k, q) -> Scalar terms into parts per (degree k, pi exponent e),
-    cleared to integer numerators over one common denominator:
-    (den, {(k, e): [a_0..a_{k//2}]}) with coefficient sum_e a_q pi^e / den
-    at (k, q).  Entries outside q_range stay 0."""
-    den = lcm(*{f.denominator for _, c in items for f in c._terms.values()})
-    parts: dict[tuple[int, int], list[int]] = {}
-    for (k, q), c in items:
-        for e, f in c._terms.items():
-            a = parts.get((k, e))
-            if a is None:
-                a = parts[(k, e)] = [0] * (k // 2 + 1)
-            a[q] = f.numerator * (den // f.denominator)
-    return den, parts
-
-
 def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
     """The global lift of the degree-k mu-coordinates a (indexed by q):
     its global Tasaki coordinates [alpha_0..alpha_{k//2}]."""
@@ -404,82 +472,70 @@ def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
     return alpha
 
 
-def _lifted_parts(
-    items: Collection[tuple[tuple[int, int], Scalar]],
-) -> tuple[int, dict[tuple[int, int], list[int]]]:
-    """integer_parts lifted to global Tasaki coordinates:
-    (denominator, {(k, e): [alpha_0..alpha_{k//2}]})."""
-    den, parts = integer_parts(items)
-    for (k, e), a in parts.items():
-        parts[(k, e)] = _lift_vector(k, a)
-    return den, parts
-
-
-def _product_parts(
-    n: int, pa: Mapping[tuple[int, int], list[int]], pb: Mapping[tuple[int, int], list[int]],
-) -> dict[tuple[int, int], list[int]]:
-    """The product formula on lifted parts: {(m, e): global Tasaki
-    coordinates of degree m and pi exponent e} over the product of the
-    parts' denominators times _shift_denominator(m); degrees above 2n are
-    dropped."""
+def _product_parts(n: int, a: Valuation, b: Valuation) -> dict[tuple[int, int], list[int]]:
+    """The product formula on the stores of a and b, lifted to global
+    Tasaki coordinates: {(m, e): global Tasaki coordinates of degree m and
+    pi exponent e} over a._den * b._den * _shift_denominator(m); degrees
+    above 2n are dropped."""
+    pb = [(l, e, _lift_vector(l, y)) for l, by_e in b._parts.items() for e, y in by_e.items()]
     acc: dict[tuple[int, int], list[int]] = {}
-    for (k, e1), x in pa.items():
-        for (l, e2), y in pb.items():
-            m = k + l
-            if m > 2 * n:
-                continue
-            e, f = _pi_shift(k, l)
-            key = (m, e1 + e2 + e)
-            z = acc.get(key)
-            if z is None:
-                z = acc[key] = [0] * (m // 2 + 1)
-            for xi, row in zip(x, _product_weights(k, l)):
-                if xi:
-                    xi *= f
-                    for j, s, w in row:
-                        z[s] += w * xi * y[j]
+    for k, by_e in a._parts.items():
+        for e1, x in by_e.items():
+            x = _lift_vector(k, x)
+            for l, e2, y in pb:
+                m = k + l
+                if m > 2 * n:
+                    continue
+                e, f = _pi_shift(k, l)
+                key = (m, e1 + e2 + e)
+                z = acc.get(key)
+                if z is None:
+                    z = acc[key] = [0] * (m // 2 + 1)
+                for xi, row in zip(x, _product_weights(k, l)):
+                    if xi:
+                        xi *= f
+                        for j, s, w in row:
+                            z[s] += w * xi * y[j]
     return acc
 
 
 def multiply(a: Valuation, b: Valuation) -> Valuation:
     """The Alesker product, from the Tasaki product formula.
 
-    Both operands are lifted to global Tasaki coordinates, each pair of
+    Both stores are lifted to global Tasaki coordinates, each pair of
     degree components (k, l) with k + l <= 2n is convolved with the integer
     weights of the product formula and shifted by omega_{k+l}/(omega_k
-    omega_l), and the sum is restricted to level n.  Commutative and graded,
-    with unit chi.  The quotient-map route
-    from_monomial(n, to_monomial(a) * to_monomial(b)) gives the same result
-    and is the independent cross-check used by the checks and tests.
+    omega_l), and the sum is restricted to level n and returned as a store
+    over one denominator.  Commutative and graded, with unit chi.  The
+    quotient-map route from_monomial(n, to_monomial(a) * to_monomial(b))
+    gives the same result and is the independent cross-check used by the
+    checks and tests.
     """
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    da, pa = _lifted_parts(a._coeffs.items())
-    db, pb = _lifted_parts(b._coeffs.items())
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (m, e), z in _product_parts(n, pa, pb).items():
-        den = da * db * _shift_denominator(m)
+    acc = _product_parts(n, a, b)
+    den = lcm(*(_shift_denominator(m) for m, _ in acc))
+    terms = []
+    for (m, e), z in acc.items():
+        restricted = [0] * (m // 2 + 1)
         for r, row in _restriction(n, m):
-            num = sum(map(mul, row, z))
-            if num:
-                out.setdefault((m, r), {})[e] = Fraction(num, den)
-    return _raw(n, {kq: _raw_scalar(terms) for kq, terms in out.items()})
+            restricted[r] = sum(map(mul, row, z))
+        terms.append((den // _shift_denominator(m), e, {m: {0: restricted}}))
+    return _combine(n, a._den * b._den * den, terms)
 
 
 def _product_coords(n: int, a: Valuation, b: Valuation, m: int) -> tuple[int, dict[int, list[int]]]:
     """tau_coords(multiply(a, b), m) in integers: (den, {e: coords}), the
     pi^e part of canonical coordinate j being coords[j] / den."""
-    da, pa = _lifted_parts(a._coeffs.items())
-    db, pb = _lifted_parts(b._coeffs.items())
     parts = {}
-    for (l, e), z in _product_parts(n, pa, pb).items():
+    for (l, e), z in _product_parts(n, a, b).items():
         if l == m:
             restricted = [0] * (m // 2 + 1)  # mu_{m,r} coordinates, 0 outside q_range
             for r, row in _restriction(n, m):
                 restricted[r] = sum(map(mul, row, z))
             parts[e] = _canonical_coords(n, m, restricted)
-    return da * db * _shift_denominator(m), parts
+    return a._den * b._den * _shift_denominator(m), parts
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +545,13 @@ def fourier(v: Valuation) -> Valuation:
     """The Alesker-Fourier transform: the index permutation
     mu_{k,q} -> mu_{2n-k, n-k+q}.  An involution that reverses degree."""
     n = v.n
-    return _raw(n, {(2 * n - k, n - k + q): c for (k, q), c in v.items()})
+    parts = {}
+    for k, by_e in v._parts.items():
+        low, top = max(0, k - n), k // 2
+        # mu_{k,q} -> mu_{2n-k, n-k+q} over q in q_range(n, k)
+        pad = [0] * (n - k + low)
+        parts[2 * n - k] = {e: (*pad, *a[low:top + 1]) for e, a in by_e.items()}
+    return _raw(n, v._den, parts)
 
 
 def iota(v: Valuation) -> Valuation:
@@ -521,13 +583,11 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
     n = v.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    den, parts = integer_parts([(kq, c) for kq, c in v._coeffs.items() if kq[0] == k])
-    coords: list[dict[int, Fraction]] = [{} for _ in range(dim_val(n, k))]
-    for (_, e), a in parts.items():
+    coords: list[dict[int, int]] = [{} for _ in range(dim_val(n, k))]
+    for e, a in v._parts.get(k, {}).items():
         for terms, x in zip(coords, _canonical_coords(n, k, a)):
-            if x:
-                terms[e] = Fraction(x, den)
-    return [_raw_scalar(terms) for terms in coords]
+            terms[e] = x
+    return [Scalar.from_parts(terms, v._den) for terms in coords]
 
 
 def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:

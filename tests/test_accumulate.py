@@ -3,6 +3,7 @@ and Valuation arithmetic: ring axioms, exact cancellation, and no stored
 zero coefficient."""
 
 from collections import defaultdict
+from math import gcd
 
 import pytest
 
@@ -30,7 +31,26 @@ derandomized = settings(derandomize=True, max_examples=100, deadline=None)
 def _no_zero_stored(x) -> bool:
     if isinstance(x, Scalar):
         return all(x._terms.values())
+    if isinstance(x, Valuation):
+        return _canonical_store(x)
     return all(c and _no_zero_stored(c) for c in x._coeffs.values())
+
+
+def _canonical_store(v: Valuation) -> bool:
+    """The store's canonical form: no empty degree, no all-zero vector, a
+    vector of length k//2 + 1 that is 0 outside q_range, and the least
+    denominator (no common factor with all numerators)."""
+    numerators = []
+    for k, by_e in v._parts.items():
+        if not by_e:
+            return False
+        for a in by_e.values():
+            if len(a) != k // 2 + 1 or not any(a):
+                return False
+            if any(x for q, x in enumerate(a) if q not in q_range(v.n, k)):
+                return False
+            numerators += a
+    return v._den >= 1 and gcd(v._den, *numerators) == 1
 
 
 @derandomized

@@ -14,7 +14,9 @@ import pytest
 from uval.cli import main
 from uval.kinematic import primitive_pairing_closed, tasaki_matrix_closed
 from uval.scalar import Scalar
-from uval.valspec import MAX_NESTING, ValSpecError, parse_valspec
+from uval.cli import DEFAULT_MAX_N, MAX_N
+from uval.grassmann import MAX_SAMPLES
+from uval.valspec import MAX_NESTING, MAX_POWER_TERMS, ValSpecError, parse_valspec
 from uval.valuation import Valuation, chi, fourier, iota, mu, multiply, q_range, tau, vol
 
 
@@ -121,6 +123,16 @@ def test_parse_power_budget():
     assert parse_valspec(f"(chi+t)^{k}", 1) == chi(1) + parse_valspec(f"{k}*t + {k * (k - 1) // 2}*t^2", 1)
     # below the budget the power is computed as before
     assert parse_valspec("2^14000", 1) == chi(1) * 2**14000
+    # the term budget: (1+pi)^k has k + 1 powers of pi
+    for text in ("(1+pi)^2000", "(chi+pi*chi)^2000", "(pi^-1+pi)^200"):
+        code, out, err, took = _timed_cli(["convert", "--n", "2", "--val", text, "--to", "mu"])
+        assert (code, out) == (2, "") and "powers of pi" in err, text
+        assert took < 1.0, text
+    cube = parse_valspec("(1+pi)^3", 1)
+    assert cube == chi(1) * Scalar({0: 1, 1: 3, 2: 3, 3: 1})
+    # at the budget the power still answers, with every power of pi
+    top = parse_valspec(f"(1+pi)^{MAX_POWER_TERMS - 1}", 1).coefficient(0, 0)
+    assert len(top.items()) == MAX_POWER_TERMS
 
 
 def test_parse_scalar_literals():
@@ -342,6 +354,39 @@ def test_cli_mc_thread_bound_exits_2():
         with redirect_stderr(err):
             assert run_cli(argv)[0] == 2
         assert "threads" in err.getvalue()
+    assert threading.active_count() == before
+
+
+_CAPPED = {
+    "tasaki": ["--k", "0"],
+    "pkf": [],
+    "kinematic": ["--val", "chi"],
+    "additive": ["--val", "chi"],
+    "cone": ["--test", "positive", "--val", "chi"],
+    "convert": ["--val", "chi", "--to", "mu"],
+    "sl2": ["--op", "L", "--val", "chi"],
+    "primitive": ["--k", "0", "--r", "0"],
+    "delta": ["--val", "chi"],
+    "mc": ["--k", "1", "--samples", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CAPPED))
+def test_cli_n_cap_exits_2(command):
+    cap = MAX_N.get(command, DEFAULT_MAX_N)
+    assert cap >= (8 if command == "mc" else 32)  # pkf and tasaki run at n = 32
+    code, out, err, took = _timed_cli([command, "--n", str(cap + 1), *_CAPPED[command]])
+    assert (code, out) == (2, "") and f"--n is at most {cap}" in err, command
+    assert took < 1.0, command
+
+
+def test_cli_mc_samples_cap_exits_2():
+    before = threading.active_count()
+    argv = ["mc", "--n", "2", "--k", "2", "--angles", "0", "--co-angles", "0"]
+    assert MAX_SAMPLES >= 10**6
+    code, out, err, took = _timed_cli([*argv, "--samples", str(MAX_SAMPLES + 1), "--threads", "2"])
+    assert (code, out) == (2, "") and f"at most {MAX_SAMPLES} samples" in err
+    assert took < 1.0
     assert threading.active_count() == before
 
 
