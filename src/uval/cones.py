@@ -23,20 +23,19 @@ evaluated on convex bodies.
 All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block is an integer matrix times one pi power and
-delta is a cached table, so every sign goes to scalar.int_sign.  Scalars
-are built only where a result is read: nu_coeffs, the norms, the terms and
-text of a CurvExpr, and the witness of a failed ConeVerdict, which is
-built when .witness or to_json() is first read.
+delta is a cached table, so every sign of a cone test goes to
+scalar.int_sign.  Scalars are built only for results: nu_coeffs, the
+norms, the coefficients of a CurvExpr and the text of a failure's witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .kinematic import pairing_fourier
 from .linalg import invert_scalar_matrix, pi_block
@@ -58,35 +57,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConeVerdict:
-    """Outcome of a cone membership test; carries a witness on failure.
-
-    The witness may be given as a function of no arguments that builds it.
-    The predicates below do so, so a failure's witness dict, and the text
-    in it, is built only when .witness or to_json() is first read.
-    """
+    """Outcome of a cone membership test; carries a witness on failure."""
 
     member: bool
-    _witness: Union[dict, Callable[[], dict], None] = None
+    witness: Optional[dict] = None
 
     def __post_init__(self):
-        if self.member and self._witness is not None:
+        if self.member and self.witness is not None:
             raise ValueError("a member verdict carries no witness")
-        if not self.member and self._witness is None:
+        if not self.member and self.witness is None:
             raise ValueError("a failure verdict requires a witness")
-
-    @cached_property
-    def witness(self) -> Optional[dict]:
-        return self._witness() if callable(self._witness) else self._witness
 
     def __bool__(self) -> bool:
         return self.member
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConeVerdict):
-            return NotImplemented
-        return self.member == other.member and self.witness == other.witness
 
     def to_json(self) -> dict:
         return {"member": self.member, "witness": self.witness}
@@ -182,8 +167,8 @@ def is_positive(v: Valuation) -> ConeVerdict:
             continue  # nonnegative numerators give nonnegative coefficients
         for q in range(k // 2 + 1):
             c = {e: a[q] for e, a in parts.items()}
-            if int_sign(c, lambda: Scalar.from_parts(c, den)) < 0:
-                return ConeVerdict(False, lambda: {
+            if int_sign(c, den) < 0:
+                return ConeVerdict(False, {
                     "kind": "negative_mu_coefficient", "k": k, "q": q,
                     "coefficient": str(Scalar.from_parts(c, den)),
                 })
@@ -196,7 +181,7 @@ def is_crofton_positive(v: Valuation) -> ConeVerdict:
     for k in v.degrees():
         for q, b in zip(q_range(n, k), _nu_parts(n, k, v._parts[k])):
             if int_sign(b) < 0:
-                return ConeVerdict(False, lambda: {
+                return ConeVerdict(False, {
                     "kind": "negative_nu_coordinate", "k": k, "q": q,
                     "coordinate": str(_nu_scalar(n, k, den, b)),
                 })
@@ -213,8 +198,8 @@ def is_monotone(v: Valuation) -> ConeVerdict:
     """
     n, den = v.n, v._den
     c0 = {e: a[0] for e, a in v._parts.get(0, {}).items()}
-    if int_sign(c0, lambda: Scalar.from_parts(c0, den)) < 0:
-        return ConeVerdict(False, lambda: {
+    if int_sign(c0, den) < 0:
+        return ConeVerdict(False, {
             "kind": "negative_point_value", "value": str(Scalar.from_parts(c0, den)),
         })
     for k in v.degrees():
@@ -231,7 +216,7 @@ def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int,
     of one degree component over den; family 2 is taken times 2."""
 
     def failure(family: int, q: int, slack: dict[int, int], scale: int) -> ConeVerdict:
-        return ConeVerdict(False, lambda: {
+        return ConeVerdict(False, {
             "kind": "inequality", "family": family, "k": k, "q": q,
             "slack": str(Scalar.from_parts(slack, scale)),
         })
@@ -255,64 +240,45 @@ def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int,
 # ----------------------------------------------------------------------
 # first variation
 
+@dataclass(frozen=True)
 class CurvExpr:
     """A formal combination of curvature-measure symbols.
 
-    The keys are ("B" | "Gamma", k, q) with Scalar coefficients.  B_{k,q}
+    terms maps ("B" | "Gamma", k, q) to a Scalar coefficient.  B_{k,q}
     requires k > 2q and Gamma_{k,q} requires n > k - q; both conditions
     are enforced at construction.  The symbols stay formal: only their
-    coefficients are ever inspected.  Each coefficient is kept as integer
-    parts over a denominator; terms, items() and str build the Scalars on
-    read, and all_nonnegative() decides in int.
+    coefficients are ever inspected.
     """
 
-    __slots__ = ("n", "_parts")  # _parts: {key: ({pi exponent: numerator}, den)}
+    n: int
+    terms: dict[tuple[str, int, int], Scalar]
 
-    def __init__(self, n: int, terms: Mapping[tuple[str, int, int], Scalar]):
-        for sym, k, q in terms:
+    def __post_init__(self):
+        for (sym, k, q), c in self.terms.items():
             if sym == "B":
                 if not k > 2 * q:
                     raise ValueError(f"B_({k},{q}) needs k > 2q")
             elif sym == "Gamma":
-                if not n > k - q:
+                if not self.n > k - q:
                     raise ValueError(f"Gamma_({k},{q}) needs n > k - q")
             else:
                 raise ValueError(f"unknown curvature symbol {sym!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_parts", {key: c.to_parts() for key, c in terms.items() if c})
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("CurvExpr is immutable")
-
-    @property
-    def terms(self) -> dict[tuple[str, int, int], Scalar]:
-        return {key: Scalar.from_parts(*parts) for key, parts in self._parts.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self._parts
+        return not self.terms
 
     def coefficient(self, sym: str, k: int, q: int) -> Scalar:
-        return Scalar.from_parts(*self._parts.get((sym, k, q), ({}, 1)))
+        return self.terms.get((sym, k, q), Scalar.zero())
 
     def items(self):
         return sorted(self.terms.items())
 
     def all_nonnegative(self) -> bool:
-        return all(
-            int_sign(t, lambda: Scalar.from_parts(t, den)) >= 0 for t, den in self._parts.values()
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurvExpr):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"CurvExpr(n={self.n!r}, terms={self.terms!r})"
+        return all(c.sign() >= 0 for c in self.terms.values())
 
     def __str__(self) -> str:
-        if not self._parts:
+        if not self.terms:
             return "0"
         return " + ".join(f"({c})*{sym}[{k},{q}]" for (sym, k, q), c in self.items())
 
@@ -358,7 +324,7 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     """
     if v.n != n:
         raise ValueError(f"ambient dimension mismatch: {v.n} vs {n}")
-    parts = {}
+    terms = {}
     for k, by_e in v._parts.items():
         if k == 0:
             continue
@@ -371,12 +337,9 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
                         t = acc.setdefault(key, {})
                         t[e + f] = t.get(e + f, 0) + c * x
         for key, t in acc.items():
-            t = {e: x for e, x in t.items() if x}
-            if t:
-                parts[key] = (t, den * v._den)
-    expr = CurvExpr(n, {})
-    object.__setattr__(expr, "_parts", parts)
-    return expr
+            if any(t.values()):
+                terms[key] = Scalar.from_parts(t, den * v._den)
+    return CurvExpr(n, terms)
 
 
 # ----------------------------------------------------------------------

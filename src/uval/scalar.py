@@ -238,11 +238,12 @@ class Scalar:
             return "0"
         parts = []
         for i, (e, c) in enumerate(self.items()):
-            body = _term_str(e, abs(c))
+            p = c.numerator
+            body = _term_str(e, abs(p), c.denominator)
             if i == 0:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if p > 0 else "-" + body)
             else:
-                parts.append((" + " if c > 0 else " - ") + body)
+                parts.append((" + " if p > 0 else " - ") + body)
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -278,9 +279,8 @@ _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 
 
-def _term_str(e: int, c: Fraction) -> str:
-    """Render |c| * pi^e as p/q, pi^m*p/q or p/(q*pi^m)."""
-    p, q = c.numerator, c.denominator
+def _term_str(e: int, p: int, q: int) -> str:
+    """Render (p/q) * pi^e, p and q > 0 coprime, as p/q, pi^m*p/q or p/(q*pi^m)."""
     if e == 0:
         return str(p) if q == 1 else f"{p}/{q}"
     pi_s = "π" if abs(e) == 1 else f"π^{abs(e)}"
@@ -360,14 +360,14 @@ def _rung(i: int) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
-def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
-    """The exact sign (-1, 0, 1) of sum_e parts[e] * pi^e, integer parts[e].
+def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
+    """The exact sign (-1, 0, 1) of sum_e parts[e] * pi^e / den, integer
+    parts[e] and den > 0.
 
     Without its lowest pi power this is an integer polynomial P(pi), bounded
-    in integer arithmetic on each rung of the ladder in turn.  Still
-    straddling zero on the last rung raises UndecidableSignError naming
-    ``shown`` (default: the scalar with these numerators), or what
-    ``shown()`` returns if it is callable, so callers can defer building it.
+    in integer arithmetic on each rung of the ladder in turn; den only names
+    the value.  Still straddling zero on the last rung raises
+    UndecidableSignError naming the scalar.
     """
     if len(parts) == 1:
         (c,) = parts.values()
@@ -380,13 +380,13 @@ def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
     e0 = min(e for e, _ in terms)
     d = max(e for e, _ in terms) - e0
     for i in range(len(_LADDER_WIDTHS)):
-        lo, hi, den = _rung(i)
-        # den^d * P(x) for x in [lo/den, hi/den]: each term c x^j is
+        lo, hi, r = _rung(i)
+        # r^d * P(x) for x in [lo/r, hi/r]: each term c x^j is
         # increasing in x for c > 0 and decreasing for c < 0
         low = high = 0
         for e, c in terms:
             j = e - e0
-            scale = den ** (d - j)
+            scale = r ** (d - j)
             at_lo, at_hi = c * lo**j * scale, c * hi**j * scale
             if c > 0:
                 low += at_lo
@@ -398,12 +398,8 @@ def int_sign(parts: Mapping[int, int], shown: object = None) -> int:
             return 1
         if high < 0:
             return -1
-    if shown is None:
-        shown = Scalar(dict(terms))
-    elif callable(shown):
-        shown = shown()
     raise UndecidableSignError(
-        f"sign of {shown} undecided "
+        f"sign of {Scalar.from_parts(dict(terms), den)} undecided "
         "on the last enclosure of pi (width < 1e-48)"
     )
 
@@ -422,8 +418,8 @@ def sign(s: Scalar) -> int:
         return 0
     if len(terms) == 1:
         (c,) = terms.values()
-        return 1 if c > 0 else -1
-    return int_sign(s.to_parts()[0], s)
+        return 1 if c.numerator > 0 else -1
+    return int_sign(*s.to_parts())
 
 
 # ----------------------------------------------------------------------

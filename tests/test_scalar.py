@@ -154,6 +154,25 @@ def test_sign_budget_ignores_refined_pi():
         sign(edge * Scalar.pi(-3))
 
 
+def test_undecidable_message_names_the_scalar():
+    from uval.cones import is_positive
+    from uval.scalar import int_sign
+    from uval.valuation import Valuation
+
+    edge = _near_pi(44) / 7
+    parts, den = edge.to_parts()
+    assert den == 7
+    want = f"sign of {edge} undecided on the last enclosure of pi (width < 1e-48)"
+    for decide in (
+        lambda: sign(edge),
+        lambda: int_sign(parts, den),
+        lambda: is_positive(Valuation(1, {(1, 0): edge})),
+    ):
+        with pytest.raises(UndecidableSignError) as info:
+            decide()
+        assert str(info.value) == want
+
+
 _FRESH_PROCESS = """
 import json, sys
 from fractions import Fraction

@@ -1,7 +1,7 @@
 """Property tests of the integer store behind Valuation: every route to a
 value gives the same canonical store, equality and hash; items() round-trips
-through the constructor; and a failure verdict's witness, built on first
-read, equals the witness computed eagerly in Scalar arithmetic."""
+through the constructor; and a failure verdict's witness, decided and built
+from the store, equals the witness computed in Scalar arithmetic."""
 
 from fractions import Fraction
 
@@ -91,16 +91,16 @@ def test_items_round_trip(v):
 
 
 # ----------------------------------------------------------------------
-# witnesses built on read against witnesses built eagerly
+# witnesses from the store against witnesses computed in Scalar arithmetic
 
-def _eager_positive(v: Valuation):
+def _scalar_positive(v: Valuation):
     for (k, q), c in v.items():
         if c.sign() < 0:
             return {"kind": "negative_mu_coefficient", "k": k, "q": q, "coefficient": str(c)}
     return None
 
 
-def _eager_crofton(v: Valuation):
+def _scalar_crofton(v: Valuation):
     for k in v.degrees():
         part = v.component(k)
         for q in q_range(v.n, k):
@@ -110,7 +110,7 @@ def _eager_crofton(v: Valuation):
     return None
 
 
-def _eager_monotone(v: Valuation):
+def _scalar_monotone(v: Valuation):
     n = v.n
     c0 = v.coefficient(0, 0)
     if c0.sign() < 0:
@@ -133,29 +133,27 @@ def _eager_monotone(v: Valuation):
 
 
 PREDICATES = [
-    (is_positive, _eager_positive),
-    (is_crofton_positive, _eager_crofton),
-    (is_monotone, _eager_monotone),
+    (is_positive, _scalar_positive),
+    (is_crofton_positive, _scalar_crofton),
+    (is_monotone, _scalar_monotone),
 ]
 
 
-def _check_lazy_witness(v: Valuation) -> None:
-    for predicate, eager in PREDICATES:
+def _check_witness(v: Valuation) -> None:
+    for predicate, reference in PREDICATES:
         verdict = predicate(v)
-        want = eager(v)
+        want = reference(v)
         assert verdict.member == (want is None), (predicate.__name__, v)
-        if want is not None:
-            assert "witness" not in vars(verdict)  # not built before it is read
         assert verdict.to_json() == {"member": want is None, "witness": want}
         assert verdict.witness == want
 
 
-def test_lazy_witness_on_the_cone_test_examples():
+def test_witness_on_the_cone_test_examples():
     examples = [tau(2, 2, 0) - tau(2, 2, 1) * 2, mu(2, 2, 0), mu(3, 3, 0) * 12 + mu(3, 3, 1) * 17]
     examples += [mu(n, n, 0) for n in range(2, 7)]
     examples += [chi(2) * -1 + mu(2, 2, 1), mu(3, 3, 1) * Scalar({0: 1, 1: -1})]
     for v in examples:
-        _check_lazy_witness(v)
+        _check_witness(v)
 
 
 def _homogeneous(n: int, k: int):
@@ -169,5 +167,5 @@ def _homogeneous(n: int, k: int):
 @given(st.sampled_from([(n, k) for n in (1, 2, 3) for k in range(2 * n + 1)]).flatmap(
     lambda nk: _homogeneous(*nk)
 ))
-def test_lazy_witness_on_random_vectors(v):
-    _check_lazy_witness(v)
+def test_witness_on_random_vectors(v):
+    _check_witness(v)
