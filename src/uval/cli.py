@@ -13,11 +13,9 @@ before any work.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .checks import run_selftest
 from .cones import first_variation, is_crofton_positive, is_monotone, is_positive
 from .kinematic import (
     KinematicTensor,
@@ -46,6 +44,8 @@ DEFAULT_MAX_N = 32
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
@@ -206,6 +206,8 @@ def _check_n(args) -> None:
 
 
 def _cmd_selftest(args) -> int:
+    from .checks import run_selftest  # the registry loads only for selftest
+
     _, failed = run_selftest(args.level)
     return 1 if failed else 0
 

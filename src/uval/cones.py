@@ -30,7 +30,6 @@ norms, the coefficients of a CurvExpr and the text of a failure's witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -39,7 +38,7 @@ from typing import Mapping, Optional
 
 from .kinematic import pairing_fourier
 from .linalg import invert_scalar_matrix, pi_block
-from .scalar import Scalar, factorial, int_sign, omega
+from .scalar import Scalar, _Record, factorial, int_sign, omega
 from .valuation import Valuation, mu, q_range
 
 __all__ = [
@@ -57,18 +56,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeVerdict:
+class ConeVerdict(_Record):
     """Outcome of a cone membership test; carries a witness on failure."""
 
-    member: bool
-    witness: Optional[dict] = None
+    __slots__ = ("member", "witness")
 
-    def __post_init__(self):
-        if self.member and self.witness is not None:
+    def __init__(self, member: bool, witness: Optional[dict] = None):
+        if member and witness is not None:
             raise ValueError("a member verdict carries no witness")
-        if not self.member and self.witness is None:
+        if not member and witness is None:
             raise ValueError("a failure verdict requires a witness")
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.member
@@ -240,8 +239,7 @@ def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int,
 # ----------------------------------------------------------------------
 # first variation
 
-@dataclass(frozen=True)
-class CurvExpr:
+class CurvExpr(_Record):
     """A formal combination of curvature-measure symbols.
 
     terms maps ("B" | "Gamma", k, q) to a Scalar coefficient.  B_{k,q}
@@ -250,19 +248,20 @@ class CurvExpr:
     coefficients are ever inspected.
     """
 
-    n: int
-    terms: dict[tuple[str, int, int], Scalar]
+    __slots__ = ("n", "terms")
 
-    def __post_init__(self):
-        for (sym, k, q), c in self.terms.items():
+    def __init__(self, n: int, terms: dict[tuple[str, int, int], Scalar]):
+        for sym, k, q in terms:
             if sym == "B":
                 if not k > 2 * q:
                     raise ValueError(f"B_({k},{q}) needs k > 2q")
             elif sym == "Gamma":
-                if not self.n > k - q:
+                if not n > k - q:
                     raise ValueError(f"Gamma_({k},{q}) needs n > k - q")
             else:
                 raise ValueError(f"unknown curvature symbol {sym!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_zero(self) -> bool:

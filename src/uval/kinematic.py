@@ -34,14 +34,13 @@ the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
-from .scalar import Scalar, binomial, double_factorial, factorial, omega
+from .scalar import Scalar, _Record, binomial, double_factorial, factorial, omega
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
@@ -89,14 +88,16 @@ def pairing_fourier(a: Valuation, b: Valuation) -> Scalar:
 # ----------------------------------------------------------------------
 # Tasaki matrices
 
-@dataclass(frozen=True)
-class TasakiMatrix:
+class TasakiMatrix(_Record):
     """The (p+1)x(p+1) coefficient matrix of the degree-(k, 2n-k) Crofton
     formula over the bases tau_{k,i} and F(tau_{k,j})."""
 
-    n: int
-    k: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("n", "k", "entries")
+
+    def __init__(self, n: int, k: int, entries: tuple[tuple[Scalar, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
@@ -201,8 +202,7 @@ def canonical_basis(n: int, a: int) -> list[Valuation]:
     return [fourier(tau(n, 2 * n - a, i)) for i in range(dim_val(n, a))]
 
 
-@dataclass(frozen=True)
-class KinematicTensor:
+class KinematicTensor(_Record):
     """A bigraded array of Scalars over pairs of canonical basis elements.
 
     blocks maps a bidegree (a, b) to a dim(a) x dim(b) matrix; the bases
@@ -212,11 +212,15 @@ class KinematicTensor:
     complex projective space has been applied, which is never implicit.
     """
 
-    n: int
-    mu: Valuation
-    blocks: dict[tuple[int, int], tuple[tuple[Scalar, ...], ...]] = field(compare=True)
-    kind: str = "kinematic"
-    cpn_normalized: bool = False
+    __slots__ = ("n", "mu", "blocks", "kind", "cpn_normalized")
+
+    def __init__(self, n: int, mu: Valuation, blocks: dict, kind: str = "kinematic",
+                 cpn_normalized: bool = False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cpn_normalized", cpn_normalized)
 
     def block(self, a: int, b: int) -> tuple[tuple[Scalar, ...], ...]:
         return self.blocks[(a, b)]
@@ -381,7 +385,7 @@ def cpn_normalize(t: KinematicTensor) -> KinematicTensor:
         ab: tuple(tuple(s * factor for s in row) for row in matrix)
         for ab, matrix in t.blocks.items()
     }
-    return replace(t, blocks=blocks, cpn_normalized=True)
+    return KinematicTensor(t.n, t.mu, blocks, t.kind, cpn_normalized=True)
 
 
 def bezout_check(n: int, a: int, b: int) -> Scalar:

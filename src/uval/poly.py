@@ -59,6 +59,9 @@ class GradedPoly:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GradedPoly is immutable")
 
+    def __reduce__(self):
+        return _raw, (self._coeffs, self.chart)
+
     # ------------------------------------------------------------------
     @staticmethod
     def zero(chart: str = "tu") -> "GradedPoly":

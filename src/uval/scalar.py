@@ -61,6 +61,9 @@ class Scalar:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return _raw, (self._terms,)
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -267,6 +270,39 @@ def accumulate(out: dict, items: Iterable[tuple]) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+class _Record:
+    """Base of the small immutable records (ConeVerdict, TasakiMatrix, ...):
+    a subclass lists its fields in __slots__ and sets each in __init__ with
+    object.__setattr__.  This gives == (same class only), hash and repr over
+    the fields in order, refuses assignment, and copies through __init__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def _raw(terms: dict[int, Fraction]) -> Scalar:

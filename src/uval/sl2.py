@@ -26,14 +26,13 @@ coefficients as Scalars: they sit on no hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from .linalg import _clear, invert_fraction_matrix
-from .scalar import Scalar, accumulate, double_factorial, factorial
+from .scalar import Scalar, _Record, accumulate, double_factorial, factorial
 from .valuation import Valuation, dim_val, q_range, tau
 
 __all__ = [
@@ -89,15 +88,15 @@ def apply_H(v: Valuation) -> Valuation:
     return Valuation(n, out)
 
 
-@dataclass(frozen=True)
-class Sl2Operator:
+class Sl2Operator(_Record):
     """One of the three sl(2) generators, dispatchable by name."""
 
-    kind: str  # "L" | "Lambda" | "H"
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("L", "Lambda", "H"):
-            raise ValueError(f"unknown sl2 operator {self.kind!r}")
+    def __init__(self, kind: str):  # "L" | "Lambda" | "H"
+        if kind not in ("L", "Lambda", "H"):
+            raise ValueError(f"unknown sl2 operator {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     def apply(self, v: Valuation) -> Valuation:
         if self.kind == "L":

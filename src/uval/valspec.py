@@ -3,8 +3,10 @@
 Atoms are the basis elements mu[k,q], tau[k,q], pi[k,r] (primitive), the
 global generators t, s, u, the unit chi, the volume vol, and rational-pi
 scalar literals (pi parses as the scalar unless followed by an index
-bracket).  Operators are + - * / ^ with the usual precedence, unary minus,
-and the functions F(...) for the Fourier transform and iota(...).
+bracket).  Operators are + - * / ^ with the usual precedence, unary minus
+(looser than ^: -pi^2 is -(pi^2)), and the functions F(...) for the
+Fourier transform and iota(...).  A number written straight before pi
+multiplies it, so the text Scalar prints (3π^2/4, 1/(2π)) parses back.
 Division is restricted to single-term scalar divisors, matching exact
 Scalar division.  Scalars occurring where a valuation is needed are read
 as multiples of chi.
@@ -24,10 +26,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Union
 
-from .scalar import Scalar
+from .scalar import Scalar, _Record
 from .sl2 import primitive_general
 from .valuation import Valuation, chi, fourier, iota, mu, multiply, tau, vol
 from .poly import GradedPoly
@@ -55,11 +56,13 @@ class ValSpecError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
+class _Token(_Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):  # kind: "num" | "ident" | "op" | "end"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 _OPS = set("+-*/^()[],")
@@ -165,20 +168,23 @@ class _Parser:
         return value
 
     def factor(self) -> _Value:
-        value = self.unary()
-        while self.peek().text == "^":
-            op = self.next()
-            k = self.take_int()
-            value = self.power(value, k, op.pos)
-        return value
-
-    def unary(self) -> _Value:
         negate = False
         while self.peek().text == "-":
             self.next()
             negate = not negate
-        value = self.primary()
+        first = self.peek()
+        value = self.powers()
+        t = self.peek()
+        if first.kind == "num" and t.text == "pi" and t.pos == first.pos + len(first.text):
+            value = self.mul(value, self.powers(), t.pos)
         return -value if negate else value
+
+    def powers(self) -> _Value:
+        value = self.primary()
+        while self.peek().text == "^":
+            op = self.next()
+            value = self.power(value, self.take_int(), op.pos)
+        return value
 
     def nested(self, opener: _Token) -> _Value:
         """The expression inside a parenthesis, F( or iota( and its ")"."""

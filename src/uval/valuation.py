@@ -33,7 +33,6 @@ GradedPoly arithmetic, is kept as its independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -41,7 +40,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .poly import GradedPoly, change_vars
-from .scalar import RationalLike, Scalar, binomial, factorial, omega
+from .scalar import RationalLike, Scalar, _Record, binomial, factorial, omega
 
 __all__ = [
     "Valuation",
@@ -127,6 +126,9 @@ class Valuation:
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Valuation is immutable")
+
+    def __reduce__(self):
+        return _raw, (self.n, self._den, self._parts)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -602,18 +604,18 @@ def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:
     return _lift_vector(low, [a[k - n + i] for i in range(low // 2 + 1)])
 
 
-@dataclass(frozen=True)
-class KlainPolynomial:
+class KlainPolynomial(_Record):
     """The Klain function of a degree-k invariant valuation, written as
     sum_q sigma_coeffs[q] * sigma_q(cos^2 theta_1, ..., cos^2 theta_p) in the
     multiple Kaehler angle of the argument plane (p = floor(k/2))."""
 
-    degree: int
-    sigma_coeffs: tuple[Scalar, ...]
+    __slots__ = ("degree", "sigma_coeffs")
 
-    def __post_init__(self):
-        if len(self.sigma_coeffs) != self.degree // 2 + 1:
+    def __init__(self, degree: int, sigma_coeffs: tuple[Scalar, ...]):
+        if len(sigma_coeffs) != degree // 2 + 1:
             raise ValueError("sigma coefficient vector has wrong length")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "sigma_coeffs", sigma_coeffs)
 
     def evaluate(self, cos2: Sequence[float]) -> float:
         """Numeric value at a plane with the given squared angle cosines."""

@@ -95,7 +95,7 @@ def test_parse_nesting_limit():
     assert parse_valspec("-" * 100_000 + "tau[1,0]", 2) == tau(2, 1, 0)
     assert parse_valspec("-" * 3001 + "tau[1,0]", 2) == -tau(2, 1, 0)
     t = parse_valspec("t", 2)
-    assert parse_valspec("--t^2", 2) == multiply(t, t)  # unary minus binds tighter than ^
+    assert parse_valspec("--t^2", 2) == multiply(t, t)  # two minus signs cancel
     assert parse_valspec("chi - -t", 2) == chi(2) + t
     # nesting up to the limit, mixing all three kinds
     third = MAX_NESTING // 3
@@ -142,6 +142,27 @@ def test_parse_scalar_literals():
         Scalar.of(2) / Scalar.pi(1)
     )
     assert parse_valspec("pi^2 * chi - vol", 1) == chi(1) * Scalar.pi(2) - vol(1)
+
+
+def test_parse_unary_minus_binds_looser_than_power():
+    assert parse_valspec("-pi^2", 2) == chi(2) * Scalar.of(-1, 2)
+    assert parse_valspec("-2^2", 2) == chi(2) * -4
+    t = parse_valspec("t", 2)
+    assert parse_valspec("-t^2", 2) == -multiply(t, t)
+    assert parse_valspec("2*-pi^2", 2) == chi(2) * Scalar.of(-2, 2)
+    assert parse_valspec("(-pi)^2", 2) == chi(2) * Scalar.pi(2)
+
+
+def test_parse_number_before_pi_is_a_product():
+    # the forms Scalar prints: p*pi^e, p*pi^e/q, p/(q*pi^e)
+    assert parse_valspec("3π", 2) == chi(2) * Scalar.of(3, 1)
+    assert parse_valspec("-3π^2/4", 2) == chi(2) * Scalar.of(Fraction(-3, 4), 2)
+    assert parse_valspec("(3/(4π^2) + 2π)*mu[1,0]", 2) == mu(2, 1, 0) * Scalar({-2: Fraction(3, 4), 1: 2})
+    assert parse_valspec("2pi", 2) == chi(2) * Scalar.of(2, 1)
+    with pytest.raises(ValSpecError):
+        parse_valspec("3 π", 2)  # only a number written straight before pi
+    with pytest.raises(ValSpecError):
+        parse_valspec("2^3π", 2)
 
 
 def test_parse_primitive_atom():
@@ -414,10 +435,17 @@ def test_cli_usage_error_exits_2():
 
 
 def test_cli_selftest_quick():
-    proc = subprocess.run(
-        [sys.executable, "-m", "uval.cli", "selftest", "--level", "quick"],
-        capture_output=True,
-        text=True,
+    """In a fresh interpreter, `import uval.cli` loads neither the selftest
+    registry nor dataclasses nor json; selftest through main() loads the
+    registry and passes."""
+    script = (
+        "import sys; before = set(sys.modules); import uval.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)), flush=True); "
+        "sys.exit(uval.cli.main(['selftest', '--level', 'quick']))"
     )
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    added = set(proc.stdout.splitlines()[0].split())
+    assert "uval.cli" in added
+    assert not added & {"uval.checks", "dataclasses", "json"}
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 failed" in proc.stdout
