@@ -460,7 +460,7 @@ def check_printed_tasaki_matrices(level: str) -> None:
 def check_principal_kinematic(level: str) -> None:
     top_n = 4 if level == "full" else 2
     for n in range(1, top_n + 1):
-        pk = principal_kinematic(n)  # cross_check=True compares both routes
+        pk = principal_kinematic(n)  # compares both routes
         assert pk.block(0, 2 * n) == ((Scalar.one(),),)
         assert pk.block(2 * n, 0) == ((Scalar.one(),),)
     pk1 = principal_kinematic(1)

@@ -37,9 +37,9 @@ from operator import mul
 from typing import Mapping, Optional
 
 from .kinematic import pairing_fourier
-from .linalg import invert_scalar_matrix, pi_block
+from .linalg import inverse, pi_block
 from .scalar import Scalar, _Record, factorial, int_sign, omega
-from .valuation import Valuation, mu, q_range
+from .valuation import Valuation, _combine, mu, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -102,8 +102,13 @@ def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
 
 
 @lru_cache(maxsize=None)
-def _mu_gram_inverse(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(row) for row in invert_scalar_matrix(mu_gram(n, k)))
+def _gram_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """mu_gram(n, k)^-1 as (e, den, rows): entry (p, q), indexed from
+    max(0, k-n), is rows[p][q] * pi^e / den.  G is symmetric, so the
+    columns of _gram_block are inverted as they are."""
+    columns, den, e = _gram_block(n, k)
+    d, rows = inverse(den, columns)
+    return -e, d, tuple(map(tuple, rows))
 
 
 def nu(n: int, k: int, p: int) -> Valuation:
@@ -112,15 +117,11 @@ def nu(n: int, k: int, p: int) -> Valuation:
     Geometrically the valuation of the unit-mass invariant Crofton measure
     on the orbit of planes of type (k, p).
     """
-    qs = list(q_range(n, k))
+    qs = q_range(n, k)
     if p not in qs:
         raise ValueError(f"nu index (k={k}, p={p}) out of range at n={n}")
-    inv = _mu_gram_inverse(n, k)
-    row = inv[qs.index(p)]
-    out = Valuation.zero(n)
-    for q, c in zip(qs, row):
-        out = out + mu(n, k, q) * c
-    return out
+    e, den, rows = _gram_inverse(n, k)
+    return _combine(n, den, [(1, e, {k: {0: (0,) * qs.start + rows[p - qs.start]}})])
 
 
 def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .kinematic import tasaki_matrix_closed
 from .scalar import Scalar
-from .valuation import elementary_symmetric_exact
+from .valuation import elementary_symmetric
 
 __all__ = [
     "ORTHONORMAL_TOL",
@@ -275,8 +275,8 @@ def crofton_prediction(n: int, k: int, e_frame: Frame, f_frame: Frame) -> Scalar
     t = tasaki_matrix_closed(n, k)
     cos_e = [Fraction(c) for c in kahler_cos2(e_frame)]
     cos_fp = [Fraction(c) for c in kahler_cos2(f_frame.complement())]
-    sig_e = elementary_symmetric_exact(cos_e)
-    sig_f = elementary_symmetric_exact(cos_fp)
+    sig_e = elementary_symmetric(cos_e)
+    sig_f = elementary_symmetric(cos_fp)
     total = Scalar.zero()
     for i, si in enumerate(sig_e):
         for j, sj in enumerate(sig_f):

@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import invert_scalar_matrix, pi_block, scalar_leading_minors
+from .linalg import inverse, leading_minors, pi_block
 from .scalar import Scalar, _Record, binomial, double_factorial, factorial, omega
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
@@ -107,7 +107,10 @@ class TasakiMatrix(_Record):
         return self.entries[ij[0]][ij[1]]
 
     def leading_minor_dets(self) -> list[Scalar]:
-        return scalar_leading_minors(self.entries)
+        m, den, ints = pi_block(self.entries)
+        return [
+            Scalar.from_parts({j * m: x}, den**j) for j, x in enumerate(leading_minors(ints), 1)
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -183,8 +186,9 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     taus = [tau(n, k, i) for i in range(p + 1)]
     ftaus = [fourier(t) for t in taus]
     gram = [[pairing_pd(taus[i], ftaus[j]) for j in range(p + 1)] for i in range(p + 1)]
-    inv = invert_scalar_matrix(gram)
-    return TasakiMatrix(n, k, tuple(tuple(row) for row in inv))
+    m, den, ints = pi_block(gram)
+    d, rows = inverse(den, ints)
+    return TasakiMatrix(n, k, tuple(tuple(Scalar.from_parts({-m: x}, d) for x in row) for row in rows))
 
 
 # ----------------------------------------------------------------------
@@ -340,23 +344,21 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
     return KinematicTensor(n=n, mu=m, blocks=blocks)
 
 
-def principal_kinematic(n: int, cross_check: bool = True) -> KinematicTensor:
+def principal_kinematic(n: int) -> KinematicTensor:
     """The principal kinematic tensor k(chi).
 
     Assembled by :func:`kinematic` from the Gram-inverse Tasaki matrices;
-    block (k, 2n-k) is T^n_{min(k, 2n-k)}.  With cross_check (the default)
-    every block is compared with the closed primitive-basis matrix
-    tasaki_matrix_closed(n, min(k, 2n-k)), each computed once, and exact
-    agreement is enforced.
+    block (k, 2n-k) is T^n_{min(k, 2n-k)}.  Every block is compared with
+    the closed primitive-basis matrix tasaki_matrix_closed(n, min(k, 2n-k)),
+    each computed once, and exact agreement is enforced.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tensor = kinematic(n, chi(n))
-    if cross_check:
-        closed = [tasaki_matrix_closed(n, k).entries for k in range(n + 1)]
-        want = {(k, 2 * n - k): closed[min(k, 2 * n - k)] for k in range(2 * n + 1)}
-        if want != tensor.blocks:
-            raise AssertionError(f"principal kinematic routes disagree at n={n}")
+    closed = [tasaki_matrix_closed(n, k).entries for k in range(n + 1)]
+    want = {(k, 2 * n - k): closed[min(k, 2 * n - k)] for k in range(2 * n + 1)}
+    if want != tensor.blocks:
+        raise AssertionError(f"principal kinematic routes disagree at n={n}")
     return tensor
 
 
@@ -399,7 +401,7 @@ def bezout_check(n: int, a: int, b: int) -> Scalar:
     """
     if a < 1 or b < 1 or a + b != n:
         raise ValueError("bezout_check needs a, b >= 1 with a + b = n")
-    tensor = cpn_normalize(principal_kinematic(n, cross_check=False))
+    tensor = cpn_normalize(kinematic(n, chi(n)))
     block = tensor.block(2 * a, 2 * b)
 
     def leg_values(deg: int, cdim_self: int, cdim_other: int) -> list[Scalar]:

@@ -1,33 +1,25 @@
-"""Exact linear algebra helpers over Fraction and Scalar matrices.
+"""Exact linear algebra on integer matrices.
 
-The matrices in this package are small (a Tasaki matrix at level n is
-(floor(n/2)+1) square, 17x17 at n = 32).  Every routine clears its input
-to one integer matrix over a common denominator and runs the single
-fraction-free elimination :func:`_bareiss` (Bareiss, Math. Comp. 22,
-1968) on it: forward for determinants, leading minors and rank, and
-Gauss-Jordan on [A | I] for the inverse, whose right block ends as
-det * A^-1.  Its cost is polynomial in the size and no Fraction enters
-the loop.  Scalar matrices arising from the duality pairing always carry
-a single common power of pi; :func:`pi_block` factors it out as
-(pi exponent, common denominator, integer rows).
+Every matrix of the exact core is an integer matrix times one power of
+pi over one denominator; a Tasaki matrix at level n is (floor(n/2)+1)
+square, 17x17 at n = 32.  :func:`pi_block` reads a Scalar matrix in that
+form as (pi exponent, denominator, integer rows), and :func:`inverse` and
+:func:`leading_minors` work on the integer rows.  All of them run the
+single fraction-free elimination :func:`_bareiss` (Bareiss, Math. Comp.
+22, 1968): forward for leading minors and rank, and Gauss-Jordan on
+[A | I] for the inverse, whose right block ends as det * A^-1.  Its cost
+is polynomial in the size and no Fraction enters the loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalar import Scalar
 
-__all__ = [
-    "invert_fraction_matrix",
-    "invert_scalar_matrix",
-    "scalar_matrix_det",
-    "scalar_leading_minors",
-    "fraction_matrix_rank",
-    "pi_block",
-]
+__all__ = ["pi_block", "inverse", "leading_minors", "fraction_matrix_rank"]
 
 
 def _bareiss(a: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, list[int]]:
@@ -92,71 +84,50 @@ def pi_block(rows: Sequence[Sequence[Scalar]]) -> tuple[int, int, list[list[int]
     return (m, *_clear([[s.coefficient(m) for s in row] for row in rows]))
 
 
-def _check_square(rows: Sequence[Sequence]) -> None:
-    if any(len(row) != len(rows) for row in rows):
+def _check_square(ints: Sequence[Sequence[int]]) -> None:
+    if any(len(row) != len(ints) for row in ints):
         raise ValueError("matrix is not square")
 
 
-def _inverse(den: int, ints: list[list[int]]) -> list[list[Fraction]]:
-    """The inverse of ints / den, by Jordan elimination of [ints | I]."""
+def inverse(den: int, ints: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """The inverse of the square matrix ints / den as (d, rows): entry
+    (i, j) is rows[i][j] / d, with d > 0 and no common factor of d and
+    all entries.
+
+    Jordan elimination of [ints | I].  A singular matrix raises
+    ZeroDivisionError and a non-square one ValueError.
+    """
+    _check_square(ints)
     size = len(ints)
-    a = [row + [int(i == j) for j in range(size)] for i, row in enumerate(ints)]
+    a = [[*row, *(int(i == j) for j in range(size))] for i, row in enumerate(ints)]
     _, pivots = _bareiss(a, size, jordan=True)
     if len(pivots) < size:
         raise ZeroDivisionError("matrix is singular")
     d = pivots[-1] if pivots else 1
-    return [[Fraction(x * den, d) for x in row[size:]] for row in a]
+    rows = [[x * den for x in row[size:]] for row in a]
+    g = gcd(d, *(x for row in rows for x in row))
+    g = g if d > 0 else -g
+    return d // g, [[x // g for x in row] for row in rows]
 
 
-def invert_fraction_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by fraction-free Gauss-Jordan elimination."""
-    _check_square(rows)
-    return _inverse(*_clear(rows))
+def leading_minors(ints: Sequence[Sequence[int]]) -> list[int]:
+    """All leading principal minors of a square integer matrix.
 
-
-def invert_scalar_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Exact inverse of a Scalar matrix whose entries share one pi power.
-
-    Writes the matrix as pi^m * R with R rational and returns pi^-m * R^-1.
-    Entries with several pi powers never occur for the pairing matrices this
-    is used on; they are rejected as an internal-consistency failure.
+    One Bareiss pass gives them as its pivots when it needs no row
+    exchange (always so for a positive definite matrix); otherwise, when
+    some leading minor is zero, each minor is eliminated on its own.
+    A non-square matrix raises ValueError.
     """
-    _check_square(rows)
-    m, den, ints = pi_block(rows)
-    return [[Scalar.of(x, -m) for x in row] for row in _inverse(den, ints)]
-
-
-def scalar_matrix_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a Scalar matrix whose entries share one pi power.
-
-    Writes the matrix as pi^m * R with R rational and returns
-    pi^{size*m} det R, with det R from Bareiss elimination.  Entries with
-    several pi powers are rejected, as in :func:`invert_scalar_matrix`.
-    """
-    _check_square(rows)
-    m, den, ints = pi_block(rows)
+    _check_square(ints)
     size = len(ints)
-    if not size:
-        return Scalar.one()
-    swaps, pivots = _bareiss(ints, size)
-    if len(pivots) < size:
-        return Scalar.zero()
-    return Scalar.of(Fraction((-1) ** swaps * pivots[-1], den**size), size * m)
-
-
-def scalar_leading_minors(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """All leading principal minors of a Scalar matrix with one pi power.
-
-    One Bareiss pass gives them as its pivots when no leading minor is
-    zero (always so for a positive definite matrix); otherwise each minor
-    is computed on its own with row exchanges.
-    """
-    _check_square(rows)
-    m, den, ints = pi_block(rows)
-    swaps, pivots = _bareiss(ints, len(ints))
-    if swaps or len(pivots) < len(ints):
-        return [scalar_matrix_det([row[: j + 1] for row in rows[: j + 1]]) for j in range(len(rows))]
-    return [Scalar.of(Fraction(p, den ** (j + 1)), (j + 1) * m) for j, p in enumerate(pivots)]
+    swaps, pivots = _bareiss([list(row) for row in ints], size)
+    if not swaps and len(pivots) == size:
+        return pivots
+    minors = []
+    for j in range(1, size + 1):
+        swaps, pivots = _bareiss([list(row[:j]) for row in ints[:j]], j)
+        minors.append((-1) ** swaps * pivots[-1] if len(pivots) == j else 0)
+    return minors
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -7,33 +7,35 @@ act on mu coordinates by
     La mu_{k,q} = 2(n-k+q+1) mu_{k-1,q} + (k-2q+1) mu_{k-1,q-1}
     H  = (2k - 2n) on the degree-k component,
 
-with out-of-range targets understood as zero.  L is implemented directly
-on coordinates rather than as multiplication by mu_1, which avoids a
-circular dependency on the product; the multiplicative description
-survives as a cross-check invariant in the test suite.
+with out-of-range targets understood as zero.  All three run in int on
+the integer vectors of the valuation's store (see :mod:`uval.valuation`).
+L is implemented directly on coordinates rather than as multiplication
+by mu_1, which avoids a circular dependency on the product; the
+multiplicative description survives as a cross-check invariant in the
+test suite.
 
 Primitive elements pi_{k,r} (kernel of Lambda, one per admissible (k, r))
 are built from their closed Tasaki expansion, normalised so that the
 tau_{2r,r} coefficient of pi_{2r,r} is 1; pi_{k,r} = L^{k-2r} pi_{2r,r}.
 That expansion has one source, _primitive_tau_coeffs, which the closed
-Tasaki route of :mod:`uval.kinematic` reads as well.
+Tasaki route of :mod:`uval.kinematic` reads as well; restricted to level
+n it gives the integer mu coordinates of pi_{k,r}.
 The Lefschetz decomposition expands each graded piece in this basis with
-a cached integer inverse over one denominator, applied to the integer
-vectors of the valuation's store (see :mod:`uval.valuation`); one Scalar
-is built per output coefficient.  L, Lambda and H read and build
-coefficients as Scalars: they sit on no hot path.
+the integer inverse of those coordinates over one denominator, cached per
+degree and applied to the integer vectors of the store; one Scalar is
+built per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .linalg import _clear, invert_fraction_matrix
-from .scalar import Scalar, _Record, accumulate, double_factorial, factorial
-from .valuation import Valuation, dim_val, q_range, tau
+from .linalg import inverse
+from .scalar import Scalar, _Record, double_factorial, factorial
+from .valuation import Valuation, _combine, _restriction, q_range
 
 __all__ = [
     "apply_L",
@@ -47,45 +49,38 @@ __all__ = [
 ]
 
 
-def _collect(n: int, terms) -> Valuation:
-    """The sum of the ((k, q), c) terms c * mu_{k,q}, out-of-range (k, q) dropped."""
-    return Valuation(n, accumulate({}, (
-        ((k, q), c) for (k, q), c in terms if 0 <= k <= 2 * n and q in q_range(n, k)
-    )))
+def _apply(v: Valuation, shift: int, image) -> Valuation:
+    """The operator mu_{k,q} -> sum of w * mu_{k+shift,t} over the (t, w)
+    of image(k, q), targets outside q_range dropped, applied in int to
+    every vector of v's store.  Each target degree has one source degree."""
+    n, parts = v.n, {}
+    for k, by_e in v._parts.items():
+        m = k + shift
+        if 0 <= m <= 2 * n:
+            targets = q_range(n, m)
+            steps = [(q, t, w) for q in q_range(n, k) for t, w in image(k, q) if w and t in targets]
+            out = parts[m] = {}
+            for e, a in by_e.items():
+                b = out[e] = [0] * (m // 2 + 1)
+                for q, t, w in steps:
+                    b[t] += w * a[q]
+    return _combine(n, v._den, [(1, 0, parts)])
 
 
 def apply_L(v: Valuation) -> Valuation:
     """The degree-raising operator; kills the top-degree component."""
-
-    def terms():
-        for (k, q), c in v.items():
-            yield (k + 1, q + 1), c * 2 * (q + 1)
-            yield (k + 1, q), c * (k - 2 * q + 1)
-
-    return _collect(v.n, terms())
+    return _apply(v, 1, lambda k, q: ((q + 1, 2 * (q + 1)), (q, k - 2 * q + 1)))
 
 
 def apply_Lambda(v: Valuation) -> Valuation:
     """The degree-lowering operator; kills the Euler characteristic."""
     n = v.n
-
-    def terms():
-        for (k, q), c in v.items():
-            yield (k - 1, q), c * 2 * (n - k + q + 1)
-            yield (k - 1, q - 1), c * (k - 2 * q + 1)
-
-    return _collect(n, terms())
+    return _apply(v, -1, lambda k, q: ((q, 2 * (n - k + q + 1)), (q - 1, k - 2 * q + 1)))
 
 
 def apply_H(v: Valuation) -> Valuation:
     """The grading operator: eigenvalue 2k - 2n on the degree-k component."""
-    n = v.n
-    out = {
-        (k, q): c * (2 * k - 2 * n)
-        for (k, q), c in v.items()
-        if k != n
-    }
-    return Valuation(n, out)
+    return _apply(v, 0, lambda k, q: ((q, 2 * k - 2 * v.n),))
 
 
 class Sl2Operator(_Record):
@@ -127,6 +122,18 @@ def _primitive_tau_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
+@lru_cache(maxsize=None)
+def _primitive_mu_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]:
+    """pi_{k,r} in mu coordinates as (d, b): the mu_{k,q} coefficient is
+    b[q]/d, 0 for q outside q_range(n, k).  The tau-expansion of
+    _primitive_tau_coeffs restricted to level n."""
+    d, a = _primitive_tau_coeffs(n, k, r)
+    b = [0] * (k // 2 + 1)
+    for q, row in _restriction(n, k):
+        b[q] = sum(map(mul, row, a))
+    return d, tuple(b)
+
+
 def primitive(n: int, r: int) -> Valuation:
     """The primitive element pi_{2r,r} = primitive_general(n, 2r, r),
     0 <= 2r <= n; it spans the kernel of Lambda in degree 2r and its
@@ -144,26 +151,25 @@ def primitive_general(n: int, k: int, r: int) -> Valuation:
     """
     if not (0 <= 2 * r <= k <= 2 * n - 2 * r):
         raise ValueError(f"primitive element needs 2r <= k <= 2n-2r, got (n,k,r)=({n},{k},{r})")
-    d, a = _primitive_tau_coeffs(n, k, r)
-    out = Valuation.zero(n)
-    for i, x in enumerate(a):
-        out = out + tau(n, k, i) * Fraction(x, d)
-    return out
+    d, b = _primitive_mu_coeffs(n, k, r)
+    return _combine(n, d, [(1, 0, {k: {0: b}})])
 
 
 @lru_cache(maxsize=None)
 def _primitive_basis_inverse(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Inverse of the matrix whose columns are the mu coordinates of
     pi_{k,r}, r = 0..p, as (den, rows): entry (r, i) is rows[r][i] / den.
-    The coordinates are rational numbers, so no pi enters."""
-    qs = list(q_range(n, k))
-    cols = []
-    for r in range(dim_val(n, k)):
-        p = primitive_general(n, k, r)
-        cols.append([p.coefficient(k, q).as_fraction() for q in qs])
-    matrix = [[cols[r][i] for r in range(len(cols))] for i in range(len(qs))]
-    den, rows = _clear(invert_fraction_matrix(matrix))
-    return den, tuple(map(tuple, rows))
+
+    The columns are b_r / d_r with integer b_r, so the inverse is
+    diag(d_r) times the inverse of the integer columns b_r.  The
+    coordinates are rational numbers, so no pi enters.
+    """
+    qs = q_range(n, k)
+    cols = [_primitive_mu_coeffs(n, k, r) for r in range(len(qs))]
+    d, rows = inverse(1, [[b[q] for _, b in cols] for q in qs])
+    rows = [[dr * x for x in row] for (dr, _), row in zip(cols, rows)]
+    g = gcd(d, *(x for row in rows for x in row))
+    return d // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:

@@ -11,7 +11,7 @@ Division is restricted to single-term scalar divisors, matching exact
 Scalar division.  Scalars occurring where a valuation is needed are read
 as multiples of chi.
 
-Errors carry the byte offset of the offending token.
+Errors carry the character offset (not the byte offset) of the offending token.
 
 Three limits keep the parser's work bounded by the text.  Parentheses,
 F(...) and iota(...) nest at most MAX_NESTING deep; runs of unary minus
@@ -49,7 +49,7 @@ MAX_POWER_TERMS = 256
 
 
 class ValSpecError(ValueError):
-    """Parse or range error in a valuation expression, with byte offset."""
+    """Parse or range error in a valuation expression, with character offset."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")

@@ -621,21 +621,13 @@ class KlainPolynomial(_Record):
         """Numeric value at a plane with the given squared angle cosines."""
         if len(cos2) != self.degree // 2:
             raise ValueError("wrong number of angle cosines")
-        es = elementary_symmetric_float(cos2)
-        return sum(float(c.to_float()) * e for c, e in zip(self.sigma_coeffs, es))
+        es = elementary_symmetric(cos2)
+        return sum(c.to_float() * e for c, e in zip(self.sigma_coeffs, es))
 
 
-def elementary_symmetric_float(xs: Sequence[float]) -> list[float]:
-    """All elementary symmetric polynomials e_0..e_len(xs) of the values."""
-    es = [1.0] + [0.0] * len(xs)
-    for x in xs:
-        for j in range(len(xs), 0, -1):
-            es[j] += x * es[j - 1]
-    return es
-
-
-def elementary_symmetric_exact(xs: Sequence[Fraction]) -> list[Fraction]:
-    es = [Fraction(1)] + [Fraction(0)] * len(xs)
+def elementary_symmetric(xs: Sequence) -> list:
+    """All elementary symmetric polynomials e_0..e_len(xs) of floats or Fractions."""
+    es = [1] + [0] * len(xs)
     for x in xs:
         for j in range(len(xs), 0, -1):
             es[j] += x * es[j - 1]

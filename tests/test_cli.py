@@ -183,6 +183,10 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ValSpecError) as exc:
         parse_valspec("chi + ?", 2)
     assert exc.value.pos == 6
+    # a character offset: "?" is character 4 of the text but byte 5 of its UTF-8
+    with pytest.raises(ValSpecError) as exc:
+        parse_valspec("π + ?", 2)
+    assert exc.value.pos == 4
     with pytest.raises(ValSpecError):
         parse_valspec("mu[2,0]", 1)  # out of range at n = 1
     with pytest.raises(ValSpecError):

@@ -131,17 +131,17 @@ def test_principal_n1_classical():
     assert pk.bidegrees() == [(0, 2), (1, 1), (2, 0)]
 
 
-def test_principal_routes_cross_checked():
-    # cross_check=True raises if a block differs from the closed primitive-basis matrix
+def test_principal_routes_compared():
+    # principal_kinematic raises if a block differs from the closed primitive-basis matrix
     for n in range(1, 5):
-        pk = principal_kinematic(n, cross_check=True)
+        pk = principal_kinematic(n)
         assert pk.block(0, 2 * n) == ((Scalar.one(),),)
         mid = pk.block(n, n)
         want = tasaki_matrix_oracle(n, n)
         assert mid == want.entries
 
 
-def test_principal_cross_check_can_fail(monkeypatch):
+def test_principal_route_mismatch_raises(monkeypatch):
     module = importlib.import_module("uval.kinematic")
     closed = module.tasaki_matrix_closed
 
@@ -156,7 +156,7 @@ def test_principal_cross_check_can_fail(monkeypatch):
     monkeypatch.setattr(module, "tasaki_matrix_closed", perturbed)
     with pytest.raises(AssertionError, match="routes disagree"):
         principal_kinematic(3)
-    principal_kinematic(3, cross_check=False)  # the Gram-inverse route alone is unaffected
+    kinematic(3, chi(3))  # the Gram-inverse route alone is unaffected
 
 
 def test_kinematic_of_chi_is_principal():

@@ -1,23 +1,20 @@
-"""Exact linear algebra: Bareiss determinants against the Leibniz sum, and
-the inverse, rank and pi-block format from the same elimination."""
+"""Exact linear algebra on integer matrices: Bareiss leading minors
+against the Leibniz sum, and the inverse, rank and pi-block format from
+the same elimination."""
 
 import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 
 from uval.kinematic import tasaki_matrix_closed
-from uval.linalg import (
-    fraction_matrix_rank,
-    invert_fraction_matrix,
-    invert_scalar_matrix,
-    pi_block,
-    scalar_leading_minors,
-    scalar_matrix_det,
-)
+from uval.linalg import fraction_matrix_rank, inverse, leading_minors, pi_block
 from uval.scalar import Scalar
+from uval.sl2 import _primitive_basis_inverse, primitive_general
+from uval.valuation import q_range
 
 
 def _leibniz(rows):
@@ -32,6 +29,17 @@ def _leibniz(rows):
     return total
 
 
+def _minors(rows):
+    """The leading minors of a Scalar matrix with one pi power, through
+    pi_block and the integer leading_minors."""
+    m, den, ints = pi_block(rows)
+    return [Scalar.from_parts({j * m: x}, den**j) for j, x in enumerate(leading_minors(ints), 1)]
+
+
+def _det(rows):
+    return _minors(rows)[-1] if rows else Scalar.one()
+
+
 def _rand_matrix(rng, size, pi_exp, zero_share=0.3):
     return [
         [
@@ -44,13 +52,23 @@ def _rand_matrix(rng, size, pi_exp, zero_share=0.3):
     ]
 
 
+def _over_den(rows):
+    """A rational matrix as (den, ints) with rows = ints / den."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[int(x * den) for x in row] for row in rows]
+
+
+def _assert_canonical(d, rows):
+    assert d > 0 and gcd(d, *(x for row in rows for x in row)) == 1, (d, rows)
+
+
 def test_det_matches_leibniz():
     rng = random.Random(31)
     for size in range(0, 6):
         for pi_exp in (-1, 0, 2):
             for _ in range(12):
                 rows = _rand_matrix(rng, size, pi_exp)
-                assert scalar_matrix_det(rows) == _leibniz(rows), rows
+                assert _det(rows) == _leibniz(rows), rows
 
 
 def test_det_of_singular_matrices():
@@ -58,8 +76,9 @@ def test_det_of_singular_matrices():
     for size in range(2, 6):
         rows = _rand_matrix(rng, size, 1)
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        assert scalar_matrix_det(rows).is_zero
-    assert scalar_matrix_det([[Scalar.zero()] * 3 for _ in range(3)]).is_zero
+        assert _det(rows).is_zero
+    assert _det([[Scalar.zero()] * 3 for _ in range(3)]).is_zero
+    assert leading_minors([[0] * 3 for _ in range(3)]) == [0, 0, 0]
 
 
 def test_leading_minors_match_leibniz():
@@ -69,14 +88,17 @@ def test_leading_minors_match_leibniz():
             for zero_share in (0.0, 0.5):
                 rows = _rand_matrix(rng, size, pi_exp, zero_share)
                 want = [_leibniz([row[: j + 1] for row in rows[: j + 1]]) for j in range(size)]
-                assert scalar_leading_minors(rows) == want, rows
+                assert _minors(rows) == want, rows
 
 
 def test_leading_minors_with_zero_minor():
     # the first leading minor is zero, so the single pass does not apply
-    rows = [[Scalar.of(a) for a in row] for row in ([0, 1, 2], [1, 0, 3], [2, 3, 1])]
+    ints = [[0, 1, 2], [1, 0, 3], [2, 3, 1]]
+    rows = [[Scalar.of(a) for a in row] for row in ints]
     want = [_leibniz([row[: j + 1] for row in rows[: j + 1]]) for j in range(3)]
-    assert scalar_leading_minors(rows) == want
+    assert _minors(rows) == want
+    assert leading_minors(ints) == [0, -1, 11]
+    assert ints == [[0, 1, 2], [1, 0, 3], [2, 3, 1]]  # the input is not changed
 
 
 def test_tasaki_leading_minors_match_leibniz():
@@ -93,10 +115,11 @@ def test_tasaki_leading_minors_are_fast():
     start = time.perf_counter()
     minors = t.leading_minor_dets()
     assert time.perf_counter() - start < 0.5
-    # the single pass agrees with one determinant per minor (the fallback)
-    rows = t.entries
-    assert minors == [
-        scalar_matrix_det([row[: j + 1] for row in rows[: j + 1]]) for j in range(t.size)
+    assert minors == _minors(t.entries)
+    # the single pass agrees with one elimination per minor (the fallback)
+    _, _, ints = pi_block(t.entries)
+    assert leading_minors(ints) == [
+        leading_minors([row[:j] for row in ints[:j]])[-1] for j in range(1, t.size + 1)
     ]
     assert len(minors) == 9 and all(m.sign() > 0 for m in minors)
 
@@ -105,14 +128,13 @@ def test_mixed_pi_powers_rejected():
     mixed = [[Scalar.one(), Scalar.pi()], [Scalar.pi(), Scalar.one()]]
     two_term = [[Scalar.one() + Scalar.pi(), Scalar.zero()], [Scalar.zero(), Scalar.one()]]
     for rows in (mixed, two_term):
-        for fn in (scalar_matrix_det, scalar_leading_minors, invert_scalar_matrix, pi_block):
-            with pytest.raises(ValueError):
-                fn(rows)
-    for fn in (scalar_matrix_det, scalar_leading_minors, invert_scalar_matrix):
         with pytest.raises(ValueError):
-            fn([[Scalar.one(), Scalar.one()]])
-    with pytest.raises(ValueError):
-        invert_fraction_matrix([[Fraction(1), Fraction(2)]])
+            pi_block(rows)
+    for ints in ([[1, 1]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            leading_minors(ints)
+        with pytest.raises(ValueError):
+            inverse(1, ints)
 
 
 def _invertible(rng, size, entry):
@@ -130,10 +152,11 @@ def test_fraction_inverse_is_exact():
     for size in range(2, 7):
         for _ in range(10):
             a = _invertible(rng, size, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
-            inv = invert_fraction_matrix(a)
+            d, inv = inverse(*_over_den(a))
+            _assert_canonical(d, inv)
             for i in range(size):
                 for j in range(size):
-                    assert sum(a[i][t] * inv[t][j] for t in range(size)) == int(i == j), a
+                    assert sum(a[i][t] * inv[t][j] for t in range(size)) == int(i == j) * d, a
 
 
 def test_scalar_inverse_is_exact():
@@ -142,14 +165,17 @@ def test_scalar_inverse_is_exact():
         for pi_exp in (-2, 0, 1):
             a = _invertible(rng, size, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
             rows = [[Scalar.of(x, pi_exp) for x in row] for row in a]
-            inv = invert_scalar_matrix(rows)
+            m, den, ints = pi_block(rows)
+            d, inv_ints = inverse(den, ints)
+            _assert_canonical(d, inv_ints)
+            inv = [[Scalar.from_parts({-m: x}, d) for x in row] for row in inv_ints]
             for i in range(size):
                 for j in range(size):
                     total = Scalar.zero()
                     for t in range(size):
                         total = total + rows[i][t] * inv[t][j]
                     assert total == (Scalar.one() if i == j else Scalar.zero()), rows
-    assert invert_scalar_matrix([]) == [] == invert_fraction_matrix([])
+    assert inverse(1, []) == (1, []) == inverse(7, [])
 
 
 def test_singular_inverse_raises():
@@ -159,9 +185,26 @@ def test_singular_inverse_raises():
         # the last row is a multiple of the first (the zero row when size is 1)
         a[-1] = [x * (size - 1) for x in a[0]]
         with pytest.raises(ZeroDivisionError):
-            invert_fraction_matrix(a)
+            inverse(*_over_den(a))
+        m, den, ints = pi_block([[Scalar.of(x, 1) for x in row] for row in a])
         with pytest.raises(ZeroDivisionError):
-            invert_scalar_matrix([[Scalar.of(x, 1) for x in row] for row in a])
+            inverse(den, ints)
+
+
+def test_primitive_basis_inverse_is_inverse():
+    # the cached inverse times the mu coordinates of the pi_{k,r} is the identity
+    for n in range(1, 11):
+        for k in range(2 * n + 1):
+            den, inv = _primitive_basis_inverse(n, k)
+            _assert_canonical(den, inv)
+            qs = q_range(n, k)
+            cols = [
+                [primitive_general(n, k, r).coefficient(k, q).as_fraction() for q in qs]
+                for r in range(len(qs))
+            ]
+            for r, row in enumerate(inv):
+                for s, col in enumerate(cols):
+                    assert sum(x * c for x, c in zip(row, col)) == den * (r == s), (n, k, r, s)
 
 
 def test_rank_of_products_of_known_rank():
