@@ -25,7 +25,8 @@ Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block is an integer matrix times one pi power and
 delta is a cached table, so every sign of a cone test goes to
 scalar.int_sign.  Scalars are built only for results: nu_coeffs, the
-norms, the coefficients of a CurvExpr and the text of a failure's witness.
+norms and the coefficients of a CurvExpr; a failure's witness text is
+written from its integers by scalar._parts_text, as str(Scalar) is.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Mapping, Optional
 
 from .kinematic import pairing_fourier
 from .linalg import inverse, pi_block
-from .scalar import Scalar, _Record, factorial, int_sign, omega
+from .scalar import Scalar, _Record, _parts_text, factorial, int_sign, omega
 from .valuation import Valuation, _combine, mu, q_range
 
 __all__ = [
@@ -126,22 +127,16 @@ def nu(n: int, k: int, p: int) -> Valuation:
 
 def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:
     """The nu coordinates b_q = sum_p a_p G_pq of the degree-k part
-    {e: [a_0..a_{k//2}]} of a store, q ascending, each as {e: b_e}; see
-    _nu_scalar for the value."""
-    columns, _, _ = _gram_block(n, k)
+    {e: [a_0..a_{k//2}]} of a store over den, q ascending, each as parts
+    {e: x} of the value sum_e x pi^e / (den * _gram_block(n, k)[1])."""
+    columns, _, shift = _gram_block(n, k)
     q0 = max(0, k - n)
     out: list[dict[int, int]] = [{} for _ in columns]
     for e, a in parts.items():
         a = a[q0:]
         for b, column in zip(out, columns):
-            b[e] = sum(map(mul, column, a))
+            b[e + shift] = sum(map(mul, column, a))
     return out
-
-
-def _nu_scalar(n: int, k: int, den: int, b: dict[int, int]) -> Scalar:
-    """sum_e b_e pi^(e + e_G) / (den * den_G), one coordinate of _nu_parts."""
-    _, gram_den, shift = _gram_block(n, k)
-    return Scalar.from_parts({e + shift: x for e, x in b.items()}, den * gram_den)
 
 
 def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
@@ -152,7 +147,8 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
     """
     if v.degrees() not in ([], [k]):
         raise ValueError("nu_coeffs requires a homogeneous valuation of the stated degree")
-    return [_nu_scalar(v.n, k, v._den, b) for b in _nu_parts(v.n, k, v._parts.get(k, {}))]
+    den = v._den * _gram_block(v.n, k)[1]
+    return [Scalar.from_parts(b, den) for b in _nu_parts(v.n, k, v._parts.get(k, {}))]
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +166,7 @@ def is_positive(v: Valuation) -> ConeVerdict:
             if int_sign(c, den) < 0:
                 return ConeVerdict(False, {
                     "kind": "negative_mu_coefficient", "k": k, "q": q,
-                    "coefficient": str(Scalar.from_parts(c, den)),
+                    "coefficient": _parts_text(c, den),
                 })
     return _MEMBER
 
@@ -183,7 +179,7 @@ def is_crofton_positive(v: Valuation) -> ConeVerdict:
             if int_sign(b) < 0:
                 return ConeVerdict(False, {
                     "kind": "negative_nu_coordinate", "k": k, "q": q,
-                    "coordinate": str(_nu_scalar(n, k, den, b)),
+                    "coordinate": _parts_text(b, den * _gram_block(n, k)[1]),
                 })
     return _MEMBER
 
@@ -200,7 +196,7 @@ def is_monotone(v: Valuation) -> ConeVerdict:
     c0 = {e: a[0] for e, a in v._parts.get(0, {}).items()}
     if int_sign(c0, den) < 0:
         return ConeVerdict(False, {
-            "kind": "negative_point_value", "value": str(Scalar.from_parts(c0, den)),
+            "kind": "negative_point_value", "value": _parts_text(c0, den),
         })
     for k in v.degrees():
         if k == 0:
@@ -218,7 +214,7 @@ def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int,
     def failure(family: int, q: int, slack: dict[int, int], scale: int) -> ConeVerdict:
         return ConeVerdict(False, {
             "kind": "inequality", "family": family, "k": k, "q": q,
-            "slack": str(Scalar.from_parts(slack, scale)),
+            "slack": _parts_text(slack, scale),
         })
 
     for q in range(max(0, k - n), (k - 1) // 2 + 1):
@@ -364,7 +360,7 @@ def norm_one(v: Valuation) -> Scalar:
         s = int_sign(b)
         for e, x in b.items():
             total[e] = total.get(e, 0) + s * x
-    return _nu_scalar(v.n, k, v._den, total)
+    return Scalar.from_parts(total, v._den * _gram_block(v.n, k)[1])
 
 
 def _require_homogeneous(v: Valuation) -> int:

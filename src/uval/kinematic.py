@@ -40,7 +40,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .linalg import inverse, leading_minors, pi_block
-from .scalar import Scalar, _Record, binomial, double_factorial, factorial, omega
+from .scalar import Scalar, _Record, _scalars, binomial, double_factorial, factorial, omega
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
@@ -52,7 +52,7 @@ from .valuation import (
     q_range,
     tau,
 )
-from .valuation import _product_coords
+from .valuation import _degree_pair, _product_coords
 
 __all__ = [
     "pairing_pd",
@@ -125,13 +125,9 @@ class TasakiMatrix(_Record):
         m, den, ints = pi_block(self.entries)
         g = gcd(*(x for row in ints for x in row)) or den
         body = "[" + ",".join(
-            "[" + ",".join(_frac_str(Fraction(x, g)) for x in row) + "]" for row in ints
+            "[" + ",".join(str(Fraction(x, g)) for x in row) + "]" for row in ints
         ) + "]"
         return f"{Scalar.of(Fraction(g, den), m)} * {body}"
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
@@ -159,21 +155,33 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
         raise ValueError("ambient complex dimension must be >= 1")
     p = k // 2
     e, pref = (omega(k) * omega(2 * n - k) / Scalar.pi(n)).monomial()
-    # e_r = a/d adds weight * a a^T; every term of entry (i, j) has the
-    # sign (-1)^{i+j}, so no entry is zero
+    # e_r = a/d adds the weight pref / (pairing * d^2) = num/q times a a^T;
+    # every term of entry (i, j) has the sign (-1)^{i+j}, so no entry is zero
     terms = []
     for r in range(p + 1):
         d, a = _primitive_tau_coeffs(n, k, r)
-        terms.append((pref / (_primitive_pairing(n, k, r) * d * d), a))
-    den = lcm(*(w.denominator for w, _ in terms))
+        pairing = _primitive_pairing(n, k, r)
+        terms.append((pref.numerator * pairing.denominator, pref.denominator * pairing.numerator * d * d, a))
+    den = lcm(*(q for _, q, _ in terms))
     sums = [[0] * (p + 1) for _ in range(p + 1)]
-    for w, a in terms:
+    for num, q, a in terms:
         for ai, row in zip(a, sums):
-            x = w.numerator * (den // w.denominator) * ai
+            x = num * (den // q) * ai
             for j, aj in enumerate(a):
                 row[j] += x * aj
-    rows = tuple(tuple(Scalar.from_parts({e: x}, den) for x in row) for row in sums)
-    return TasakiMatrix(n, k, rows)
+    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, den, p + 1)) for row in sums))
+
+
+@lru_cache(maxsize=None)
+def _tasaki_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The inverse of the pairing Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j}))
+    as (e, den, rows), entry (i, j) being rows[i][j] * pi^e / den."""
+    taus = [tau(n, k, i) for i in range(k // 2 + 1)]
+    ftaus = [fourier(t) for t in taus]
+    gram = [[pairing_pd(t, f) for f in ftaus] for t in taus]
+    m, den, ints = pi_block(gram)
+    d, rows = inverse(den, ints)
+    return -m, d, tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
@@ -182,13 +190,8 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     M_ij = (tau_{k,i}, F(tau_{k,j})), the independent route."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
-    p = k // 2
-    taus = [tau(n, k, i) for i in range(p + 1)]
-    ftaus = [fourier(t) for t in taus]
-    gram = [[pairing_pd(taus[i], ftaus[j]) for j in range(p + 1)] for i in range(p + 1)]
-    m, den, ints = pi_block(gram)
-    d, rows = inverse(den, ints)
-    return TasakiMatrix(n, k, tuple(tuple(Scalar.from_parts({-m: x}, d) for x in row) for row in rows))
+    e, d, rows = _tasaki_inverse(n, k)
+    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, d, len(row))) for row in rows))
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +264,6 @@ class KinematicTensor(_Record):
         return "\n".join(lines)
 
 
-def _degree_inverse_gram(n: int, k: int) -> TasakiMatrix:
-    return tasaki_matrix_oracle(n, k if k <= n else 2 * n - k)
-
-
 @lru_cache(maxsize=None)
 def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]] | None:
     """Block (c+k, 2n-k) of the kinematic tensor of mu_{c,q}, for every q in
@@ -274,21 +273,21 @@ def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int,
 
     Row q's integers are sum_i A_q[i][row] K[i][j], a plain int product of
     the integer tau-coordinates A_q[i] of mu_{c,q} phi_i and the integer
-    inverse Gram block K of degree k (one pi_block).  mu_{c,q} and phi_i
-    have integer coordinates and no pi, so every product has one pi
+    inverse Gram block K of degree k from _tasaki_inverse.  mu_{c,q} and
+    phi_i have integer coordinates and no pi, so every product has one pi
     exponent, the one of omega_{c+k}/(omega_c omega_k), and the same
     denominator.
     """
     basis = canonical_basis(n, k)
-    ek, dk, kmat = pi_block(_degree_inverse_gram(n, k).entries)
+    ek, dk, kmat = _tasaki_inverse(n, min(k, 2 * n - k))
     cols = list(zip(*kmat))
+    ea, zero = _degree_pair(c, k)[0], [0] * dim_val(n, c + k)
     rows = []
     for q in q_range(n, c):
         a = []
         for phi in basis:
             da, parts = _product_coords(n, mu(n, c, q), phi, c + k)
-            ((ea, ints),) = parts.items()
-            a.append(ints)
+            a.append(parts.get(ea, zero))
         rows.append((q, [sum(map(mul, row, col)) for row in zip(*a) for col in cols]))
     g = gcd(*(x for _, w in rows for x in w))
     if not g:
@@ -332,11 +331,8 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
                     sums[e + shift] = z
     blocks = {}
     for (a, b), (wden, sums) in acc.items():
-        d, size = m._den * wden, dim_val(n, b)
-        scalars = [
-            Scalar.from_parts({e: z[i] for e, z in sums.items()}, d)
-            for i in range(dim_val(n, a) * size)
-        ]
+        size = dim_val(n, b)
+        scalars = _scalars(sums, m._den * wden, dim_val(n, a) * size)
         if any(scalars):
             blocks[(a, b)] = tuple(
                 tuple(scalars[r:r + size]) for r in range(0, len(scalars), size)

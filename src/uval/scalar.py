@@ -5,7 +5,9 @@ multiple of an integer power of pi, and sums of such terms appear as soon
 as valuations of mixed degree are combined.  A :class:`Scalar` is therefore
 a Laurent polynomial in pi with Fraction coefficients, stored sparsely as
 a map {pi-exponent: coefficient}.  pi is treated as a formal transcendental:
-no floating point enters any algebraic computation.  The only numeric exits
+no floating point enters any algebraic computation.  Every Scalar built from
+the integers of a store goes through one kernel from reduced integers to
+Fractions, and its text comes from one formatter.  The only numeric exits
 are :meth:`Scalar.to_float` (for display and the Monte-Carlo module) and
 :func:`sign`, which decides signs exactly in integer arithmetic over a
 fixed ladder of rational enclosures of pi.
@@ -19,7 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from math import gcd
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -87,7 +90,7 @@ class Scalar:
     @staticmethod
     def from_parts(parts: Mapping[int, int], den: int = 1) -> "Scalar":
         """The scalar sum_e parts[e] * pi^e / den of integer parts, den > 0."""
-        return _raw({e: Fraction(x, den) for e, x in parts.items() if x})
+        return _raw({e: _fraction(x // g, den // g) for e, x in parts.items() if x and (g := gcd(x, den))})
 
     def to_parts(self) -> tuple[dict[int, int], int]:
         """(parts, den) with den the least common denominator: the inverse
@@ -237,17 +240,7 @@ class Scalar:
         )))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for i, (e, c) in enumerate(self.items()):
-            p = c.numerator
-            body = _term_str(e, abs(p), c.denominator)
-            if i == 0:
-                parts.append(body if p > 0 else "-" + body)
-            else:
-                parts.append((" + " if p > 0 else " - ") + body)
-        return "".join(parts)
+        return _parts_text(*self.to_parts())
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -311,20 +304,59 @@ def _raw(terms: dict[int, Fraction]) -> Scalar:
     return s
 
 
+# The kernel behind every Scalar built from integers: the Fraction p/q of
+# coprime p and q > 0 without the type checks and the gcd of Fraction(p, q).
+_fraction = getattr(Fraction, "_from_coprime_ints", None)  # 3.12 and later
+if _fraction is None:
+    def _fraction(p: int, q: int, _new=object.__new__) -> Fraction:
+        f = _new(Fraction)
+        f._numerator, f._denominator = p, q
+        return f
+try:  # checked against Fraction(p, q), with Fraction as the fallback
+    for _p, _q in ((0, 1), (-3, 4), (7, 1), (10**30 + 1, 3)):
+        _f = _fraction(_p, _q)
+        if type(_f) is not Fraction or (_f.numerator, _f.denominator, hash(_f)) != (_p, _q, hash(Fraction(_p, _q))):
+            raise TypeError("the coprime kernel disagrees with Fraction")
+except Exception:  # pragma: no cover - a Fraction without these internals
+    _fraction = Fraction
+
+
+def _scalars(vectors: Mapping[int, Sequence[int]], den: int, size: int) -> list[Scalar]:
+    """[Scalar.from_parts({e: v[i] for e, v in vectors.items()}, den) for i
+    in range(size)], with one term dict per Scalar."""
+    items = tuple(vectors.items())
+    out = []
+    for i in range(size):
+        terms = {}
+        for e, v in items:
+            if x := v[i]:
+                g = gcd(x, den)
+                terms[e] = _fraction(x // g, den // g)
+        out.append(_raw(terms) if terms else _ZERO)
+    return out
+
+
+def _parts_text(parts: Mapping[int, int], den: int) -> str:
+    """str(Scalar.from_parts(parts, den)), written from the integers: terms
+    ascending in the pi exponent e, each (p/q) * pi^e with p, q > 0 coprime
+    as p/q, pi^m*p/q or p/(q*pi^m)."""
+    out = []
+    for e, x in sorted(parts.items()):
+        if x:
+            g = gcd(x, den)
+            p, q, pi = abs(x) // g, den // g, "π" if abs(e) == 1 else f"π^{abs(e)}"
+            if e == 0:
+                body = str(p) if q == 1 else f"{p}/{q}"
+            elif e > 0:
+                body = (pi if p == 1 else f"{p}{pi}") + ("" if q == 1 else f"/{q}")
+            else:
+                body = f"{p}/{pi}" if q == 1 else f"{p}/({q}{pi})"
+            out.append((" - " if x < 0 else " + ") + body if out else ("-" if x < 0 else "") + body)
+    return "".join(out) or "0"
+
+
 _ZERO = Scalar()
 _ONE = Scalar({0: 1})
-
-
-def _term_str(e: int, p: int, q: int) -> str:
-    """Render (p/q) * pi^e, p and q > 0 coprime, as p/q, pi^m*p/q or p/(q*pi^m)."""
-    if e == 0:
-        return str(p) if q == 1 else f"{p}/{q}"
-    pi_s = "π" if abs(e) == 1 else f"π^{abs(e)}"
-    if e > 0:
-        num = pi_s if p == 1 else f"{p}{pi_s}"
-        return num if q == 1 else f"{num}/{q}"
-    den = pi_s if q == 1 else f"{q}{pi_s}"
-    return f"{p}/({den})" if q != 1 else f"{p}/{den}"
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +467,7 @@ def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
         if high < 0:
             return -1
     raise UndecidableSignError(
-        f"sign of {Scalar.from_parts(dict(terms), den)} undecided "
+        f"sign of {_parts_text(dict(terms), den)} undecided "
         "on the last enclosure of pi (width < 1e-48)"
     )
 

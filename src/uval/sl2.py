@@ -34,8 +34,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .linalg import inverse
-from .scalar import Scalar, _Record, double_factorial, factorial
-from .valuation import Valuation, _combine, _restriction, q_range
+from .scalar import Scalar, _Record, _scalars, double_factorial, factorial
+from .valuation import Valuation, _combine, _restrict, q_range
 
 __all__ = [
     "apply_L",
@@ -128,10 +128,7 @@ def _primitive_mu_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]:
     b[q]/d, 0 for q outside q_range(n, k).  The tau-expansion of
     _primitive_tau_coeffs restricted to level n."""
     d, a = _primitive_tau_coeffs(n, k, r)
-    b = [0] * (k // 2 + 1)
-    for q, row in _restriction(n, k):
-        b[q] = sum(map(mul, row, a))
-    return d, tuple(b)
+    return d, tuple(_restrict(n, k, a))
 
 
 def primitive(n: int, r: int) -> Valuation:
@@ -185,11 +182,8 @@ def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:
     for k in v.degrees():
         den, inv = _primitive_basis_inverse(n, k)
         q0 = max(0, k - n)
-        parts = {e: a[q0:] for e, a in v._parts[k].items()}
-        for r, row in enumerate(inv):
-            c = Scalar.from_parts({e: sum(map(mul, row, a)) for e, a in parts.items()}, den * v._den)
-            if c:
-                out.append((k, r, c))
+        coords = {e: [sum(map(mul, row, a[q0:])) for row in inv] for e, a in v._parts[k].items()}
+        out += [(k, r, c) for r, c in enumerate(_scalars(coords, den * v._den, len(inv))) if c]
     return out
 
 

@@ -18,15 +18,17 @@ denominator and all numerators), so equal values have equal stores.
 Arithmetic, the product, the Fourier transform and the readers in
 :mod:`uval.cones`, :mod:`uval.sl2` and :mod:`uval.kinematic` work on it
 in int.  Scalars are built only when a coefficient is read: items(),
-coefficient(), mu_vector(), str, to_json and the Scalar-valued results.
+coefficient(), mu_vector(), str, to_json and the Scalar-valued results,
+all through the one kernel scalar._scalars from reduced integers.
 
 Locality is concentrated in the restriction of global Tasaki valuations
 to level n, which drops the mu terms that vanish locally, so the quotient
 by the relation ideal (f_{n+1}, f_{n+2}) needs no polynomial reduction.
 :func:`from_monomial` applies it to a global polynomial in (t, u).  The
 Alesker product :func:`multiply` applies it to products computed with the
-Tasaki product formula on the stored integer vectors, one pi shift per
-pair of degrees; the quotient-map route
+Tasaki product formula on the stored integer vectors, with the pi
+exponents of each coordinate packed as the digits of one int, so the
+formula runs once per pair of degrees; the quotient-map route
 from_monomial(n, to_monomial(a) * to_monomial(b)), in Scalar and
 GradedPoly arithmetic, is kept as its independent cross-check.
 """
@@ -40,7 +42,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .poly import GradedPoly, change_vars
-from .scalar import RationalLike, Scalar, _Record, binomial, factorial, omega
+from .scalar import RationalLike, Scalar, _Record, _scalars, binomial, factorial, omega
 
 __all__ = [
     "Valuation",
@@ -138,7 +140,8 @@ class Valuation:
     def items(self) -> list[tuple[tuple[int, int], Scalar]]:
         """The nonzero coefficients, sorted by (k, q)."""
         return [
-            ((k, q), c) for k in self.degrees() for q in range(k // 2 + 1) if (c := self.coefficient(k, q))
+            ((k, q), c) for k in self.degrees()
+            for q, c in enumerate(_scalars(self._parts[k], self._den, k // 2 + 1)) if c
         ]
 
     def coefficient(self, k: int, q: int) -> Scalar:
@@ -328,11 +331,7 @@ def tau(n: int, k: int, q: int) -> Valuation:
         raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= q <= k // 2:
         raise ValueError(f"tau index (k={k}, q={q}) out of range")
-    a = [0] * (k // 2 + 1)
-    for r, row in _restriction(n, k):
-        if r >= q:
-            a[r] = row[q]
-    return _raw(n, 1, {k: {0: tuple(a)}})
+    return _raw(n, 1, {k: {0: tuple(_restrict(n, k, [int(i == q) for i in range(k // 2 + 1)]))}})
 
 
 def chi(n: int) -> Valuation:
@@ -409,9 +408,9 @@ def to_monomial(v: Valuation) -> GradedPoly:
 #   tau_{k,i} tau_{l,j} = omega_{k+l}/(omega_k omega_l)
 #                         * C(k+l-2s, k-2i) C(2s, 2i) tau_{k+l,s},  s = i + j,
 # so every structure constant is an integer times one pi monomial fixed by
-# the two degrees.  The product runs on integer vectors, one per (degree,
-# pi exponent) part of each operand; the tables below are keyed by degrees
-# (and n for the restriction) and never grow with the operands.
+# the two degrees.  The product runs on one packed integer vector per degree
+# of each operand (see multiply); the tables below are keyed by degrees (and
+# n for the restriction) and never grow with the operands.
 
 @lru_cache(maxsize=None)
 def _lift(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -424,16 +423,16 @@ def _lift(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _product_weights(k: int, l: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Entry i lists (j, s, C(k+l-2s, k-2i) C(2s, 2i)) with s = i + j over
-    j <= l/2: the integer part of tau_{k,i} tau_{l,j}, for i <= k/2."""
-    return tuple(
-        tuple(
-            (j, i + j, binomial(k + l - 2 * (i + j), k - 2 * i) * binomial(2 * (i + j), 2 * i))
-            for j in range(l // 2 + 1)
-        )
-        for i in range(k // 2 + 1)
-    )
+def _degree_pair(k: int, l: int) -> tuple[int, int, int, tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """The degree pair (k, l) as (e, f, bits, weights): omega_{k+l}/(omega_k
+    omega_l) = f pi^e / _shift_denominator(k + l); weights[i] lists (j, s,
+    C(k+l-2s, k-2i) C(2s, 2i)) over j <= l/2, s = i + j, the integer part of
+    tau_{k,i} tau_{l,j}; bits is the bit length of the largest f * weight."""
+    e, c = _omega_ratio(k, l)
+    f = int(c * _shift_denominator(k + l))
+    weights = tuple(tuple((j, i + j, binomial(k + l - 2 * (i + j), k - 2 * i) * binomial(2 * (i + j), 2 * i))
+                          for j in range(l // 2 + 1)) for i in range(k // 2 + 1))
+    return e, f, (f * max(w for row in weights for _, _, w in row)).bit_length(), weights
 
 
 def _omega_ratio(k: int, l: int) -> tuple[int, Fraction]:
@@ -448,18 +447,15 @@ def _shift_denominator(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pi_shift(k: int, l: int) -> tuple[int, int]:
-    """omega_{k+l}/(omega_k omega_l) as (pi exponent, integer numerator over
-    _shift_denominator(k + l))."""
-    e, c = _omega_ratio(k, l)
-    return e, int(c * _shift_denominator(k + l))
-
-
-@lru_cache(maxsize=None)
-def _restriction(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Pairs (r, (C(r,0), ..., C(r,r))) over r in q_range(n, m): the mu_{m,r}
+def _restriction(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The rows (C(r,0), ..., C(r,r)) over r in q_range(n, m): the mu_{m,r}
     coordinate of the restriction tau_{m,s} = sum_r C(r,s) mu_{m,r} at level n."""
-    return tuple((r, tuple(binomial(r, s) for s in range(r + 1))) for r in q_range(n, m))
+    return tuple(tuple(binomial(r, s) for s in range(r + 1)) for r in q_range(n, m))
+
+
+def _restrict(n: int, m: int, alpha: Sequence[int]) -> list[int]:
+    """The level-n mu_{m,r} coordinates, 0 outside q_range, of global Tasaki coordinates."""
+    return [0] * max(0, m - n) + [sum(map(mul, row, alpha)) for row in _restriction(n, m)]
 
 
 def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
@@ -474,70 +470,113 @@ def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
     return alpha
 
 
-def _product_parts(n: int, a: Valuation, b: Valuation) -> dict[tuple[int, int], list[int]]:
-    """The product formula on the stores of a and b, lifted to global
-    Tasaki coordinates: {(m, e): global Tasaki coordinates of degree m and
-    pi exponent e} over a._den * b._den * _shift_denominator(m); degrees
-    above 2n are dropped."""
-    pb = [(l, e, _lift_vector(l, y)) for l, by_e in b._parts.items() for e, y in by_e.items()]
-    acc: dict[tuple[int, int], list[int]] = {}
-    for k, by_e in a._parts.items():
-        for e1, x in by_e.items():
-            x = _lift_vector(k, x)
-            for l, e2, y in pb:
-                m = k + l
-                if m > 2 * n:
-                    continue
-                e, f = _pi_shift(k, l)
-                key = (m, e1 + e2 + e)
-                z = acc.get(key)
-                if z is None:
-                    z = acc[key] = [0] * (m // 2 + 1)
-                for xi, row in zip(x, _product_weights(k, l)):
-                    if xi:
-                        xi *= f
-                        for j, s, w in row:
-                            z[s] += w * xi * y[j]
-    return acc
+def _spread(v: Valuation) -> tuple[int, int, int]:
+    """(N, lowest, highest pi exponent) of v's store, N >= sum |global Tasaki coordinates|:
+    the lift of mu_{k,q} has sum |coefficients| = C(k//2+1, q+1) <= 2^(k//2+1)."""
+    norm, exps = 0, []
+    for k, by_e in v._parts.items():
+        for a in by_e.values():
+            norm += sum(map(abs, a)) << (k // 2 + 1)
+        exps += by_e
+    return norm, min(exps), max(exps)
+
+
+def _packed_lift(v: Valuation, e0: int, w: int) -> dict[int, list[int]]:
+    """Each degree's global Tasaki coordinates, lifted once packed: digit e - e0 is the pi^e part."""
+    out = {}
+    for k, by_e in v._parts.items():
+        x = None
+        for e, a in by_e.items():
+            a = [c << (e - e0) * w for c in a] if e > e0 else a
+            x = a if x is None else [u + c for u, c in zip(x, a)]
+        out[k] = _lift_vector(k, x)
+    return out
+
+
+def _packed_product(n: int, a: Valuation, b: Valuation) -> tuple[int, int, int, dict[int, list[int]]]:
+    """The product formula on the pi-digit-packed stores of a and b, as
+    (w, e0, count, {m: z}): z holds the global Tasaki coordinates of degree
+    m <= 2n over a._den * b._den * _shift_denominator(m), digit t < count
+    being the pi^(e0 + t) part; w = 0 for one digit, else see multiply."""
+    pairs = [(k, l, _degree_pair(k, l)) for k in a._parts for l in b._parts if k + l <= 2 * n]
+    if not pairs:
+        return 0, 0, 1, {}
+    (na, ea, ha), (nb, eb, hb) = _spread(a), _spread(b)
+    shifts = [t[0] for _, _, t in pairs]  # the pi shifts, 0 or 1
+    low, count = min(shifts), ha - ea + hb - eb + max(shifts) - min(shifts) + 1
+    w = 0 if count == 1 else na.bit_length() + nb.bit_length() + max(t[2] for _, _, t in pairs) + n + 2
+    xa, yb = _packed_lift(a, ea, w), _packed_lift(b, eb, w)
+    acc: dict[int, list[int]] = {}
+    for k, l, (e, f, _, weights) in pairs:
+        y, m = yb[l], k + l
+        z = acc.get(m) or acc.setdefault(m, [0] * (m // 2 + 1))
+        f <<= (e - low) * w  # moves every digit up e - low places
+        for xi, row in zip(xa[k], weights):
+            if xi:
+                xi *= f
+                for j, s, wt in row:
+                    z[s] += wt * xi * y[j]
+    return w, ea + eb + low, count, acc
+
+
+def _unpack(n: int, w: int, e0: int, count: int, packed: dict[int, list[int]]) -> dict[int, list]:
+    """{m: [(e0 + t, digit t of the mu_{m,r} coordinates), ...]} without
+    all-zero vectors: each z restricted to level n and read as balanced
+    base-2^w digits, nonnegative after adding 2^(w-1) to every digit."""
+    half, mask = 1 << w >> 1, (1 << w) - 1
+    bias = sum(half << t * w for t in range(count))
+    out = {}
+    for m, z in packed.items():
+        pad = (0,) * max(0, m - n)  # mu_{m,r} vanishes locally below q_range
+        z = [sum(map(mul, row, z)) + bias for row in _restriction(n, m)]
+        digits = [(e0 + t, pad + (tuple([((x >> t * w) & mask) - half for x in z]) if w else tuple(z)))
+                  for t in range(count)]
+        if vecs := [(e, d) for e, d in digits if any(d)]:
+            out[m] = vecs
+    return out
 
 
 def multiply(a: Valuation, b: Valuation) -> Valuation:
     """The Alesker product, from the Tasaki product formula.
 
-    Both stores are lifted to global Tasaki coordinates, each pair of
-    degree components (k, l) with k + l <= 2n is convolved with the integer
-    weights of the product formula and shifted by omega_{k+l}/(omega_k
-    omega_l), and the sum is restricted to level n and returned as a store
-    over one denominator.  Commutative and graded, with unit chi.  The
-    quotient-map route from_monomial(n, to_monomial(a) * to_monomial(b))
-    gives the same result and is the independent cross-check used by the
-    checks and tests.
+    The pi exponents of each coordinate are packed as signed base-2^w
+    digits of one int and lifted to global Tasaki coordinates, so the
+    product formula runs once per degree pair (k, l), k + l <= 2n; the pi
+    power of omega_{k+l}/(omega_k omega_l) shifts whole digits.  Each
+    degree is restricted to level n and unpacked, and the store is written
+    over one gcd.  Commutative, graded, unit chi; the quotient-map route
+    from_monomial(n, to_monomial(a) * to_monomial(b)) is its cross-check.
+
+    Width.  Let |x| <= N_a be the sum of the absolute lifted coordinates of
+    a (N_a from _spread), |y| <= N_b that of b, and F the largest
+    f * weight over the degree pairs in use.  A digit of the restricted
+    coordinate r sums C(r, s) * f * weight * x_i * y_j, each product
+    x_i y_j of a coordinate of a and one of b at most once.  C(r, s) <=
+    sum_s C(r, s) = 2^r and r <= n, so its absolute value is at most
+    2^n F |x| |y| < 2^(w-2) for w = bits(N_a) + bits(N_b) + bits(F) + n + 2.
+    Every digit therefore lies in [-2^(w-1), 2^(w-1)), and the balanced
+    digits decode exactly.
     """
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    acc = _product_parts(n, a, b)
-    den = lcm(*(_shift_denominator(m) for m, _ in acc))
-    terms = []
-    for (m, e), z in acc.items():
-        restricted = [0] * (m // 2 + 1)
-        for r, row in _restriction(n, m):
-            restricted[r] = sum(map(mul, row, z))
-        terms.append((den // _shift_denominator(m), e, {m: {0: restricted}}))
-    return _combine(n, a._den * b._den * den, terms)
+    w, e0, count, packed = _packed_product(n, a, b)
+    shift_den = lcm(*map(_shift_denominator, packed))
+    digits = [(m, shift_den // _shift_denominator(m), vecs) for m, vecs in _unpack(n, w, e0, count, packed).items()]
+    g = den = a._den * b._den * shift_den
+    for _, scale, vecs in digits:
+        g = gcd(g, *(scale * gcd(*vec) for _, vec in vecs))
+    parts = {m: {e: tuple([x * scale // g for x in vec]) for e, vec in vecs} for m, scale, vecs in digits}
+    return _raw(n, den // g, parts)
 
 
 def _product_coords(n: int, a: Valuation, b: Valuation, m: int) -> tuple[int, dict[int, list[int]]]:
     """tau_coords(multiply(a, b), m) in integers: (den, {e: coords}), the
-    pi^e part of canonical coordinate j being coords[j] / den."""
-    parts = {}
-    for (l, e), z in _product_parts(n, a, b).items():
-        if l == m:
-            restricted = [0] * (m // 2 + 1)  # mu_{m,r} coordinates, 0 outside q_range
-            for r, row in _restriction(n, m):
-                restricted[r] = sum(map(mul, row, z))
-            parts[e] = _canonical_coords(n, m, restricted)
-    return a._den * b._den * _shift_denominator(m), parts
+    pi^e part of canonical coordinate j being coords[j] / den; pi
+    exponents whose coordinates all vanish are left out."""
+    w, e0, count, packed = _packed_product(n, a, b)
+    digits = _unpack(n, w, e0, count, {m: packed[m]} if m in packed else {})
+    return a._den * b._den * _shift_denominator(m), {e: _canonical_coords(n, m, z) for e, z in digits.get(m, ())}
 
 
 # ----------------------------------------------------------------------
@@ -559,17 +598,17 @@ def fourier(v: Valuation) -> Valuation:
 def iota(v: Valuation) -> Valuation:
     """The degree-preserving algebra involution tau_{2l,q} -> tau_{2l,l-q}.
 
-    Defined on valuations of even degree only.  On the canonical global
-    representative it is the monomial swap t^a u^b -> t^{2b} u^{a/2}, which
-    is applied there and pushed back through the quotient map.
+    Defined on valuations of even degree only.  It reverses the global
+    Tasaki coordinates of each vector of the store and restricts them to
+    level n; the monomial swap t^a u^b -> t^{2b} u^{a/2} pushed through the
+    quotient map is the route uval.checks compares it with.
     """
-    if any(k % 2 for k in v.degrees()):
+    if any(k % 2 for k in v._parts):
         raise ValueError("iota is defined on even-degree valuations only")
-    p = to_monomial(v)
-    swapped = {}
-    for (a, b), c in p.items():
-        swapped[(2 * b, a // 2)] = c
-    return from_monomial(v.n, GradedPoly(swapped))
+    parts = {
+        k: {e: _restrict(v.n, k, _lift_vector(k, a)[::-1]) for e, a in by_e.items()} for k, by_e in v._parts.items()
+    }
+    return _combine(v.n, v._den, [(1, 0, parts)])
 
 
 # ----------------------------------------------------------------------
@@ -585,11 +624,8 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
     n = v.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    coords: list[dict[int, int]] = [{} for _ in range(dim_val(n, k))]
-    for e, a in v._parts.get(k, {}).items():
-        for terms, x in zip(coords, _canonical_coords(n, k, a)):
-            terms[e] = x
-    return [Scalar.from_parts(terms, v._den) for terms in coords]
+    coords = {e: _canonical_coords(n, k, a) for e, a in v._parts.get(k, {}).items()}
+    return _scalars(coords, v._den, dim_val(n, k))
 
 
 def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:

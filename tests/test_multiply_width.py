@@ -1,0 +1,83 @@
+"""multiply packs the pi exponents of each coordinate as base-2^w digits of
+one int; these inputs stress the digit width.
+
+The pi exponents spread over -6..6 with gaps, numerators reach 10^60 over
+mixed denominators, and zero operands and operands with a single exponent
+occur.  The quotient-map route from_monomial(n, to_monomial(a) *
+to_monomial(b)) is the reference, and the integer coordinates that
+_product_coords hands to the kinematic blocks must equal tau_coords of
+the product.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from uval.scalar import Scalar  # noqa: E402
+from uval.valuation import (  # noqa: E402
+    Valuation,
+    _product_coords,
+    from_monomial,
+    multiply,
+    q_range,
+    tau_coords,
+    to_monomial,
+)
+
+BIG = 10**60
+DENOMINATORS = (1, 2, 3, 7, 12, 2**70, 10**20 + 39)
+
+
+@st.composite
+def _operand(draw, n):
+    """A valuation at level n: zero, with one pi exponent, or with two or
+    three exponents spread over -6..6."""
+    shape = draw(st.sampled_from(("zero", "single", "spread")))
+    if shape == "zero":
+        return Valuation.zero(n)
+    if shape == "single":
+        exps = [draw(st.integers(-6, 6))]
+    else:
+        exps = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=3, unique=True))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(0, 2 * n))
+        q = draw(st.sampled_from(q_range(n, k)))
+        coeffs[(k, q)] = Scalar({
+            e: Fraction(draw(st.integers(-BIG, BIG)), draw(st.sampled_from(DENOMINATORS))) for e in exps
+        })
+    return Valuation(n, coeffs)
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(_operand(n)), draw(_operand(n))
+
+
+_GAPPED = Valuation(5, {
+    (4, 1): Scalar({-6: Fraction(-BIG, 7), 0: Fraction(BIG - 1, 12), 5: 3}),
+    (6, 2): Scalar({-6: 1, 5: Fraction(-BIG, 2**70)}),
+    (1, 0): Scalar({0: Fraction(BIG, 3)}),
+})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_pairs())
+@example((_GAPPED, _GAPPED))
+@example((_GAPPED, Valuation(5, {(3, 1): Scalar({6: -BIG})})))
+@example((Valuation.zero(5), _GAPPED))
+def test_multiply_survives_wide_digits(pair):
+    a, b = pair
+    n = a.n
+    prod = multiply(a, b)
+    assert prod == from_monomial(n, to_monomial(a) * to_monomial(b))
+    for m in range(2 * n + 1):
+        den, parts = _product_coords(n, a, b, m)
+        coords = [Scalar.from_parts({e: z[j] for e, z in parts.items()}, den) for j in range(len(tau_coords(prod, m)))]
+        assert coords == tau_coords(prod, m)

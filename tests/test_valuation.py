@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from uval.checks import (
+    _iota_reference,
     check_anisotropic_ideal,
     check_fourier_and_iota,
     check_fourier_restriction_map,
@@ -176,6 +177,20 @@ def test_iota_examples():
     for n in (4, 5):
         f4_img = from_monomial(n, f_closed(4))
         assert iota(f4_img) == f4_img
+
+
+def test_iota_on_the_store_equals_the_monomial_swap():
+    """iota reverses the global Tasaki coordinates on the store; the
+    monomial swap pushed through the quotient map is the reference."""
+    rng = random.Random(11)
+    for n in range(1, 9):
+        evens = [(k, q) for k in range(0, 2 * n + 1, 2) for q in q_range(n, k)]
+        for _ in range(12):
+            v = Valuation(n, {
+                kq: Scalar({e: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for e in rng.sample((-1, 0, 1, 3), 2)})
+                for kq in rng.sample(evens, min(len(evens), rng.randint(1, 5)))
+            })
+            assert iota(v) == _iota_reference(v)
 
 
 def test_iota_rejects_odd_degree():
