@@ -317,7 +317,7 @@ try:  # checked against Fraction(p, q), with Fraction as the fallback
         _f = _fraction(_p, _q)
         if type(_f) is not Fraction or (_f.numerator, _f.denominator, hash(_f)) != (_p, _q, hash(Fraction(_p, _q))):
             raise TypeError("the coprime kernel disagrees with Fraction")
-except Exception:  # pragma: no cover - a Fraction without these internals
+except (AttributeError, TypeError):  # pragma: no cover - a Fraction without these internals
     _fraction = Fraction
 
 

@@ -181,8 +181,8 @@ def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:
     out: list[tuple[int, int, Scalar]] = []
     for k in v.degrees():
         den, inv = _primitive_basis_inverse(n, k)
-        q0 = max(0, k - n)
-        coords = {e: [sum(map(mul, row, a[q0:])) for row in inv] for e, a in v._parts[k].items()}
+        windows = {e: a[max(0, k - n):] for e, a in v._parts[k].items()}
+        coords = {e: [sum(map(mul, row, a)) for row in inv] for e, a in windows.items()}
         out += [(k, r, c) for r, c in enumerate(_scalars(coords, den * v._den, len(inv))) if c]
     return out
 
