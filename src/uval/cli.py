@@ -43,30 +43,28 @@ MAX_N = {"tasaki": 64, "mc": 8}
 DEFAULT_MAX_N = 32
 
 
-def _print_json(payload) -> None:
-    import json
+def _emit(args, payload, text) -> int:
+    """Print payload() as JSON under --json, else text(); both are
+    zero-argument callables, so only the output asked for is built."""
+    if args.json:
+        import json
 
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload(), sort_keys=True, separators=(",", ":")))
+    else:
+        print(text())
+    return 0
 
 
 def _tensor_cmd(args, tensor: KinematicTensor) -> int:
     if getattr(args, "cpn", False):
         tensor = cpn_normalize(tensor)
-    if args.json:
-        _print_json(tensor.to_json())
-    else:
-        print(tensor.pretty())
-    return 0
+    return _emit(args, tensor.to_json, tensor.pretty)
 
 
 def _cmd_tasaki(args) -> int:
     route = tasaki_matrix_oracle if args.oracle else tasaki_matrix_closed
     t = route(args.n, args.k)
-    if args.json:
-        _print_json(t.to_json())
-    else:
-        print(t.pretty())
-    return 0
+    return _emit(args, t.to_json, t.pretty)
 
 
 def _cmd_pkf(args) -> int:
@@ -91,23 +89,19 @@ def _cmd_cone(args) -> int:
         "crofton": is_crofton_positive,
     }[args.test]
     verdict = test(v)
-    if args.json:
-        _print_json(verdict.to_json())
-    else:
-        if verdict.member:
-            print("member")
-        else:
-            print(f"not a member; witness: {verdict.witness}")
-    return 0
+    return _emit(args, verdict.to_json,
+                 lambda: "member" if verdict.member else f"not a member; witness: {verdict.witness}")
 
 
 def _cmd_convert(args) -> int:
     v = parse_valspec(args.val, args.n)
     n = args.n
     if args.to == "mu":
-        text = str(v)
-        payload = v.to_json()
-    elif args.to == "tau":
+        return _emit(args, v.to_json, lambda: str(v))
+    if args.to == "mono":
+        p = to_monomial(v)
+        return _emit(args, lambda: {"n": n, "basis": "mono", "poly": p.to_json()}, lambda: str(p))
+    if args.to == "tau":
         terms: list[tuple[Scalar, str]] = []
         for k in v.degrees():
             coords = tau_coords(v, k)
@@ -116,54 +110,27 @@ def _cmd_convert(args) -> int:
             else:
                 terms += [(c, f"F(tau[{2 * n - k},{j}])") for j, c in enumerate(coords)]
         text = _format_combo(terms)
-        payload = {"n": n, "basis": "tau", "expr": text}
-    elif args.to == "mono":
-        p = to_monomial(v)
-        text = str(p)
-        payload = {"n": n, "basis": "mono", "poly": p.to_json()}
     else:  # prim
-        parts = lefschetz_decompose(v)
-        text = _format_combo([(c, f"pi[{k},{r}]") for k, r, c in parts])
-        payload = {"n": n, "basis": "prim", "expr": text}
-    if args.json:
-        _print_json(payload)
-    else:
-        print(text)
-    return 0
+        text = _format_combo([(c, f"pi[{k},{r}]") for k, r, c in lefschetz_decompose(v)])
+    return _emit(args, lambda: {"n": n, "basis": args.to, "expr": text}, lambda: text)
 
 
 def _cmd_sl2(args) -> int:
     v = parse_valspec(args.val, args.n)
     out = Sl2Operator(args.op).apply(v)
-    if args.json:
-        _print_json(out.to_json())
-    else:
-        print(out)
-    return 0
+    return _emit(args, out.to_json, lambda: str(out))
 
 
 def _cmd_primitive(args) -> int:
     v = primitive_general(args.n, args.k, args.r)
-    if args.json:
-        _print_json(v.to_json())
-    else:
-        print(v)
-    return 0
+    return _emit(args, v.to_json, lambda: str(v))
 
 
 def _cmd_delta(args) -> int:
     v = parse_valspec(args.val, args.n)
     expr = first_variation(args.n, v)
-    if args.json:
-        _print_json(
-            [
-                {"symbol": sym, "k": k, "q": q, "coeff": c.to_json()}
-                for (sym, k, q), c in expr.items()
-            ]
-        )
-    else:
-        print(expr)
-    return 0
+    return _emit(args, lambda: [{"symbol": sym, "k": k, "q": q, "coeff": c.to_json()}
+                                for (sym, k, q), c in expr.items()], lambda: str(expr))
 
 
 def _cmd_mc(args) -> int:
@@ -187,15 +154,11 @@ def _cmd_mc(args) -> int:
         except ValueError:
             raise ValueError(f"UVAL_SEED must be an integer, got {text!r}") from None
     result = mc_crofton(n, k, e_frame, f_frame, args.samples, seed=seed, threads=args.threads)
-    if args.json:
-        _print_json(result.to_json())
-    else:
-        print(
-            f"estimate {result.estimate:.6f}  stderr {result.stderr:.2e}  "
-            f"prediction {result.prediction_exact} = {result.prediction_float:.6f}  "
-            f"sigma {result.sigma:.2f}"
-        )
-    return 0
+    return _emit(args, result.to_json, lambda: (
+        f"estimate {result.estimate:.6f}  stderr {result.stderr:.2e}  "
+        f"prediction {result.prediction_exact} = {result.prediction_float:.6f}  "
+        f"sigma {result.sigma:.2f}"
+    ))
 
 
 def _check_n(args) -> None:

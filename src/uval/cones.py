@@ -22,25 +22,25 @@ evaluated on convex bodies.
 
 All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
-denominator: each Gram block is an integer matrix times one pi power and
-delta is a cached table, so every sign of a cone test goes to
-scalar.int_sign.  Scalars are built only for results: nu_coeffs, the
-norms and the coefficients of a CurvExpr; a failure's witness text is
-written from its integers by scalar._parts_text, as str(Scalar) is.
+denominator: each Gram block and each nu_{k,p} comes from the integer
+Tasaki Gram matrix of uval.kinematic and its inverse, and delta is a
+cached table, so every sign of a cone test goes to scalar.int_sign.
+Scalars are built only for results: mu_gram, nu_coeffs, the norms and
+the coefficients of a CurvExpr; a failure's witness text is written from
+its integers by scalar._parts_text, as str(Scalar) is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Optional
 
-from .kinematic import pairing_fourier
-from .linalg import inverse, pi_block
-from .scalar import Scalar, _Record, _parts_text, factorial, int_sign, omega
-from .valuation import Valuation, _combine, mu, q_range
+from .kinematic import _tasaki_gram, _tasaki_inverse
+from .scalar import Scalar, _Record, _parts_text, _scalars, binomial, factorial, int_sign, omega
+from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -85,44 +85,45 @@ _MEMBER = ConeVerdict(True)
 
 @lru_cache(maxsize=None)
 def mu_gram(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Gram matrix G_pq = <mu_{k,p}, mu_{k,q}> of the symmetric pairing."""
-    qs = list(q_range(n, k))
-    basis = [mu(n, k, q) for q in qs]
-    return tuple(
-        tuple(pairing_fourier(basis[i], basis[j]) for j in range(len(qs)))
-        for i in range(len(qs))
-    )
+    """Gram matrix G_pq = <mu_{k,p}, mu_{k,q}> of the symmetric pairing,
+    as Scalars read from _gram_block."""
+    columns, den, e = _gram_block(n, k)
+    return tuple(tuple(_scalars({e: c}, den, len(c))) for c in columns)
 
 
 @lru_cache(maxsize=None)
 def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """mu_gram(n, k) as (columns, den, e): G_pq = columns[q][p] * pi^e / den.
-    Every block has a single pi power (checked for n <= 10)."""
-    e, den, rows = pi_block(mu_gram(n, k))
-    return tuple(zip(*rows)), den, e
-
-
-@lru_cache(maxsize=None)
-def _gram_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """mu_gram(n, k)^-1 as (e, den, rows): entry (p, q), indexed from
-    max(0, k-n), is rows[p][q] * pi^e / den.  G is symmetric, so the
-    columns of _gram_block are inverted as they are."""
-    columns, den, e = _gram_block(n, k)
-    d, rows = inverse(den, columns)
-    return -e, d, tuple(map(tuple, rows))
+    """G_pq = <mu_{k,p}, mu_{k,q}> as (columns, den, e), G_pq = columns[q][p]
+    * pi^e / den and den coprime to the entries.  F is an isometry of the
+    pairing mapping mu_{2n-k,q} to mu_{k,q+k-n}, so a degree above n reuses
+    2n - k; below it G = L M L^T, M = _tasaki_gram(n, k) and L the lift
+    mu_{k,p} = sum_i (-1)^{i+p} C(i,p) tau_{k,i}.  G is symmetric."""
+    q_range(n, k)  # an out-of-range degree fails here
+    if k > n:
+        return _gram_block(n, 2 * n - k)
+    e, den, m = _tasaki_gram(n, k)
+    lift = _lift(k)
+    gram = [[sum(u * v * m[i][j] for i, u in a for j, v in b) for b in lift] for a in lift]
+    g = gcd(den, *(x for r in gram for x in r))
+    return tuple(tuple(x // g for x in r) for r in gram), den // g, e
 
 
 def nu(n: int, k: int, p: int) -> Valuation:
     """The Crofton-dual basis element nu_{k,p}: <nu_{k,p}, mu_{l,q}> = delta.
 
     Geometrically the valuation of the unit-mass invariant Crofton measure
-    on the orbit of planes of type (k, p).
+    on the orbit of planes of type (k, p).  At kk = min(k, 2n-k) its tau
+    coordinates are T (C(p-q0, s))_s, T = _tasaki_inverse(n, kk), q0 =
+    max(0, k-n); restricted to level n and moved up by q0 (as F does), they
+    are its mu coordinates.
     """
     qs = q_range(n, k)
     if p not in qs:
         raise ValueError(f"nu index (k={k}, p={p}) out of range at n={n}")
-    e, den, rows = _gram_inverse(n, k)
-    return _combine(n, den, [(1, e, {k: {0: (0,) * qs.start + rows[p - qs.start]}})])
+    q0, kk = qs.start, min(k, 2 * n - k)
+    e, den, rows = _tasaki_inverse(n, kk)
+    y = [sum(binomial(p - q0, s) * x for s, x in enumerate(row)) for row in rows]
+    return _combine(n, den, [(1, e, {k: {0: (0,) * q0 + tuple(_restrict(n, kk, y))}})])
 
 
 def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:

@@ -17,6 +17,11 @@ sums the cached blocks in int and builds one Scalar per entry at the
 end.  The per-basis route in Scalar arithmetic is kept as the reference
 in :mod:`uval.checks`.
 
+Every pairing is read by one private reader from the integer degree-2n
+coordinate of the product.  It gives pairing_pd and the cached Tasaki
+Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), the only pairing matrix of
+the package: uval.cones derives its Gram blocks and nu from M and M^{-1}.
+
 Two fully independent routes produce the Tasaki matrices T^n_k = K for the
 Tasaki basis: exact inversion of the pairing Gram matrix, and the closed
 sum T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive
@@ -47,7 +52,6 @@ from .valuation import (
     chi,
     dim_val,
     fourier,
-    multiply,
     mu,
     q_range,
     tau,
@@ -72,12 +76,20 @@ __all__ = [
 ]
 
 
-def pairing_pd(a: Valuation, b: Valuation) -> Scalar:
-    """Poincare duality pairing: the volume coefficient of the product."""
+def _pairing(a: Valuation, b: Valuation) -> tuple[int, dict[int, int]]:
+    """The reader behind every pairing: (a, b) as (den, {e: x}), the value
+    sum_e x pi^e / den, from the degree-2n coordinate of the product."""
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
-    prod = multiply(a, b)
-    return prod.coefficient(2 * a.n, a.n)
+    den, coords = _product_coords(a.n, a, b, 2 * a.n)
+    return den, {e: z[0] for e, z in coords.items()}
+
+
+def pairing_pd(a: Valuation, b: Valuation) -> Scalar:
+    """Poincare duality pairing: the volume coefficient of the product,
+    read by _pairing with no product Valuation built."""
+    den, parts = _pairing(a, b)
+    return Scalar.from_parts(parts, den)
 
 
 def pairing_fourier(a: Valuation, b: Valuation) -> Scalar:
@@ -173,15 +185,32 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
 
 
 @lru_cache(maxsize=None)
-def _tasaki_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """The inverse of the pairing Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j}))
-    as (e, den, rows), entry (i, j) being rows[i][j] * pi^e / den."""
+def _tasaki_gram(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The pairing Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), 0 <= k <= n,
+    as (e, den, rows): entry (i, j) is rows[i][j] * pi^e / den, with no
+    common factor of den and the entries.  M is symmetric, so each pair
+    i <= j is read once; entries with another pi power or denominator raise."""
     taus = [tau(n, k, i) for i in range(k // 2 + 1)]
-    ftaus = [fourier(t) for t in taus]
-    gram = [[pairing_pd(t, f) for f in ftaus] for t in taus]
-    m, den, ints = pi_block(gram)
-    d, rows = inverse(den, ints)
-    return -m, d, tuple(map(tuple, rows))
+    cells = [[None] * len(taus) for _ in taus]
+    for j, b in enumerate(taus):
+        f = fourier(b)
+        for i in range(j + 1):
+            cells[i][j] = cells[j][i] = _pairing(taus[i], f)
+    kinds = {(d, e) for row in cells for d, x in row for e in x}
+    if len(kinds) != 1:
+        raise AssertionError(f"Gram matrix at n={n}, k={k} is not one pi power over one denominator")
+    ((den, e),) = kinds
+    g = gcd(den, *(x.get(e, 0) for row in cells for _, x in row))
+    return e, den // g, tuple(tuple(x.get(e, 0) // g for _, x in row) for row in cells)
+
+
+@lru_cache(maxsize=None)
+def _tasaki_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The inverse of _tasaki_gram(n, k) as (e, den, rows), entry (i, j)
+    being rows[i][j] * pi^e / den: the one elimination of the oracle."""
+    e, den, rows = _tasaki_gram(n, k)
+    d, inv = inverse(den, rows)
+    return -e, d, tuple(map(tuple, inv))
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,15 @@
 
 Every matrix of the exact core is an integer matrix times one power of
 pi over one denominator; a Tasaki matrix at level n is (floor(n/2)+1)
-square, 17x17 at n = 32.  :func:`pi_block` reads a Scalar matrix in that
-form as (pi exponent, denominator, integer rows), and :func:`inverse` and
-:func:`leading_minors` work on the integer rows.  All of them run the
-single fraction-free elimination :func:`_bareiss` (Bareiss, Math. Comp.
-22, 1968): forward for leading minors and rank, and Gauss-Jordan on
-[A | I] for the inverse, whose right block ends as det * A^-1.  Its cost
-is polynomial in the size and no Fraction enters the loop.
+square, 17x17 at n = 32.  :func:`inverse`, :func:`leading_minors` and
+:func:`fraction_matrix_rank` run the single fraction-free elimination
+:func:`_bareiss` (Bareiss, Math. Comp. 22, 1968) on integer rows: forward
+for leading minors and rank, and Gauss-Jordan on [A | I] for the inverse,
+whose right block ends as det * A^-1.  Its cost is polynomial in the size
+and no Fraction enters the loop.  :func:`pi_block` reads a Scalar matrix
+in that form as (pi exponent, denominator, integer rows); the Gram
+matrices are built as integers, so it serves only TasakiMatrix.pretty and
+TasakiMatrix.leading_minor_dets.
 """
 
 from __future__ import annotations

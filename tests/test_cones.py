@@ -38,21 +38,39 @@ def test_positive_examples():
 
 
 def test_nu_dual_basis():
-    for n, k in [(2, 2), (3, 3), (4, 5)]:
-        qs = list(q_range(n, k))
-        for p in qs:
-            v = nu(n, k, p)
-            for q in qs:
-                want = Scalar.one() if q == p else Scalar.zero()
-                assert pairing_fourier(v, mu(n, k, q)) == want
-            coords = nu_coeffs(v, k)
-            assert coords == [Scalar.one() if q == p else Scalar.zero() for q in qs]
+    # nu is read from the inverse Tasaki Gram matrix; the direct pairing
+    # checks every (k, p, q)
+    for n in range(1, 9):
+        for k in range(2 * n + 1):
+            qs = list(q_range(n, k))
+            for p in qs:
+                v = nu(n, k, p)
+                for q in qs:
+                    want = Scalar.one() if q == p else Scalar.zero()
+                    assert pairing_fourier(v, mu(n, k, q)) == want, (n, k, p, q)
+                coords = nu_coeffs(v, k)
+                assert coords == [Scalar.one() if q == p else Scalar.zero() for q in qs]
 
 
 def test_nu_coeffs_is_gram_row():
     g = mu_gram(2, 2)
     assert g == ((Scalar.of(4), Scalar.of(-2)), (Scalar.of(-2), Scalar.of(3)))
     assert nu_coeffs(mu(2, 2, 1), 2) == [Scalar.of(-2), Scalar.of(3)]
+    # mu_gram is derived from the Tasaki Gram matrix; the direct pairing
+    # checks every entry
+    for n in range(1, 9):
+        for k in range(2 * n + 1):
+            qs = q_range(n, k)
+            g = mu_gram(n, k)
+            for p in qs:
+                for q in qs:
+                    assert g[p - qs.start][q - qs.start] == pairing_fourier(mu(n, k, p), mu(n, k, q)), (n, k, p, q)
+
+
+def test_out_of_range_degree_is_refused():
+    for call in (lambda: mu_gram(2, 5), lambda: nu(2, 5, 0), lambda: nu_coeffs(Valuation.zero(2), 5)):
+        with pytest.raises(ValueError, match="^degree 5 out of range for n=2$"):
+            call()
 
 
 def test_nu_coeffs_zero_and_nonhomogeneous():

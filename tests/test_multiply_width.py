@@ -6,9 +6,13 @@ mixed denominators, and zero operands and operands with a single exponent
 occur.  The quotient-map route from_monomial(n, to_monomial(a) *
 to_monomial(b)) is the reference, and the integer coordinates that
 _product_coords hands to the kinematic blocks must equal tau_coords of
-the product.
+the product.  pairing_pd reads one of them, the degree-2n coordinate,
+and must equal the volume coefficient of the product; seeded operands
+over every degree with pi^-1, pi^0 and pi^1 terms and odd-over-even
+coefficients are added as examples for it.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from uval.kinematic import pairing_pd  # noqa: E402
 from uval.scalar import Scalar  # noqa: E402
 from uval.valuation import (  # noqa: E402
     Valuation,
@@ -67,8 +72,28 @@ _GAPPED = Valuation(5, {
 })
 
 
+def _seeded_pair(n):
+    """Two seeded valuations at level n over every degree, each coefficient
+    with pi^-1, pi^0 and pi^1 terms of the form odd / 2^j, j >= 1."""
+    rng = random.Random(f"pairing:{n}")
+
+    def operand():
+        return Valuation(n, {
+            (k, q): Scalar({e: Fraction(2 * rng.randint(-50, 49) + 1, 2 ** rng.randint(1, 9)) for e in (-1, 0, 1)})
+            for k in range(2 * n + 1) for q in q_range(n, k)
+        })
+
+    return operand(), operand()
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_pairs())
+@example(_seeded_pair(1))
+@example(_seeded_pair(2))
+@example(_seeded_pair(3))
+@example(_seeded_pair(4))
+@example(_seeded_pair(5))
+@example(_seeded_pair(6))
 @example((_GAPPED, _GAPPED))
 @example((_GAPPED, Valuation(5, {(3, 1): Scalar({6: -BIG})})))
 @example((Valuation.zero(5), _GAPPED))
@@ -77,6 +102,7 @@ def test_multiply_survives_wide_digits(pair):
     n = a.n
     prod = multiply(a, b)
     assert prod == from_monomial(n, to_monomial(a) * to_monomial(b))
+    assert pairing_pd(a, b) == prod.coefficient(2 * n, n)
     for m in range(2 * n + 1):
         den, parts = _product_coords(n, a, b, m)
         coords = [Scalar.from_parts({e: z[j] for e, z in parts.items()}, den) for j in range(len(tau_coords(prod, m)))]

@@ -1,7 +1,9 @@
 """perfbench's tracer wraps methods through ``cls.__dict__[attr]`` with no
 guard, so a listed method that moves to a base class or goes away would
-make every traced run fail with KeyError.  This reads the tracer's tables
-without installing it."""
+make every traced run fail with KeyError; and it reads ``cache_info()`` of
+every function in its CACHES table that uval defines, so such a function
+that loses its lru_cache would make every traced run fail with
+AttributeError.  This reads the tracer's tables without installing it."""
 
 import importlib
 import importlib.util
@@ -28,3 +30,12 @@ def test_traced_methods_are_defined_on_their_class(table):
             continue  # uval.grassmann needs the [mc] extra
         cls = getattr(importlib.import_module(module), cls_name)
         assert attr in vars(cls), (module, cls_name, attr)
+
+
+def test_traced_caches_have_cache_info():
+    targets = _tracer().CACHES
+    assert targets
+    for module, attr in targets:
+        fn = getattr(importlib.import_module(module), attr, None)
+        if fn is not None:
+            assert hasattr(fn, "cache_info"), (module, attr)
