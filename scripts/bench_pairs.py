@@ -7,10 +7,11 @@ Each revision is exported with `git archive` into a temporary directory,
 so both sides run their committed files with their own perfbench.  For
 every workload the script runs 10 pairs of untraced 20 s runs
 (`python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0`),
-alternating which side runs first, then one traced run per side
-(`--trace 1`) and keeps the per-layer numbers named with --layer.  The
-record holds every run's end-to-end metrics, each side's median and
-quartiles, and how many pairs the change won.
+alternating which side runs first, then TRACED traced runs per side
+(`--trace 1`), again alternating, and keeps the per-layer numbers named
+with --layer: each side's median and every traced value.  The record
+holds every run's end-to-end metrics, each side's median and quartiles,
+and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("algebra_warm", "cone_sweep", "cli_jobs")
 PAIRS = 10  # at least ten pairs of runs to count the change's wins
 SECONDS = 20  # the same run length on both sides
+TRACED = 3  # traced runs per side; one traced layer time varies by about 30 %
 
 
 def git(*argv: str) -> bytes:
@@ -108,9 +110,15 @@ def main() -> None:
                 }
             layers = {}
             if args.layer:
-                for side in ("parent", "change"):
-                    traced = run(sides[side], workload, args.seed, 1)["metrics"]
-                    layers[side] = {name: traced[name] for name in args.layer}
+                traced: dict[str, list[dict]] = {"parent": [], "change": []}
+                for i in range(TRACED):
+                    for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                        traced[side].append(run(sides[side], workload, args.seed, 1)["metrics"])
+                for side, ms in traced.items():
+                    layers[side] = {}
+                    for name in args.layer:
+                        values = [m[name] for m in ms]
+                        layers[side][name] = {"median": statistics.median(values), "runs": values}
             record["workloads"][workload] = {
                 "metrics": metrics,
                 "layers": layers,

@@ -34,9 +34,9 @@ from .valuation import _format_combo, tau_coords, to_monomial
 __all__ = ["main"]
 
 # Largest --n per subcommand.  Each cap keeps the heaviest input within
-# about 15 s on one core (measured, 2 shared cores, Python 3.11): at
-# n = 32 pkf takes 0.6 s, additive of (chi+t)^64 14 s and convert --to
-# prim of it 1.2 s; the Gram-inverse Tasaki matrix takes 2 s at n = 64.
+# about 20 s on one core (measured, 2 shared cores, Python 3.11): at
+# n = 32 pkf takes 0.7 s, additive of (chi+t)^64 20 s and convert --to
+# prim of it 0.5 s; the Gram-inverse Tasaki matrix takes 2 s at n = 64.
 # mc holds a batch of MC_CHUNK Haar samples of 2n x 2n matrices per
 # thread, about 150 MB at n = 8.
 MAX_N = {"tasaki": 64, "mc": 8}

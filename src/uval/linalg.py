@@ -6,11 +6,11 @@ square, 17x17 at n = 32.  :func:`inverse`, :func:`leading_minors` and
 :func:`fraction_matrix_rank` run the single fraction-free elimination
 :func:`_bareiss` (Bareiss, Math. Comp. 22, 1968) on integer rows: forward
 for leading minors and rank, and Gauss-Jordan on [A | I] for the inverse,
-whose right block ends as det * A^-1.  Its cost is polynomial in the size
-and no Fraction enters the loop.  :func:`pi_block` reads a Scalar matrix
-in that form as (pi exponent, denominator, integer rows); the Gram
-matrices are built as integers, so it serves only TasakiMatrix.pretty and
-TasakiMatrix.leading_minor_dets.
+whose right block ends as det * A^-1, at a cost polynomial in the size
+and with no Fraction in the loop.  :func:`inverse` serves only the Tasaki
+Gram matrix of the oracle route; the primitive-basis inverse is closed.
+:func:`pi_block` reads a Scalar matrix as (pi exponent, denominator,
+integer rows) for TasakiMatrix.pretty and TasakiMatrix.leading_minor_dets.
 """
 
 from __future__ import annotations

@@ -20,22 +20,24 @@ tau_{2r,r} coefficient of pi_{2r,r} is 1; pi_{k,r} = L^{k-2r} pi_{2r,r}.
 That expansion has one source, _primitive_tau_coeffs, which the closed
 Tasaki route of :mod:`uval.kinematic` reads as well; restricted to level
 n it gives the integer mu coordinates of pi_{k,r}.
-The Lefschetz decomposition expands each graded piece in this basis with
-the integer inverse of those coordinates over one denominator, cached per
-degree and applied to the integer vectors of the store; one Scalar is
-built per output coefficient.
+The Lefschetz decomposition applies a cached integer inverse per degree
+to the store, one Scalar per output coefficient.  The inverse is closed,
+not eliminated: at kk = min(k, 2n-k), tau_{kk,i} = sum_{r<=i}
+(2n-2r-2i-1)!! / (2^{i-r} (i-r)! (kk-2i)! (2n-4r-1)!!) pi_{kk,r}, and
+above the middle degree F keeps the mu window and sends pi_{kk,r} to
+(kk-2r)!/(k-2r)! pi_{k,r} (the magic formula).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import inverse
 from .scalar import Scalar, _Record, _scalars, double_factorial, factorial
-from .valuation import Valuation, _combine, _restrict, q_range
+from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
     "apply_L",
@@ -122,15 +124,6 @@ def _primitive_tau_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
-@lru_cache(maxsize=None)
-def _primitive_mu_coeffs(n: int, k: int, r: int) -> tuple[int, tuple[int, ...]]:
-    """pi_{k,r} in mu coordinates as (d, b): the mu_{k,q} coefficient is
-    b[q]/d, 0 for q outside q_range(n, k).  The tau-expansion of
-    _primitive_tau_coeffs restricted to level n."""
-    d, a = _primitive_tau_coeffs(n, k, r)
-    return d, tuple(_restrict(n, k, a))
-
-
 def primitive(n: int, r: int) -> Valuation:
     """The primitive element pi_{2r,r} = primitive_general(n, 2r, r),
     0 <= 2r <= n; it spans the kernel of Lambda in degree 2r and its
@@ -148,25 +141,30 @@ def primitive_general(n: int, k: int, r: int) -> Valuation:
     """
     if not (0 <= 2 * r <= k <= 2 * n - 2 * r):
         raise ValueError(f"primitive element needs 2r <= k <= 2n-2r, got (n,k,r)=({n},{k},{r})")
-    d, b = _primitive_mu_coeffs(n, k, r)
-    return _combine(n, d, [(1, 0, {k: {0: b}})])
+    d, a = _primitive_tau_coeffs(n, k, r)
+    return _combine(n, d, [(1, 0, {k: {0: tuple(_restrict(n, k, a))}})])
 
 
 @lru_cache(maxsize=None)
 def _primitive_basis_inverse(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Inverse of the matrix whose columns are the mu coordinates of
-    pi_{k,r}, r = 0..p, as (den, rows): entry (r, i) is rows[r][i] / den.
-
-    The columns are b_r / d_r with integer b_r, so the inverse is
-    diag(d_r) times the inverse of the integer columns b_r.  The
-    coordinates are rational numbers, so no pi enters.
+    """The inverse of the mu coordinates of pi_{k,r}, r = 0..p, on the
+    window q_range(n, k), as (den, rows): entry (r, j) is rows[r][j]/den,
+    den > 0 coprime to the entries.  Row r at kk = min(k, 2n-k) composes
+    tau_{kk,i} = sum_{r<=i} x_{r,i} pi_{kk,r}, x_{r,i} = (2n-2r-2i-1)!! /
+    (2^{i-r} (i-r)! (kk-2i)! (2n-4r-1)!!), with the lift _lift(kk); for
+    k > n, F keeps the window and scales row r by (kk-2r)!/(k-2r)!.  In
+    int over D k!, where D = 2^p p! kk! (2n-1)!! clears every x_{r,i}.
     """
-    qs = q_range(n, k)
-    cols = [_primitive_mu_coeffs(n, k, r) for r in range(len(qs))]
-    d, rows = inverse(1, [[b[q] for _, b in cols] for q in qs])
-    rows = [[dr * x for x in row] for (dr, _), row in zip(cols, rows)]
-    g = gcd(d, *(x for row in rows for x in row))
-    return d // g, tuple(tuple(x // g for x in row) for row in rows)
+    kk = min(k, 2 * n - k)
+    p, odd = kk // 2, list(accumulate(range(1, 2 * n, 2), mul, initial=1))  # odd[m] = (2m-1)!!
+    top = 2**p * factorial(p) * factorial(kk)
+    x = [[0] * r + [top // (2 ** (i - r) * factorial(i - r) * factorial(kk - 2 * i)) * odd[n - r - i]
+                    * (odd[n] // odd[n - 2 * r]) for i in range(r, p + 1)] for r in range(p + 1)]
+    rows = [[factorial(kk - 2 * r) * (factorial(k) // factorial(k - 2 * r)) * sum(w * xr[i] for i, w in terms)
+             for terms in _lift(kk)] for r, xr in enumerate(x)]
+    den = top * odd[n] * factorial(k)
+    g = gcd(den, *(y for row in rows for y in row))
+    return den // g, tuple(tuple(y // g for y in row) for row in rows)
 
 
 def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:

@@ -14,7 +14,7 @@ from uval.kinematic import tasaki_matrix_closed
 from uval.linalg import fraction_matrix_rank, inverse, leading_minors, pi_block
 from uval.scalar import Scalar
 from uval.sl2 import _primitive_basis_inverse, primitive_general
-from uval.valuation import q_range
+from uval.valuation import dim_val, q_range
 
 
 def _leibniz(rows):
@@ -191,6 +191,18 @@ def test_singular_inverse_raises():
             inverse(den, ints)
 
 
+def _eliminated_primitive_basis_inverse(n, k):
+    """The inverse of the pi_{k,r} columns by elimination: linalg.inverse of
+    their integer mu coordinates over the window, each row r scaled back by
+    the denominator of pi_{k,r}, and the whole reduced to lowest terms."""
+    q0 = q_range(n, k)[0]
+    cols = [(v._den, v._parts[k][0][q0:]) for v in (primitive_general(n, k, r) for r in range(dim_val(n, k)))]
+    d, rows = inverse(1, [list(col) for col in zip(*(b for _, b in cols))])
+    rows = [[dr * x for x in row] for (dr, _), row in zip(cols, rows)]
+    g = gcd(d, *(x for row in rows for x in row))
+    return d // g, tuple(tuple(x // g for x in row) for row in rows)
+
+
 def test_primitive_basis_inverse_is_inverse():
     # the cached inverse times the mu coordinates of the pi_{k,r} is the identity
     for n in range(1, 11):
@@ -205,6 +217,10 @@ def test_primitive_basis_inverse_is_inverse():
             for r, row in enumerate(inv):
                 for s, col in enumerate(cols):
                     assert sum(x * c for x, c in zip(row, col)) == den * (r == s), (n, k, r, s)
+    # the closed formula gives exactly what elimination gives
+    for n in range(1, 17):
+        for k in range(2 * n + 1):
+            assert _primitive_basis_inverse(n, k) == _eliminated_primitive_basis_inverse(n, k), (n, k)
 
 
 def test_rank_of_products_of_known_rank():

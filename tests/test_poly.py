@@ -1,11 +1,10 @@
 """Graded polynomials in (t, u) / (s, t) and the relation polynomials f_k."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from uval.checks import check_relation_polynomials
+from uval.checks import check_change_vars_roundtrip, check_relation_polynomials
 from uval.poly import GradedPoly, change_vars, f_closed, f_recursive
 from uval.scalar import Scalar
 
@@ -42,15 +41,7 @@ def test_change_vars_examples():
 
 
 def test_change_vars_roundtrip_random():
-    rng = random.Random(3)
-    for _ in range(100):
-        coeffs = {}
-        for _ in range(rng.randint(1, 6)):
-            a = rng.randint(0, 8)
-            b = rng.randint(0, (12 - a) // 2)
-            coeffs[(a, b)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        p = GradedPoly(coeffs)
-        assert change_vars(change_vars(p, "st"), "tu") == p
+    check_change_vars_roundtrip("full")
 
 
 def test_f_seeds():

@@ -1,8 +1,13 @@
 """The sl(2) operators, primitive basis and Lefschetz decomposition."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import uval.linalg
 
 from uval.checks import (
     check_L_is_multiplication,
@@ -17,6 +22,8 @@ from uval.checks import (
 from uval.scalar import Scalar, factorial
 from uval.sl2 import (
     Sl2Operator,
+    _primitive_basis_inverse,
+    _primitive_tau_coeffs,
     apply_H,
     apply_L,
     apply_Lambda,
@@ -29,6 +36,7 @@ from uval.valuation import (
     Valuation,
     chi,
     mu,
+    q_range,
     tau,
     vol,
 )
@@ -139,3 +147,40 @@ def test_lefschetz_decompose_examples():
 
 def test_lefschetz_decompose_random_roundtrip():
     check_lefschetz_decomposition("full")
+    # every degree on both sides of the middle, coefficients with pi^-1,
+    # pi^0 and pi^1 terms and odd-over-even Fractions
+    rng = random.Random(61)
+
+    def coefficient():
+        return Scalar({e: Fraction(2 * rng.randint(-9, 8) + 1, 2 * rng.randint(1, 7)) for e in (-1, 0, 1)})
+
+    for n in range(6, 13):
+        v = Valuation(n, {(k, q): coefficient() for k in range(2 * n + 1) for q in q_range(n, k)})
+        assert reconstruct(n, lefschetz_decompose(v)) == v, n
+
+
+def test_lefschetz_decompose_runs_no_elimination(monkeypatch):
+    # the primitive-basis inverse is written down, so a cold decomposition
+    # never reaches the elimination routine of uval.linalg
+    def refuse(*args, **kwargs):
+        raise AssertionError("lefschetz_decompose eliminated")
+
+    monkeypatch.setattr(uval.linalg, "_bareiss", refuse)
+    _primitive_basis_inverse.cache_clear()
+    _primitive_tau_coeffs.cache_clear()
+    for n in range(1, 9):
+        v = Valuation(n, {(k, q): q + 1 for k in range(2 * n + 1) for q in q_range(n, k)})
+        parts = lefschetz_decompose(v)
+        assert {k for k, _, _ in parts} == set(range(2 * n + 1)), n
+        assert reconstruct(n, parts) == v, n
+
+
+def test_lefschetz_decompose_n48_within_10s():
+    # a cold decomposition of every degree at n = 48, in a fresh interpreter
+    script = (
+        "from uval.sl2 import lefschetz_decompose; from uval.valspec import parse_valspec; "
+        "print(len(lefschetz_decompose(parse_valspec('(chi+t)^96', 48))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
