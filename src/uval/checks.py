@@ -70,10 +70,9 @@ __all__ = ["CHECKS", "run_selftest"]
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
-    terms = {}
-    for _ in range(rng.randint(0, 2)):
-        terms[rng.randint(-2, 2)] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-    return Scalar(terms)
+    # up to three pi powers in -3..3, numerators and denominators up to 9
+    terms = range(rng.randint(0, 3))
+    return Scalar({rng.randint(-3, 3): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in terms})
 
 
 def _rand_valuation(rng: random.Random, n: int, max_terms: int = 4) -> Valuation:
@@ -87,7 +86,7 @@ def _rand_valuation(rng: random.Random, n: int, max_terms: int = 4) -> Valuation
 
 def _rand_poly(rng: random.Random, max_deg: int = 12) -> GradedPoly:
     coeffs = {}
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(1, 6)):
         a = rng.randint(0, max_deg)
         b = rng.randint(0, (max_deg - a) // 2)
         coeffs[(a, b)] = _rand_scalar(rng)

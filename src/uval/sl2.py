@@ -96,11 +96,7 @@ class Sl2Operator(_Record):
         object.__setattr__(self, "kind", kind)
 
     def apply(self, v: Valuation) -> Valuation:
-        if self.kind == "L":
-            return apply_L(v)
-        if self.kind == "Lambda":
-            return apply_Lambda(v)
-        return apply_H(v)
+        return {"L": apply_L, "Lambda": apply_Lambda, "H": apply_H}[self.kind](v)
 
 
 # ----------------------------------------------------------------------
@@ -152,17 +148,22 @@ def _primitive_basis_inverse(n: int, k: int) -> tuple[int, tuple[tuple[int, ...]
     den > 0 coprime to the entries.  Row r at kk = min(k, 2n-k) composes
     tau_{kk,i} = sum_{r<=i} x_{r,i} pi_{kk,r}, x_{r,i} = (2n-2r-2i-1)!! /
     (2^{i-r} (i-r)! (kk-2i)! (2n-4r-1)!!), with the lift _lift(kk); for
-    k > n, F keeps the window and scales row r by (kk-2r)!/(k-2r)!.  In
-    int over D k!, where D = 2^p p! kk! (2n-1)!! clears every x_{r,i}.
+    k > n, F keeps the window and scales row r by (kk-2r)!/(k-2r)!.
     """
     kk = min(k, 2 * n - k)
-    p, odd = kk // 2, list(accumulate(range(1, 2 * n, 2), mul, initial=1))  # odd[m] = (2m-1)!!
-    top = 2**p * factorial(p) * factorial(kk)
-    x = [[0] * r + [top // (2 ** (i - r) * factorial(i - r) * factorial(kk - 2 * i)) * odd[n - r - i]
-                    * (odd[n] // odd[n - 2 * r]) for i in range(r, p + 1)] for r in range(p + 1)]
-    rows = [[factorial(kk - 2 * r) * (factorial(k) // factorial(k - 2 * r)) * sum(w * xr[i] for i, w in terms)
-             for terms in _lift(kk)] for r, xr in enumerate(x)]
-    den = top * odd[n] * factorial(k)
+    p = kk // 2
+    odd = list(accumulate(range(1, 2 * n, 2), mul, initial=1))  # odd[m] = (2m-1)!!
+    top = 2**p * factorial(p) * factorial(kk) * odd[n]  # top x_{r,i} is an integer
+    shrink = [factorial(k - 2 * r) // factorial(kk - 2 * r) for r in range(p + 1)]  # all 1 for k <= n
+    scale = lcm(*shrink)
+    rows = []
+    for r in range(p + 1):
+        x = [0] * (p + 1)  # x[i] = top x_{r,i}
+        for i in range(r, p + 1):
+            below = 2 ** (i - r) * factorial(i - r) * factorial(kk - 2 * i) * odd[n - 2 * r]
+            x[i] = top // below * odd[n - r - i]
+        rows.append([scale // shrink[r] * sum(w * x[i] for i, w in terms) for terms in _lift(kk)])
+    den = top * scale
     g = gcd(den, *(y for row in rows for y in row))
     return den // g, tuple(tuple(y // g for y in row) for row in rows)
 
