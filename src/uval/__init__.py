@@ -5,62 +5,69 @@ The exact core (everything except :mod:`uval.grassmann`) runs on rational
 arithmetic extended by formal powers of pi and has no third-party
 dependencies; the numeric module grounds the formulas with Monte-Carlo
 checks over Haar-random unitaries.
+
+The names below load lazily (PEP 562): ``import uval`` imports no
+submodule, and the first use of a name imports the submodule it lives in.
+``uval.kinematic`` is the function; the module is
+``importlib.import_module("uval.kinematic")``.
 """
 
-from .scalar import Scalar, UndecidableSignError, double_factorial, omega
-from .poly import GradedPoly, change_vars, f_closed, f_recursive
-from .valuation import (
-    KlainPolynomial,
-    Valuation,
-    chi,
-    dim_val,
-    fourier,
-    from_monomial,
-    iota,
-    klain,
-    mu,
-    multiply,
-    q_range,
-    tau,
-    tau_coords,
-    to_monomial,
-    vol,
-)
-from .sl2 import (
-    Sl2Operator,
-    apply_H,
-    apply_L,
-    apply_Lambda,
-    lefschetz_decompose,
-    primitive,
-    primitive_general,
-)
-from .kinematic import (
-    KinematicTensor,
-    TasakiMatrix,
-    additive_kinematic,
-    bezout_check,
-    cpn_normalize,
-    kinematic,
-    pairing_fourier,
-    pairing_pd,
-    primitive_pairing_closed,
-    principal_kinematic,
-    tasaki_matrix_closed,
-    tasaki_matrix_oracle,
-)
-from .cones import (
-    ConeVerdict,
-    CurvExpr,
-    first_variation,
-    is_crofton_positive,
-    is_monotone,
-    is_positive,
-    norm_inf,
-    norm_one,
-    nu,
-    nu_coeffs,
-)
-from .valspec import ValSpecError, parse_valspec
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "scalar": ("Scalar", "UndecidableSignError", "double_factorial", "omega"),
+    "poly": ("GradedPoly", "change_vars", "f_closed", "f_recursive"),
+    "valuation": (
+        "KlainPolynomial", "Valuation", "chi", "dim_val", "fourier", "from_monomial", "iota",
+        "klain", "mu", "multiply", "q_range", "tau", "tau_coords", "to_monomial", "vol",
+    ),
+    "sl2": (
+        "Sl2Operator", "apply_H", "apply_L", "apply_Lambda", "lefschetz_decompose", "primitive",
+        "primitive_general",
+    ),
+    "kinematic": (
+        "KinematicTensor", "TasakiMatrix", "additive_kinematic", "bezout_check", "cpn_normalize",
+        "kinematic", "pairing_fourier", "pairing_pd", "primitive_pairing_closed",
+        "principal_kinematic", "tasaki_matrix_closed", "tasaki_matrix_oracle",
+    ),
+    "cones": (
+        "ConeVerdict", "CurvExpr", "first_variation", "is_crofton_positive", "is_monotone",
+        "is_positive", "norm_inf", "norm_one", "nu", "nu_coeffs",
+    ),
+    "valspec": ("ValSpecError", "parse_valspec"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# Every submodule but kinematic is exported under its own name.
+_SUBMODULES = ("cones", "linalg", "poly", "scalar", "sl2", "valspec", "valuation")
+__all__ = [*_HOME, *_SUBMODULES]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Keeps ``uval.kinematic`` the function: the import system binds each
+    submodule it loads on the package, and this refuses that one binding."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "kinematic" and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -16,20 +16,7 @@ import argparse
 import os
 import sys
 
-from .cones import first_variation, is_crofton_positive, is_monotone, is_positive
-from .kinematic import (
-    KinematicTensor,
-    additive_kinematic,
-    cpn_normalize,
-    kinematic,
-    principal_kinematic,
-    tasaki_matrix_closed,
-    tasaki_matrix_oracle,
-)
-from .scalar import Scalar, UndecidableSignError
-from .sl2 import Sl2Operator, lefschetz_decompose, primitive_general
-from .valspec import ValSpecError, parse_valspec
-from .valuation import _format_combo, tau_coords, to_monomial
+from .scalar import UndecidableSignError
 
 __all__ = ["main"]
 
@@ -55,33 +42,48 @@ def _emit(args, payload, text) -> int:
     return 0
 
 
-def _tensor_cmd(args, tensor: KinematicTensor) -> int:
+def _tensor_cmd(args, tensor) -> int:
     if getattr(args, "cpn", False):
+        from .kinematic import cpn_normalize
+
         tensor = cpn_normalize(tensor)
     return _emit(args, tensor.to_json, tensor.pretty)
 
 
 def _cmd_tasaki(args) -> int:
+    from .kinematic import tasaki_matrix_closed, tasaki_matrix_oracle
+
     route = tasaki_matrix_oracle if args.oracle else tasaki_matrix_closed
     t = route(args.n, args.k)
     return _emit(args, t.to_json, t.pretty)
 
 
 def _cmd_pkf(args) -> int:
+    from .kinematic import principal_kinematic
+
     return _tensor_cmd(args, principal_kinematic(args.n))
 
 
 def _cmd_kinematic(args) -> int:
+    from .kinematic import kinematic
+    from .valspec import parse_valspec
+
     m = parse_valspec(args.val, args.n)
     return _tensor_cmd(args, kinematic(args.n, m))
 
 
 def _cmd_additive(args) -> int:
+    from .kinematic import additive_kinematic
+    from .valspec import parse_valspec
+
     m = parse_valspec(args.val, args.n)
     return _tensor_cmd(args, additive_kinematic(args.n, m))
 
 
 def _cmd_cone(args) -> int:
+    from .cones import is_crofton_positive, is_monotone, is_positive
+    from .valspec import parse_valspec
+
     v = parse_valspec(args.val, args.n)
     test = {
         "positive": is_positive,
@@ -94,6 +96,10 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .sl2 import lefschetz_decompose
+    from .valspec import parse_valspec
+    from .valuation import _format_combo, tau_coords, to_monomial
+
     v = parse_valspec(args.val, args.n)
     n = args.n
     if args.to == "mu":
@@ -102,7 +108,7 @@ def _cmd_convert(args) -> int:
         p = to_monomial(v)
         return _emit(args, lambda: {"n": n, "basis": "mono", "poly": p.to_json()}, lambda: str(p))
     if args.to == "tau":
-        terms: list[tuple[Scalar, str]] = []
+        terms = []
         for k in v.degrees():
             coords = tau_coords(v, k)
             if k <= n:
@@ -116,17 +122,25 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_sl2(args) -> int:
+    from .sl2 import Sl2Operator
+    from .valspec import parse_valspec
+
     v = parse_valspec(args.val, args.n)
     out = Sl2Operator(args.op).apply(v)
     return _emit(args, out.to_json, lambda: str(out))
 
 
 def _cmd_primitive(args) -> int:
+    from .sl2 import primitive_general
+
     v = primitive_general(args.n, args.k, args.r)
     return _emit(args, v.to_json, lambda: str(v))
 
 
 def _cmd_delta(args) -> int:
+    from .cones import first_variation
+    from .valspec import parse_valspec
+
     v = parse_valspec(args.val, args.n)
     expr = first_variation(args.n, v)
     return _emit(args, lambda: [{"symbol": sym, "k": k, "q": q, "coeff": c.to_json()}
@@ -255,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndecidableSignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValSpecError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
