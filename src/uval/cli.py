@@ -8,6 +8,10 @@ codes: 0 success, 1 failed selftest or undecidable sign, 2 usage error.
 Every --n is at most a cap per subcommand (MAX_N, else DEFAULT_MAX_N),
 and mc --samples at most grassmann.MAX_SAMPLES; larger values exit 2
 before any work.
+
+At module level this imports only uval.scalar, for the exit-code
+mapping; each subcommand imports the modules it runs, so `uval --help`
+compiles no other core module.
 """
 
 from __future__ import annotations

@@ -28,11 +28,12 @@ CHECK = f"""
 import importlib, sys
 EXPORTS, SUBMODULES = {EXPORTS!r}, {SUBMODULES!r}
 import uval
+expected = {{*SUBMODULES, *" ".join(EXPORTS.values()).split()}}
+assert expected <= set(dir(uval)), sorted(expected - set(dir(uval)))
 names = {{}}
 exec("from uval import *", names)
 del names["__builtins__"]
-assert len(names) == 61, len(names)
-assert set(names) == {{*SUBMODULES, *" ".join(EXPORTS.values()).split()}}, sorted(names)
+assert len(names) == 61 and set(names) == expected, sorted(names)
 for module in SUBMODULES:
     assert names[module] is sys.modules["uval." + module], module
 for module, text in EXPORTS.items():
@@ -42,7 +43,6 @@ from uval import kinematic
 kin = importlib.import_module("uval.kinematic")
 assert uval.kinematic is kinematic is kin.kinematic and callable(kinematic)
 assert uval.__version__ == "0.1.0"
-assert set(names) <= set(dir(uval))
 try:
     uval.no_such_name
 except AttributeError as exc:
