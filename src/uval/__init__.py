@@ -6,15 +6,16 @@ arithmetic extended by formal powers of pi and has no third-party
 dependencies; the numeric module grounds the formulas with Monte-Carlo
 checks over Haar-random unitaries.
 
-The names below load lazily (PEP 562): ``import uval`` imports no
-submodule, and the first use of a name imports the submodule it lives in.
-``uval.kinematic`` is the function; the module is
+``import uval`` runs no submodule's code. It puts the core modules in
+``sys.modules`` and on the package as lazy modules
+(:class:`importlib.util.LazyLoader`), each of which runs on its first
+attribute access; the first use of a name below does that for the
+submodule it lives in. ``uval.kinematic`` is the function; the module is
 ``importlib.import_module("uval.kinematic")``.
 """
 
-import sys
-from importlib import import_module
-from types import ModuleType
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -46,28 +47,32 @@ _SUBMODULES = ("cones", "linalg", "poly", "scalar", "sl2", "valspec", "valuation
 __all__ = [*_HOME, *_SUBMODULES]
 
 
+
+
+def _lazy_submodule(name: str):
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)  # defers the real exec_module
+    return module
+
+
+# The import system binds a submodule on the package only when it loads
+# it, so with these in sys.modules `import uval.kinematic` binds nothing.
+for _name in _SUBMODULES:
+    globals()[_name] = _lazy_submodule(_name)
+del _name
+_lazy_submodule("kinematic")  # left unbound: uval.kinematic is the function
+
+
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")  # the import binds it here
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_sys.modules[f"{__name__}.{_HOME[name]}"], name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Package(ModuleType):
-    """Keeps ``uval.kinematic`` the function: the import system binds each
-    submodule it loads on the package, and this refuses that one binding."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "kinematic" and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
