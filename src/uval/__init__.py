@@ -47,8 +47,6 @@ _SUBMODULES = ("cones", "linalg", "poly", "scalar", "sl2", "valspec", "valuation
 __all__ = [*_HOME, *_SUBMODULES]
 
 
-
-
 def _lazy_submodule(name: str):
     spec = _util.find_spec(f"{__name__}.{name}")
     spec.loader = _util.LazyLoader(spec.loader)
