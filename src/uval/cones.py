@@ -22,9 +22,9 @@ evaluated on convex bodies.
 
 All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
-denominator: each Gram block and each nu_{k,p} comes from the integer
-Tasaki Gram matrix of uval.kinematic and its inverse, and delta is a
-cached table, so every sign of a cone test goes to scalar.int_sign.
+denominator: each Gram block comes from the integer Tasaki Gram matrix M
+of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
+and delta is a cached table, so every sign goes to scalar.int_sign.
 Scalars are built only for results: mu_gram, nu_coeffs, the norms and
 the coefficients of a CurvExpr; a failure's witness text is written from
 its integers by scalar._parts_text, as str(Scalar) is.
@@ -113,9 +113,9 @@ def nu(n: int, k: int, p: int) -> Valuation:
 
     Geometrically the valuation of the unit-mass invariant Crofton measure
     on the orbit of planes of type (k, p).  At kk = min(k, 2n-k) its tau
-    coordinates are T (C(p-q0, s))_s, T = _tasaki_inverse(n, kk), q0 =
-    max(0, k-n); restricted to level n and moved up by q0 (as F does), they
-    are its mu coordinates.
+    coordinates are T (C(p-q0, s))_s, T = _tasaki_inverse(n, kk) the
+    certified closed Gram inverse, q0 = max(0, k-n); restricted to level n
+    and moved up by q0 (as F does), they are its mu coordinates.
     """
     qs = q_range(n, k)
     if p not in qs:

@@ -20,15 +20,16 @@ in :mod:`uval.checks`.
 Every pairing is read by one private reader from the integer degree-2n
 coordinate of the product.  It gives pairing_pd and the cached Tasaki
 Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), the only pairing matrix of
-the package: uval.cones derives its Gram blocks and nu from M and M^{-1}.
+the package: uval.cones derives its Gram blocks from M.
 
-Two fully independent routes produce the Tasaki matrices T^n_k = K for the
-Tasaki basis: exact inversion of the pairing Gram matrix, and the closed
-sum T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive
-(Lefschetz) basis, in which the pairing is diagonal; e_r is the closed
-tau-expansion of pi_{k,r} from :mod:`uval.sl2`.  Their exact agreement,
-enforced block by block on k(chi) by principal_kinematic, is the central
-cross-check of the package.
+The Tasaki matrices T^n_k = K = M^{-1} are closed: the sum T^n_k = sum_r
+e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive (Lefschetz) basis,
+where the pairing is diagonal, e_r the tau-expansion of pi_{k,r} from
+:mod:`uval.sl2`.  The kinematic and additive blocks, principal_kinematic
+and cones.nu read it, certified per degree by T M = I in int against the
+pairings, a proof of T = M^{-1}.  Only tasaki_matrix_oracle eliminates M:
+the independent route of check_tasaki_routes and of the reference
+kinematic in :mod:`uval.checks`.
 
 Block convention: the leg of degree a is expressed in tau_{a, .} when
 a <= n and in the Fourier-transformed basis F(tau_{2n-a, .}) otherwise,
@@ -151,20 +152,13 @@ def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
     )
 
 
-def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
-    """T^n_k from the primitive basis, where the pairing is diagonal
-    (0 <= k <= n): T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F(pi_{k,r})) over
-    r = 0..k/2, with e_r the closed tau-expansion of pi_{k,r}.
-
-    The sum runs in int over one denominator and takes the single pi power
-    of omega_k omega_{2n-k}/pi^n; one Scalar is built per entry.  No
-    product, pairing or elimination is used, so this route is independent
-    of tasaki_matrix_oracle.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
-    if n < 1:
-        raise ValueError("ambient complex dimension must be >= 1")
+@lru_cache(maxsize=None)
+def _tasaki_closed(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F(pi_{k,r})) over r = 0..k/2, e_r
+    the closed tau-expansion of pi_{k,r}, as (e, den, rows) with no common
+    factor of den and the entries.  The sum runs in int over one denominator
+    with the single pi power of omega_k omega_{2n-k}/pi^n, and reads no
+    product, pairing or elimination: the route independent of the oracle."""
     p = k // 2
     e, pref = (omega(k) * omega(2 * n - k) / Scalar.pi(n)).monomial()
     # e_r = a/d adds the weight pref / (pairing * d^2) = num/q times a a^T;
@@ -181,7 +175,19 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
             x = num * (den // q) * ai
             for j, aj in enumerate(a):
                 row[j] += x * aj
-    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, den, p + 1)) for row in sums))
+    g = gcd(den, *(x for row in sums for x in row))
+    return e, den // g, tuple(tuple(x // g for x in row) for row in sums)
+
+
+def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
+    """T^n_k from the primitive basis (0 <= k <= n), as Scalars read from
+    _tasaki_closed: the closed route, which reads no pairing."""
+    if not 0 <= k <= n:
+        raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
+    if n < 1:
+        raise ValueError("ambient complex dimension must be >= 1")
+    e, den, rows = _tasaki_closed(n, k)
+    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, den, len(row))) for row in rows))
 
 
 @lru_cache(maxsize=None)
@@ -207,20 +213,27 @@ def _tasaki_gram(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]
 @lru_cache(maxsize=None)
 def _tasaki_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """The inverse of _tasaki_gram(n, k) as (e, den, rows), entry (i, j)
-    being rows[i][j] * pi^e / den: the one elimination of the oracle."""
-    e, den, rows = _tasaki_gram(n, k)
-    d, inv = inverse(den, rows)
-    return -e, d, tuple(map(tuple, inv))
+    being rows[i][j] * pi^e / den: _tasaki_closed(n, k), certified by T M = I
+    in int (the pi powers cancel, the product is den * Gram den * I), a
+    proof of T = M^-1 with no elimination.  A failure raises."""
+    e, den, rows = _tasaki_closed(n, k)
+    em, dm, m = _tasaki_gram(n, k)
+    cols, one = list(zip(*m)), den * dm
+    if e + em or any(sum(map(mul, row, col)) != one * (i == j)
+                     for i, row in enumerate(rows) for j, col in enumerate(cols)):
+        raise AssertionError(f"closed Tasaki matrix at n={n}, k={k} is not the inverse of the Gram matrix")
+    return e, den, rows
 
 
 @lru_cache(maxsize=None)
 def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
-    """T^n_k as the exact inverse of the pairing Gram matrix
-    M_ij = (tau_{k,i}, F(tau_{k,j})), the independent route."""
+    """T^n_k as the exact inverse of M_ij = (tau_{k,i}, F(tau_{k,j})), the
+    independent route and the package's one elimination of a Gram matrix."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
-    e, d, rows = _tasaki_inverse(n, k)
-    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, d, len(row))) for row in rows))
+    e, den, rows = _tasaki_gram(n, k)
+    d, inv = inverse(den, rows)
+    return TasakiMatrix(n, k, tuple(tuple(_scalars({-e: row}, d, len(row))) for row in inv))
 
 
 # ----------------------------------------------------------------------
@@ -372,10 +385,10 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
 def principal_kinematic(n: int) -> KinematicTensor:
     """The principal kinematic tensor k(chi).
 
-    Assembled by :func:`kinematic` from the Gram-inverse Tasaki matrices;
-    block (k, 2n-k) is T^n_{min(k, 2n-k)}.  Every block is compared with
-    the closed primitive-basis matrix tasaki_matrix_closed(n, min(k, 2n-k)),
-    each computed once, and exact agreement is enforced.
+    Assembled by :func:`kinematic` from the certified closed Tasaki
+    inverses; block (k, 2n-k) is T^n_{min(k, 2n-k)}.  Every block is
+    compared with tasaki_matrix_closed(n, min(k, 2n-k)), each computed
+    once, which checks the assembly; T M = I checks the closed route.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -7,8 +7,8 @@ square, 17x17 at n = 32.  :func:`inverse`, :func:`leading_minors` and
 :func:`_bareiss` (Bareiss, Math. Comp. 22, 1968) on integer rows: forward
 for leading minors and rank, and Gauss-Jordan on [A | I] for the inverse,
 whose right block ends as det * A^-1, at a cost polynomial in the size
-and with no Fraction in the loop.  :func:`inverse` serves only the Tasaki
-Gram matrix of the oracle route; the primitive-basis inverse is closed.
+and with no Fraction in the loop.  :func:`inverse` has one caller, the
+Tasaki oracle; production reads closed inverses (checked by T M = I).
 :func:`pi_block` reads a Scalar matrix as (pi exponent, denominator,
 integer rows) for TasakiMatrix.pretty and TasakiMatrix.leading_minor_dets.
 """

@@ -30,9 +30,7 @@ from typing import Union
 
 from .scalar import Scalar, _Record
 from .sl2 import primitive_general
-from .valuation import Valuation, chi, fourier, iota, mu, multiply, tau, vol
-from .poly import GradedPoly
-from .valuation import from_monomial
+from .valuation import Valuation, _monomial_image, chi, fourier, iota, mu, multiply, tau, vol
 
 __all__ = ["MAX_NESTING", "MAX_POWER_TERMS", "ValSpecError", "parse_valspec"]
 
@@ -232,9 +230,10 @@ class _Parser:
             return chi(self.n)
         if name == "vol":
             return vol(self.n)
-        if name in ("t", "s", "u"):
-            poly = {"t": GradedPoly.t(), "s": GradedPoly.s_in_tu(), "u": GradedPoly.u()}[name]
-            return from_monomial(self.n, poly)
+        if name == "s":  # s = (t^2 + u)/4
+            return (_monomial_image(self.n, 2, 0) + _monomial_image(self.n, 0, 1)) / 4
+        if name in ("t", "u"):
+            return _monomial_image(self.n, *{"t": (1, 0), "u": (0, 1)}[name])
         raise ValSpecError(f"unknown name {name!r}", t.pos)
 
     # -- value algebra --------------------------------------------------

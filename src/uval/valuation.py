@@ -41,7 +41,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .poly import GradedPoly, change_vars
 from .scalar import RationalLike, Scalar, _Record, _scalars, binomial, factorial, omega
 
 __all__ = [
@@ -348,19 +347,14 @@ def vol(n: int) -> Valuation:
 # the quotient map and its canonical section
 
 @lru_cache(maxsize=None)
-def _tau_monomial(k: int, q: int) -> GradedPoly:
-    """Global representative of tau_{k,q}: pi^k/(omega_k (k-2q)!(2q)!) t^{k-2q} u^q."""
-    c = Scalar.pi(k) / (omega(k) * Fraction(factorial(k - 2 * q) * factorial(2 * q)))
-    return GradedPoly.monomial(k - 2 * q, q, c)
-
-
-@lru_cache(maxsize=None)
 def _mu_monomial(k: int, q: int) -> GradedPoly:
-    """Global representative of mu_{k,q} = sum_i (-1)^{i+q} C(i,q) tau_{k,i}."""
-    out = GradedPoly.zero()
-    for i, c in _lift(k)[q]:
-        out = out + _tau_monomial(k, i) * Fraction(c)
-    return out
+    """Global representative of mu_{k,q} = sum_i (-1)^{i+q} C(i,q) tau_{k,i},
+    with tau_{k,i} = pi^k/(omega_k (k-2i)!(2i)!) t^{k-2i} u^i."""
+    from .poly import GradedPoly
+
+    c = Scalar.pi(k) / omega(k)
+    return GradedPoly({(k - 2 * i, i): c * Fraction(x, factorial(k - 2 * i) * factorial(2 * i))
+                       for i, x in _lift(k)[q]})
 
 
 @lru_cache(maxsize=None)
@@ -380,6 +374,8 @@ def from_monomial(n: int, p: GradedPoly) -> Valuation:
     local Tasaki valuation tau_{k,q}; graded pieces of degree above 2n map
     to zero.
     """
+    from .poly import change_vars
+
     p = change_vars(p, "tu")
     out = Valuation.zero(n)
     for (a, b), c in p.items():
@@ -395,6 +391,8 @@ def to_monomial(v: Valuation) -> GradedPoly:
     mu_{k,q} lifts to sum_i (-1)^{i+q} C(i,q) pi^k/(omega_k (k-2i)!(2i)!)
     t^{k-2i} u^i; from_monomial inverts this lift exactly.
     """
+    from .poly import GradedPoly
+
     out = GradedPoly.zero()
     for (k, q), c in v.items():
         out = out + _mu_monomial(k, q) * c

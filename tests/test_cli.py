@@ -460,11 +460,11 @@ def test_cli_selftest_quick():
 # them in sys.modules as lazy modules, a ModuleType subclass until they run.
 _UNLOADED = {
     "--help": ("valuation", "poly", "sl2", "kinematic", "linalg", "cones", "valspec"),
-    "primitive --n 3 --k 2 --r 1": ("kinematic", "linalg", "cones", "valspec"),
-    "convert --n 3 --val chi+t --to prim": ("kinematic", "linalg", "cones"),
-    "sl2 --n 3 --op L --val t": ("kinematic", "linalg", "cones"),
-    "tasaki --n 3 --k 2": ("cones", "valspec"),
-    "pkf --n 3": ("cones", "valspec"),
+    "primitive --n 3 --k 2 --r 1": ("poly", "kinematic", "linalg", "cones", "valspec"),
+    "convert --n 3 --val chi+t --to prim": ("poly", "kinematic", "linalg", "cones"),
+    "sl2 --n 3 --op L --val t": ("poly", "kinematic", "linalg", "cones"),
+    "tasaki --n 3 --k 2": ("poly", "cones", "valspec"),
+    "pkf --n 3": ("poly", "cones", "valspec"),
 }
 
 

@@ -1,10 +1,13 @@
 """Pairings, Tasaki matrices and kinematic tensors."""
 
 import importlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import uval.linalg
 from uval.checks import (
     check_primitive_pairing,
     check_printed_tasaki_matrices,
@@ -12,6 +15,7 @@ from uval.checks import (
     check_tasaki_routes,
     check_tasaki_symmetries,
 )
+from uval.cones import _gram_block, is_crofton_positive, is_monotone, is_positive, mu_gram, nu
 from uval.kinematic import (
     TasakiMatrix,
     additive_kinematic,
@@ -27,8 +31,8 @@ from uval.kinematic import (
     tasaki_matrix_oracle,
 )
 from uval.scalar import Scalar
-from uval.sl2 import primitive_general
-from uval.valuation import chi, fourier, mu, tau, vol
+from uval.sl2 import _primitive_tau_coeffs, primitive_general
+from uval.valuation import Valuation, chi, fourier, mu, q_range, tau, vol
 
 
 def test_pairing_pd_examples():
@@ -157,6 +161,58 @@ def test_principal_route_mismatch_raises(monkeypatch):
     with pytest.raises(AssertionError, match="routes disagree"):
         principal_kinematic(3)
     kinematic(3, chi(3))  # the Gram-inverse route alone is unaffected
+
+
+def _clear_tasaki_caches():
+    module = importlib.import_module("uval.kinematic")
+    for f in (module._tasaki_closed, module._tasaki_gram, module._tasaki_inverse,
+              module._kinematic_block, tasaki_matrix_oracle, _gram_block, mu_gram, _primitive_tau_coeffs):
+        f.cache_clear()
+
+
+def test_kinematic_paths_run_no_elimination(monkeypatch):
+    # the Tasaki inverse of the production paths is the closed matrix,
+    # certified by T M = I, so cold caches never reach the elimination
+    # routine of uval.linalg; only the oracle route eliminates
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(uval.linalg, "_bareiss", refuse)
+    _clear_tasaki_caches()
+    for n in range(1, 9):
+        m = Valuation(n, {(k, q): q + 1 for k in range(2 * n + 1) for q in q_range(n, k)})
+        principal_kinematic(n)
+        assert kinematic(n, m).blocks and additive_kinematic(n, m).blocks, n
+        for k in range(2 * n + 1):
+            for p in q_range(n, k):
+                assert not nu(n, k, p).is_zero, (n, k, p)
+        for test in (is_positive, is_monotone, is_crofton_positive):
+            test(m)
+    with pytest.raises(AssertionError, match="eliminated"):
+        tasaki_matrix_oracle(8, 8)
+
+
+def test_tasaki_inverse_certificate_rejects_wrong_matrix(monkeypatch):
+    module = importlib.import_module("uval.kinematic")
+    e, den, rows = module._tasaki_closed(3, 2)
+    wrong = (e, den, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:]))
+    monkeypatch.setattr(module, "_tasaki_closed", lambda n, k: wrong)
+    module._tasaki_inverse.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="n=3, k=2"):
+            module._tasaki_inverse(3, 2)
+    finally:
+        module._tasaki_inverse.cache_clear()
+
+
+def test_principal_kinematic_n48_within_2s():
+    # cold principal_kinematic at n = 48 in a fresh interpreter: the blocks
+    # read the certified closed inverse, where one elimination per degree
+    # took 3-4 s
+    script = "from uval.kinematic import principal_kinematic; print(len(principal_kinematic(48).blocks))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 97
 
 
 def test_kinematic_of_chi_is_principal():
