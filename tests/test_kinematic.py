@@ -163,13 +163,6 @@ def test_principal_route_mismatch_raises(monkeypatch):
     kinematic(3, chi(3))  # the Gram-inverse route alone is unaffected
 
 
-def _clear_tasaki_caches():
-    module = importlib.import_module("uval.kinematic")
-    for f in (module._tasaki_closed, module._tasaki_gram, module._tasaki_inverse,
-              module._kinematic_block, tasaki_matrix_oracle, _gram_block, mu_gram, _primitive_tau_coeffs):
-        f.cache_clear()
-
-
 def test_kinematic_paths_run_no_elimination(monkeypatch):
     # the Tasaki inverse of the production paths is the closed matrix,
     # certified by T M = I, so cold caches never reach the elimination
@@ -178,7 +171,10 @@ def test_kinematic_paths_run_no_elimination(monkeypatch):
         raise AssertionError("eliminated")
 
     monkeypatch.setattr(uval.linalg, "_bareiss", refuse)
-    _clear_tasaki_caches()
+    module = importlib.import_module("uval.kinematic")
+    for f in (module._tasaki_closed, module._tasaki_gram, module._tasaki_inverse,
+              module._kinematic_block, tasaki_matrix_oracle, _gram_block, mu_gram, _primitive_tau_coeffs):
+        f.cache_clear()
     for n in range(1, 9):
         m = Valuation(n, {(k, q): q + 1 for k in range(2 * n + 1) for q in q_range(n, k)})
         principal_kinematic(n)
