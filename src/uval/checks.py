@@ -465,9 +465,13 @@ def check_printed_tasaki_matrices(level: str) -> None:
 
 
 def check_principal_kinematic(level: str) -> None:
+    """principal_kinematic against the assembly kinematic(n, chi(n)) and the
+    oracle-based _kinematic_reference(n, chi(n)), which reads no closed matrix."""
     top_n = 4 if level == "full" else 2
     for n in range(1, top_n + 1):
-        pk = principal_kinematic(n)  # compares both routes
+        pk = principal_kinematic(n)
+        assert pk == kinematic(n, chi(n)), n
+        assert pk == _kinematic_reference(n, chi(n)), n
         assert pk.block(0, 2 * n) == ((Scalar.one(),),)
         assert pk.block(2 * n, 0) == ((Scalar.one(),),)
     pk1 = principal_kinematic(1)

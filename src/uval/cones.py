@@ -24,22 +24,21 @@ All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block comes from the integer Tasaki Gram matrix M
 of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
-and delta is a cached table, so every sign goes to scalar.int_sign.
-Scalars are built only for results: mu_gram, nu_coeffs, the norms and
-the coefficients of a CurvExpr; a failure's witness text is written from
-its integers by scalar._parts_text, as str(Scalar) is.
+and delta is a cached integer table, so every sign goes to scalar.int_sign.
+Scalars are built only for results: nu_coeffs, the norms and the
+coefficients of a CurvExpr; a failure's witness text is written from its
+integers by scalar._parts_text, as str(Scalar) is.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Mapping, Optional
 
 from .kinematic import _tasaki_gram, _tasaki_inverse
-from .scalar import Scalar, _Record, _parts_text, _scalars, binomial, factorial, int_sign, omega
+from .scalar import Scalar, _Record, _parts_text, binomial, int_sign, omega
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "CurvExpr",
     "nu",
     "nu_coeffs",
-    "mu_gram",
     "is_positive",
     "is_monotone",
     "is_crofton_positive",
@@ -82,14 +80,6 @@ _MEMBER = ConeVerdict(True)
 
 # ----------------------------------------------------------------------
 # dual basis and Crofton positivity
-
-@lru_cache(maxsize=None)
-def mu_gram(n: int, k: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Gram matrix G_pq = <mu_{k,p}, mu_{k,q}> of the symmetric pairing,
-    as Scalars read from _gram_block."""
-    columns, den, e = _gram_block(n, k)
-    return tuple(tuple(_scalars({e: c}, den, len(c))) for c in columns)
-
 
 @lru_cache(maxsize=None)
 def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
@@ -281,36 +271,29 @@ class CurvExpr(_Record):
 
 
 @lru_cache(maxsize=None)
-def _c_const(n: int, k: int, q: int) -> Scalar:
-    """c_{n,k,q} = 1/(q! (n-k+q)! (k-2q)! omega_{2n-k})."""
-    return Scalar.of(
-        Fraction(1, factorial(q) * factorial(n - k + q) * factorial(k - 2 * q))
-    ) / omega(2 * n - k)
-
-
-@lru_cache(maxsize=None)
-def _delta_table(n: int, k: int) -> tuple[int, tuple[tuple, ...]]:
-    """delta(mu_{k,q}) over one common denominator: (den, rows), rows[q]
-    listing (symbol key, pi exponent, numerator), () outside q_range.  The
-    four-term expression here is the only source of these constants."""
-    terms = []
+def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
+    """delta(mu_{k,q}) as (e, den, rows), rows[q] listing (symbol key, x)
+    for the coefficient x * pi^e / den, () outside q_range.  Each coefficient
+    of the four-term c_{n,k,q} expression is an integer times w =
+    omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those of
+    Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are 2(m+1)(k-2q),
+    -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1); zeros are dropped."""
+    e1, w1 = omega(2 * n - k + 1).monomial()
+    e0, w0 = omega(2 * n - k).monomial()
+    w = w1 / w0
+    rows = []
     for q in range(k // 2 + 1):
         row = []
         if q in q_range(n, k):
-            c2 = _c_const(n, k, q) * 2
+            m = n + q - k
             if k - 1 >= 2 * q:
-                r_same = c2 / _c_const(n, k - 1, q)
-                row.append((("Gamma", k - 1, q), r_same * (k - 2 * q) ** 2))
-                row.append((("B", k - 1, q), r_same * (-(k - 2 * q) * (k - 2 * q - 1))))
+                row += [(("Gamma", k - 1, q), 2 * (m + 1) * (k - 2 * q)),
+                        (("B", k - 1, q), -2 * (m + 1) * (k - 2 * q - 1))]
             if q >= 1:
-                r_down = c2 / _c_const(n, k - 1, q - 1)
-                row.append((("Gamma", k - 1, q - 1), r_down * (-(n + q - k) * q)))
-                row.append((("B", k - 1, q - 1), r_down * Fraction(q * (2 * (n + q - k) + 1), 2)))
-        terms.append([(key, *c.monomial()) for key, c in row if not c.is_zero])
-    den = lcm(1, *(c.denominator for row in terms for _, _, c in row))
-    return den, tuple(
-        tuple((key, e, int(c * den)) for key, e, c in row) for row in terms
-    )
+                row += [(("Gamma", k - 1, q - 1), -2 * (k + 1 - 2 * q) * m),
+                        (("B", k - 1, q - 1), (k + 1 - 2 * q) * (2 * m + 1))]
+        rows.append(tuple((key, w.numerator * x) for key, x in row if x))
+    return e1 - e0, w.denominator, tuple(rows)
 
 
 def first_variation(n: int, v: Valuation) -> CurvExpr:
@@ -325,14 +308,15 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     for k, by_e in v._parts.items():
         if k == 0:
             continue
-        den, rows = _delta_table(n, k)
+        shift, den, rows = _delta_table(n, k)
         acc: dict[tuple[str, int, int], dict[int, int]] = {}
         for e, a in by_e.items():
+            f = e + shift
             for x, row in zip(a, rows):
                 if x:
-                    for key, f, c in row:
+                    for key, c in row:
                         t = acc.setdefault(key, {})
-                        t[e + f] = t.get(e + f, 0) + c * x
+                        t[f] = t.get(f, 0) + c * x
         for key, t in acc.items():
             if any(t.values()):
                 terms[key] = Scalar.from_parts(t, den * v._den)

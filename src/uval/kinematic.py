@@ -26,10 +26,10 @@ The Tasaki matrices T^n_k = K = M^{-1} are closed: the sum T^n_k = sum_r
 e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive (Lefschetz) basis,
 where the pairing is diagonal, e_r the tau-expansion of pi_{k,r} from
 :mod:`uval.sl2`.  The kinematic and additive blocks, principal_kinematic
-and cones.nu read it, certified per degree by T M = I in int against the
-pairings, a proof of T = M^{-1}.  Only tasaki_matrix_oracle eliminates M:
-the independent route of check_tasaki_routes and of the reference
-kinematic in :mod:`uval.checks`.
+(block (k, 2n-k) is T^n_{min(k, 2n-k)}) and cones.nu read it, certified
+per degree by T M = I in int against the pairings, a proof of T = M^{-1}.
+Only tasaki_matrix_oracle eliminates M: the independent route of
+check_tasaki_routes and of the reference kinematic in :mod:`uval.checks`.
 
 Block convention: the leg of degree a is expressed in tau_{a, .} when
 a <= n and in the Fourier-transformed basis F(tau_{2n-a, .}) otherwise,
@@ -152,6 +152,11 @@ def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
     )
 
 
+def _scalar_rows(e: int, den: int, rows) -> tuple[tuple[Scalar, ...], ...]:
+    """The Scalar matrix of (e, den, rows): entry (i, j) is rows[i][j] * pi^e / den."""
+    return tuple(tuple(_scalars({e: row}, den, len(row))) for row in rows)
+
+
 @lru_cache(maxsize=None)
 def _tasaki_closed(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """T^n_k = sum_r e_r e_r^T / (pi_{k,r}, F(pi_{k,r})) over r = 0..k/2, e_r
@@ -186,8 +191,7 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
         raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     if n < 1:
         raise ValueError("ambient complex dimension must be >= 1")
-    e, den, rows = _tasaki_closed(n, k)
-    return TasakiMatrix(n, k, tuple(tuple(_scalars({e: row}, den, len(row))) for row in rows))
+    return TasakiMatrix(n, k, _scalar_rows(*_tasaki_closed(n, k)))
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +232,19 @@ def _tasaki_inverse(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ..
 @lru_cache(maxsize=None)
 def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     """T^n_k as the exact inverse of M_ij = (tau_{k,i}, F(tau_{k,j})), the
-    independent route and the package's one elimination of a Gram matrix."""
+    independent route and the package's one elimination of a Gram matrix.
+    The row and then the column gcds are divided out first, M = D_r M' D_c,
+    and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     e, den, rows = _tasaki_gram(n, k)
-    d, inv = inverse(den, rows)
-    return TasakiMatrix(n, k, tuple(tuple(_scalars({-e: row}, d, len(row))) for row in inv))
+    r = [gcd(*row) for row in rows]
+    rows = [[x // g for x in row] for row, g in zip(rows, r)]
+    c = [gcd(*col) for col in zip(*rows)]
+    d, inv = inverse(den, [[x // g for x, g in zip(row, c)] for row in rows])
+    lr, lc = lcm(*r), lcm(*c)
+    inv = [[x * (lc // ci) * (lr // rj) for x, rj in zip(row, r)] for row, ci in zip(inv, c)]
+    return TasakiMatrix(n, k, _scalar_rows(-e, d * lc * lr, inv))
 
 
 # ----------------------------------------------------------------------
@@ -385,19 +396,16 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
 def principal_kinematic(n: int) -> KinematicTensor:
     """The principal kinematic tensor k(chi).
 
-    Assembled by :func:`kinematic` from the certified closed Tasaki
-    inverses; block (k, 2n-k) is T^n_{min(k, 2n-k)}.  Every block is
-    compared with tasaki_matrix_closed(n, min(k, 2n-k)), each computed
-    once, which checks the assembly; T M = I checks the closed route.
+    Block (k, 2n-k) is T^n_{min(k, 2n-k)}, read from the certified closed
+    Tasaki inverse: chi is the unit, so k(chi) has no other block, and a
+    closed matrix that fails T M = I raises here.  check_principal_kinematic
+    compares the tensor with kinematic(n, chi(n)) and with the oracle-based
+    reference route.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tensor = kinematic(n, chi(n))
-    closed = [tasaki_matrix_closed(n, k).entries for k in range(n + 1)]
-    want = {(k, 2 * n - k): closed[min(k, 2 * n - k)] for k in range(2 * n + 1)}
-    if want != tensor.blocks:
-        raise AssertionError(f"principal kinematic routes disagree at n={n}")
-    return tensor
+    blocks = [_scalar_rows(*_tasaki_inverse(n, k)) for k in range(n + 1)]
+    return KinematicTensor(n, chi(n), {(k, 2 * n - k): blocks[min(k, 2 * n - k)] for k in range(2 * n + 1)})
 
 
 def additive_kinematic(n: int, m: Valuation) -> KinematicTensor:
@@ -439,7 +447,7 @@ def bezout_check(n: int, a: int, b: int) -> Scalar:
     """
     if a < 1 or b < 1 or a + b != n:
         raise ValueError("bezout_check needs a, b >= 1 with a + b = n")
-    tensor = cpn_normalize(kinematic(n, chi(n)))
+    tensor = cpn_normalize(principal_kinematic(n))
     block = tensor.block(2 * a, 2 * b)
 
     def leg_values(deg: int, cdim_self: int, cdim_other: int) -> list[Scalar]:

@@ -17,7 +17,6 @@ from uval.cones import (
     is_crofton_positive,
     is_monotone,
     is_positive,
-    mu_gram,
     norm_inf,
     norm_one,
     nu,
@@ -54,22 +53,21 @@ def test_nu_dual_basis():
 
 
 def test_nu_coeffs_is_gram_row():
-    g = mu_gram(2, 2)
-    assert g == ((Scalar.of(4), Scalar.of(-2)), (Scalar.of(-2), Scalar.of(3)))
+    assert nu_coeffs(mu(2, 2, 0), 2) == [Scalar.of(4), Scalar.of(-2)]
     assert nu_coeffs(mu(2, 2, 1), 2) == [Scalar.of(-2), Scalar.of(3)]
-    # mu_gram is derived from the Tasaki Gram matrix; the direct pairing
-    # checks every entry
+    # nu_coeffs(mu_{k,p}) is row p of the Gram block derived from the Tasaki
+    # Gram matrix; the direct pairing checks every entry
     for n in range(1, 9):
         for k in range(2 * n + 1):
             qs = q_range(n, k)
-            g = mu_gram(n, k)
             for p in qs:
+                row = nu_coeffs(mu(n, k, p), k)
                 for q in qs:
-                    assert g[p - qs.start][q - qs.start] == pairing_fourier(mu(n, k, p), mu(n, k, q)), (n, k, p, q)
+                    assert row[q - qs.start] == pairing_fourier(mu(n, k, p), mu(n, k, q)), (n, k, p, q)
 
 
 def test_out_of_range_degree_is_refused():
-    for call in (lambda: mu_gram(2, 5), lambda: nu(2, 5, 0), lambda: nu_coeffs(Valuation.zero(2), 5)):
+    for call in (lambda: nu(2, 5, 0), lambda: nu_coeffs(Valuation.zero(2), 5)):
         with pytest.raises(ValueError, match="^degree 5 out of range for n=2$"):
             call()
 

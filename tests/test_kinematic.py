@@ -4,20 +4,21 @@ import importlib
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import uval.linalg
 from uval.checks import (
     check_primitive_pairing,
+    check_principal_kinematic,
     check_printed_tasaki_matrices,
     check_tasaki_positive_definite,
     check_tasaki_routes,
     check_tasaki_symmetries,
 )
-from uval.cones import _gram_block, is_crofton_positive, is_monotone, is_positive, mu_gram, nu
+from uval.cones import _gram_block, is_crofton_positive, is_monotone, is_positive, nu
 from uval.kinematic import (
-    TasakiMatrix,
     additive_kinematic,
     basis_label,
     bezout_check,
@@ -77,8 +78,8 @@ def test_oracle_examples():
     assert tasaki_matrix_oracle(1, 0).entries == ((Scalar.one(),),)
 
 
-def test_closed_printed_n2():
-    check_printed_tasaki_matrices("full")
+def test_printed_tasaki_matrices():
+    check_printed_tasaki_matrices("full")  # T^n_2, T^n_3 and T^n_4 for n <= 8
 
 
 def test_closed_printed_n3():
@@ -120,6 +121,29 @@ def test_out_of_range_rejected():
         tasaki_matrix_oracle(2, 3)
 
 
+def test_oracle_eliminates_gcd_free_gram(monkeypatch):
+    # the oracle divides the row and column gcds out of the Gram integers
+    # before it eliminates, and puts them back with the same entries
+    module = importlib.import_module("uval.kinematic")
+    sizes = []
+
+    def checked(den, ints):
+        assert all(gcd(*row) == 1 for row in ints), ints
+        assert all(gcd(*col) == 1 for col in zip(*ints)), ints
+        sizes.append(len(ints))
+        return uval.linalg.inverse(den, ints)
+
+    monkeypatch.setattr(module, "inverse", checked)
+    tasaki_matrix_oracle.cache_clear()
+    try:
+        for n in range(1, 17):
+            for k in range(n + 1):
+                assert tasaki_matrix_oracle(n, k).entries == tasaki_matrix_closed(n, k).entries, (n, k)
+    finally:
+        tasaki_matrix_oracle.cache_clear()
+    assert len(sizes) == sum(n + 1 for n in range(1, 17))
+
+
 def test_pretty():
     assert tasaki_matrix_closed(2, 2).pretty() == "1/8 * [[3,-1],[-1,3]]"
 
@@ -136,7 +160,7 @@ def test_principal_n1_classical():
 
 
 def test_principal_routes_compared():
-    # principal_kinematic raises if a block differs from the closed primitive-basis matrix
+    # the middle block of k(chi), read from the closed inverse, against the oracle
     for n in range(1, 5):
         pk = principal_kinematic(n)
         assert pk.block(0, 2 * n) == ((Scalar.one(),),)
@@ -146,21 +170,34 @@ def test_principal_routes_compared():
 
 
 def test_principal_route_mismatch_raises(monkeypatch):
+    # the registry check compares principal_kinematic with kinematic(n, chi(n)):
+    # a wrong integer block of the assembly fails it at n = 1
     module = importlib.import_module("uval.kinematic")
-    closed = module.tasaki_matrix_closed
+    block = module._kinematic_block
 
-    def perturbed(n, k):
-        t = closed(n, k)
-        if k != 2:
-            return t
-        rows = [list(row) for row in t.entries]
-        rows[0][0] = rows[0][0] + Scalar.one()
-        return TasakiMatrix(n, k, tuple(tuple(row) for row in rows))
+    def perturbed(n, c, k):
+        e, den, ((q, w), *rest) = block(n, c, k)
+        return e, den, ((q, (w[0] + 1, *w[1:])), *rest)
 
-    monkeypatch.setattr(module, "tasaki_matrix_closed", perturbed)
-    with pytest.raises(AssertionError, match="routes disagree"):
-        principal_kinematic(3)
-    kinematic(3, chi(3))  # the Gram-inverse route alone is unaffected
+    monkeypatch.setattr(module, "_kinematic_block", perturbed)
+    with pytest.raises(AssertionError, match="^1$"):
+        check_principal_kinematic("quick")
+
+
+def test_principal_kinematic_runs_the_certificate(monkeypatch):
+    # principal_kinematic reads the certified closed inverse, so a wrong
+    # closed matrix fails T M = I on the way to k(chi)
+    module = importlib.import_module("uval.kinematic")
+    closed = module._tasaki_closed
+    e, den, rows = closed(3, 2)
+    wrong = (e, den, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:]))
+    monkeypatch.setattr(module, "_tasaki_closed", lambda n, k: wrong if (n, k) == (3, 2) else closed(n, k))
+    module._tasaki_inverse.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="n=3, k=2"):
+            principal_kinematic(3)
+    finally:
+        module._tasaki_inverse.cache_clear()
 
 
 def test_kinematic_paths_run_no_elimination(monkeypatch):
@@ -173,7 +210,7 @@ def test_kinematic_paths_run_no_elimination(monkeypatch):
     monkeypatch.setattr(uval.linalg, "_bareiss", refuse)
     module = importlib.import_module("uval.kinematic")
     for f in (module._tasaki_closed, module._tasaki_gram, module._tasaki_inverse,
-              module._kinematic_block, tasaki_matrix_oracle, _gram_block, mu_gram, _primitive_tau_coeffs):
+              module._kinematic_block, tasaki_matrix_oracle, _gram_block, _primitive_tau_coeffs):
         f.cache_clear()
     for n in range(1, 9):
         m = Valuation(n, {(k, q): q + 1 for k in range(2 * n + 1) for q in q_range(n, k)})

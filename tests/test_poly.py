@@ -67,10 +67,8 @@ def test_f_closed_values():
 
 
 def test_f_routes_agree():
-    check_relation_polynomials("full")
-
-
-def test_f_degree_and_leading_coefficient():
+    # recursion against the closed sum, the degree and the leading
+    # coefficient in the (s, t) chart, for k <= 16
     check_relation_polynomials("full")
 
 

@@ -16,7 +16,6 @@ from uval.checks import (
     check_lambda_normalization,
     check_lefschetz_decomposition,
     check_primitive_elements,
-    check_primitive_pairing,
     check_sl2_commutators,
 )
 from uval.scalar import Scalar, factorial
@@ -96,11 +95,9 @@ def test_primitive_base_cases():
         primitive(3, 2)  # 2r > n
 
 
-def test_primitive_is_primitive():
-    check_primitive_elements("full")
-
-
 def test_primitive_general_two_routes():
+    # primitivity, L^(k-2r) pi_{2r} against the closed pi_{k,r}, and the
+    # magic formula, for n <= 6
     check_primitive_elements("full")
     with pytest.raises(ValueError):
         primitive_general(3, 6, 1)  # k > 2n - 2r
@@ -110,14 +107,6 @@ def test_pi_k0_is_scaled_intrinsic_volume():
     for n in (2, 4):
         for k in range(0, 2 * n + 1):
             assert primitive_general(n, k, 0) == tau(n, k, 0) * factorial(k)
-
-
-def test_magic_formula():
-    check_primitive_elements("full")
-
-
-def test_primitive_orthogonality():
-    check_primitive_pairing("full")
 
 
 def test_lambda_matches_derivative_normalization():
