@@ -17,10 +17,10 @@ sums the cached blocks in int and builds one Scalar per entry at the
 end.  The per-basis route in Scalar arithmetic is kept as the reference
 in :mod:`uval.checks`.
 
-Every pairing is read by one private reader from the integer degree-2n
-coordinate of the product.  It gives pairing_pd and the cached Tasaki
-Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), the only pairing matrix of
-the package: uval.cones derives its Gram blocks from M.
+pairing_pd is the volume coefficient of the product.  The blocks and the
+cached Tasaki Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), the only
+pairing matrix of the package (uval.cones derives its Gram blocks from
+M), read their products of basis elements from valuation._basis_products.
 
 The Tasaki matrices T^n_k = K = M^{-1} are closed: the sum T^n_k = sum_r
 e_r e_r^T / (pi_{k,r}, F pi_{k,r}) over the primitive (Lefschetz) basis,
@@ -50,14 +50,14 @@ from .scalar import Scalar, _Record, _scalars, binomial, double_factorial, facto
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
+    canonical_basis,
     chi,
     dim_val,
     fourier,
-    mu,
+    multiply,
     q_range,
-    tau,
 )
-from .valuation import _degree_pair, _product_coords
+from .valuation import _basis_products
 
 __all__ = [
     "pairing_pd",
@@ -77,20 +77,9 @@ __all__ = [
 ]
 
 
-def _pairing(a: Valuation, b: Valuation) -> tuple[int, dict[int, int]]:
-    """The reader behind every pairing: (a, b) as (den, {e: x}), the value
-    sum_e x pi^e / den, from the degree-2n coordinate of the product."""
-    if a.n != b.n:
-        raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
-    den, coords = _product_coords(a.n, a, b, 2 * a.n)
-    return den, {e: z[0] for e, z in coords.items()}
-
-
 def pairing_pd(a: Valuation, b: Valuation) -> Scalar:
-    """Poincare duality pairing: the volume coefficient of the product,
-    read by _pairing with no product Valuation built."""
-    den, parts = _pairing(a, b)
-    return Scalar.from_parts(parts, den)
+    """Poincare duality pairing: the volume coefficient of the product."""
+    return multiply(a, b).coefficient(2 * a.n, a.n)
 
 
 def pairing_fourier(a: Valuation, b: Valuation) -> Scalar:
@@ -198,20 +187,16 @@ def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
 def _tasaki_gram(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """The pairing Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), 0 <= k <= n,
     as (e, den, rows): entry (i, j) is rows[i][j] * pi^e / den, with no
-    common factor of den and the entries.  M is symmetric, so each pair
-    i <= j is read once; entries with another pi power or denominator raise."""
-    taus = [tau(n, k, i) for i in range(k // 2 + 1)]
-    cells = [[None] * len(taus) for _ in taus]
-    for j, b in enumerate(taus):
-        f = fourier(b)
-        for i in range(j + 1):
-            cells[i][j] = cells[j][i] = _pairing(taus[i], f)
-    kinds = {(d, e) for row in cells for d, x in row for e in x}
-    if len(kinds) != 1:
-        raise AssertionError(f"Gram matrix at n={n}, k={k} is not one pi power over one denominator")
-    ((den, e),) = kinds
-    g = gcd(den, *(x.get(e, 0) for row in cells for _, x in row))
-    return e, den // g, tuple(tuple(x.get(e, 0) // g for _, x in row) for row in cells)
+    common factor of den and the entries, read from the product formula
+    alone (the route independent of _tasaki_closed).  M is symmetric, and
+    M_ji is the volume coordinate of F(tau_{k,i}) tau_{k,j}, F(tau_{k,i})
+    being canonical_basis(n, 2n - k)[i]."""
+    rows = []
+    for psi in canonical_basis(n, 2 * n - k):
+        e, den, products = _basis_products(n, 2 * n - k, psi._parts[2 * n - k][0], k)
+        rows.append([z[0] for z in products])
+    g = gcd(den, *(x for row in rows for x in row))
+    return e, den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +236,8 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
 # kinematic tensors
 
 def basis_label(n: int, a: int) -> str:
-    """Canonical basis name for the degree-a leg of a tensor block."""
+    """The name of canonical_basis(n, a), the degree-a leg of a tensor block."""
     return f"tau[{a}]" if a <= n else f"F(tau[{2 * n - a}])"
-
-
-def canonical_basis(n: int, a: int) -> list[Valuation]:
-    """The canonical basis of the degree-a piece matching basis_label."""
-    if a <= n:
-        return [tau(n, a, i) for i in range(dim_val(n, a))]
-    return [fourier(tau(n, 2 * n - a, i)) for i in range(dim_val(n, a))]
 
 
 class KinematicTensor(_Record):
@@ -325,22 +303,16 @@ def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int,
     with dim = dim_val(n, k).  None if the block is zero for every q.
 
     Row q's integers are sum_i A_q[i][row] K[i][j], a plain int product of
-    the integer tau-coordinates A_q[i] of mu_{c,q} phi_i and the integer
-    inverse Gram block K of degree k from _tasaki_inverse.  mu_{c,q} and
-    phi_i have integer coordinates and no pi, so every product has one pi
-    exponent, the one of omega_{c+k}/(omega_c omega_k), and the same
-    denominator.
+    the integer tau-coordinates A_q[i] of mu_{c,q} phi_i, one row of
+    _basis_products, and the integer inverse Gram block K of degree k from
+    _tasaki_inverse.  Every product has the one pi exponent of
+    omega_{c+k}/(omega_c omega_k) and the same denominator.
     """
-    basis = canonical_basis(n, k)
     ek, dk, kmat = _tasaki_inverse(n, min(k, 2 * n - k))
     cols = list(zip(*kmat))
-    ea, zero = _degree_pair(c, k)[0], [0] * dim_val(n, c + k)
     rows = []
     for q in q_range(n, c):
-        a = []
-        for phi in basis:
-            da, parts = _product_coords(n, mu(n, c, q), phi, c + k)
-            a.append(parts.get(ea, zero))
+        ea, da, a = _basis_products(n, c, [int(i == q) for i in range(c // 2 + 1)], k)
         rows.append((q, [sum(map(mul, row, col)) for row in zip(*a) for col in cols]))
     g = gcd(*(x for _, w in rows for x in w))
     if not g:

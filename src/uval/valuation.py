@@ -30,7 +30,9 @@ Tasaki product formula on the stored integer vectors, with the pi
 exponents of each coordinate packed as the digits of one int, so the
 formula runs once per pair of degrees; the quotient-map route
 from_monomial(n, to_monomial(a) * to_monomial(b)), in Scalar and
-GradedPoly arithmetic, is kept as its independent cross-check.
+GradedPoly arithmetic, is kept as its independent cross-check.  The
+kinematic blocks and the Tasaki Gram matrix run the same formula loop on
+unpacked integer vectors (_basis_products).
 """
 
 from __future__ import annotations
@@ -506,15 +508,21 @@ def _packed_product(n: int, a: Valuation, b: Valuation) -> tuple[int, int, int, 
     xa, yb = _packed_lift(a, ea, w), _packed_lift(b, eb, w)
     acc: dict[int, list[int]] = {}
     for k, l, (e, f, _, weights) in pairs:
-        y, m = yb[l], k + l
+        m = k + l
         z = acc.get(m) or acc.setdefault(m, [0] * (m // 2 + 1))
-        f <<= (e - low) * w  # moves every digit up e - low places
-        for xi, row in zip(xa[k], weights):
-            if xi:
-                xi *= f
-                for j, s, wt in row:
-                    z[s] += wt * xi * y[j]
+        _tau_product(z, f << (e - low) * w, weights, xa[k], yb[l])  # the shift moves every digit up e - low places
     return w, ea + eb + low, count, acc
+
+
+def _tau_product(z: list[int], f: int, weights, x: Sequence[int], y: Sequence[int]) -> None:
+    """The product formula of one degree pair: adds f * weight * x_i * y_j
+    into z[s], s = i + j, over the (j, s, weight) rows of _degree_pair(k, l),
+    x and y the global Tasaki coordinates of the degree-k and degree-l factors."""
+    for xi, row in zip(x, weights):
+        if xi:
+            xi *= f
+            for j, s, wt in row:
+                z[s] += wt * xi * y[j]
 
 
 def _unpack(n: int, w: int, e0: int, count: int, packed: dict[int, list[int]]) -> dict[int, list]:
@@ -568,13 +576,25 @@ def multiply(a: Valuation, b: Valuation) -> Valuation:
     return _raw(n, den // g, parts)
 
 
-def _product_coords(n: int, a: Valuation, b: Valuation, m: int) -> tuple[int, dict[int, list[int]]]:
-    """tau_coords(multiply(a, b), m) in integers: (den, {e: coords}), the
-    pi^e part of canonical coordinate j being coords[j] / den; pi
-    exponents whose coordinates all vanish are left out."""
-    w, e0, count, packed = _packed_product(n, a, b)
-    digits = _unpack(n, w, e0, count, {m: packed[m]} if m in packed else {})
-    return a._den * b._den * _shift_denominator(m), {e: _canonical_coords(n, m, z) for e, z in digits.get(m, ())}
+@lru_cache(maxsize=None)
+def _basis_lift(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The global Tasaki coordinates of canonical_basis(n, k)."""
+    return tuple(tuple(_lift_vector(k, v._parts[k][0])) for v in canonical_basis(n, k))
+
+
+def _basis_products(n: int, c: int, a: Sequence[int], k: int) -> tuple[int, int, list[list[int]]]:
+    """The products of the degree-c element with integer mu-coordinates a
+    (indexed by q, no pi) and canonical_basis(n, k), c + k <= 2n, as (e, den,
+    rows): row i holds the canonical degree-(c+k) coordinates of a phi_i,
+    entry j being rows[i][j] * pi^e / den.  phi_i is the outer factor of the
+    product formula, which skips its zero coordinates: all but one of tau_{k,i}."""
+    e, f, _, weights = _degree_pair(k, c)
+    x, m, rows = _lift_vector(c, a), c + k, []
+    for y in _basis_lift(n, k):
+        z = [0] * (m // 2 + 1)
+        _tau_product(z, f, weights, y, x)
+        rows.append(_canonical_coords(n, m, _restrict(n, m, z)))
+    return e, _shift_denominator(m), rows
 
 
 # ----------------------------------------------------------------------
@@ -624,6 +644,12 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
         raise ValueError(f"degree {k} out of range for n={n}")
     coords = {e: _canonical_coords(n, k, a) for e, a in v._parts.get(k, {}).items()}
     return _scalars(coords, v._den, dim_val(n, k))
+
+
+def canonical_basis(n: int, k: int) -> list[Valuation]:
+    """The canonical degree-k basis that tau_coords reads: tau_{k,i} for
+    k <= n, F(tau_{2n-k,i}) above the middle degree."""
+    return [tau(n, k, i) if k <= n else fourier(tau(n, 2 * n - k, i)) for i in range(dim_val(n, k))]
 
 
 def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:

@@ -22,6 +22,7 @@ from uval.kinematic import (
     additive_kinematic,
     basis_label,
     bezout_check,
+    canonical_basis,
     cpn_normalize,
     kinematic,
     pairing_fourier,
@@ -33,7 +34,19 @@ from uval.kinematic import (
 )
 from uval.scalar import Scalar
 from uval.sl2 import _primitive_tau_coeffs, primitive_general
-from uval.valuation import Valuation, chi, fourier, mu, q_range, tau, vol
+from uval.valuation import (
+    Valuation,
+    _basis_lift,
+    _basis_products,
+    chi,
+    fourier,
+    mu,
+    multiply,
+    q_range,
+    tau,
+    tau_coords,
+    vol,
+)
 
 
 def test_pairing_pd_examples():
@@ -57,6 +70,21 @@ def test_pairing_fourier_symmetric():
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
         pairing_pd(chi(2), chi(3))
+
+
+def test_basis_products_are_the_products():
+    # the rows that the kinematic blocks and the Tasaki Gram read are the
+    # canonical coordinates of mu_{c,q} phi_i, with no Valuation product built
+    for n in range(1, 7):
+        for c in range(2 * n + 1):
+            for k in range(2 * n - c + 1):
+                basis = canonical_basis(n, k)
+                for q in q_range(n, c):
+                    e, den, rows = _basis_products(n, c, [int(i == q) for i in range(c // 2 + 1)], k)
+                    assert len(rows) == len(basis), (n, c, k, q)
+                    for row, phi in zip(rows, basis):
+                        expected = tau_coords(multiply(mu(n, c, q), phi), c + k)
+                        assert [Scalar.from_parts({e: x}, den) for x in row] == expected, (n, c, k, q)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +238,7 @@ def test_kinematic_paths_run_no_elimination(monkeypatch):
     monkeypatch.setattr(uval.linalg, "_bareiss", refuse)
     module = importlib.import_module("uval.kinematic")
     for f in (module._tasaki_closed, module._tasaki_gram, module._tasaki_inverse,
-              module._kinematic_block, tasaki_matrix_oracle, _gram_block, _primitive_tau_coeffs):
+              module._kinematic_block, tasaki_matrix_oracle, _gram_block, _primitive_tau_coeffs, _basis_lift):
         f.cache_clear()
     for n in range(1, 9):
         m = Valuation(n, {(k, q): q + 1 for k in range(2 * n + 1) for q in q_range(n, k)})
@@ -246,6 +274,27 @@ def test_principal_kinematic_n48_within_2s():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 97
+
+
+def test_tasaki_matrix_oracle_n64_within_2s():
+    # the cold oracle at (64, 64) in a fresh interpreter: the Gram matrix
+    # from the product formula, then one gcd-free elimination
+    script = "from uval.kinematic import tasaki_matrix_oracle; print(tasaki_matrix_oracle(64, 64).size)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 33
+
+
+def test_kinematic_n16_within_2s():
+    # cold kinematic of (chi+t)^32 at n = 16 in a fresh interpreter: every
+    # block table of every degree pair is built from integer Tasaki vectors
+    script = (
+        "from uval.kinematic import kinematic; from uval.valspec import parse_valspec; "
+        "print(len(kinematic(16, parse_valspec('(chi+t)^32', 16)).blocks))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 561
 
 
 def test_kinematic_of_chi_is_principal():
