@@ -15,6 +15,7 @@ from fractions import Fraction
 from .cones import (
     CurvExpr,
     first_variation,
+    in_cone,
     is_crofton_positive,
     is_monotone,
     is_positive,
@@ -593,9 +594,9 @@ def check_cone_chain(level: str) -> None:
         for k in range(0, 2 * n + 1):
             qs = list(q_range(n, k))
             for v in _component_samples(rng, n, k, count):
-                in_cp = is_crofton_positive(v).member
-                in_m = is_monotone(v).member
-                in_p = is_positive(v).member
+                in_cp = in_cone(v, "CP")
+                in_m = in_cone(v, "M")
+                in_p = in_cone(v, "P")
                 assert (not in_cp) or in_m, (n, k, v)
                 assert (not in_m) or in_p, (n, k, v)
             # samples built inside CP: nonnegative nu combinations
@@ -603,8 +604,8 @@ def check_cone_chain(level: str) -> None:
                 v = Valuation.zero(n)
                 for q in qs:
                     v = v + nu(n, k, q) * rng.randint(0, 3)
-                assert is_crofton_positive(v).member
-                assert is_monotone(v).member and is_positive(v).member
+                assert in_cone(v, "CP")
+                assert in_cone(v, "M") and in_cone(v, "P")
 
 
 def check_cone_strictness_witnesses(level: str) -> None:

@@ -24,7 +24,11 @@ All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block comes from the integer Tasaki Gram matrix M
 of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
-and delta is a cached integer table, so every sign goes to scalar.int_sign.
+and delta is a cached dense integer table.  Each cone has one kernel on
+the store that returns its first failure.  A degree stored with one pi
+exponent is decided there by integer comparisons; every other sign goes
+to scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
+write the witness of a failure, in_cone only reports membership.
 Scalars are built only for results: nu_coeffs, the norms and the
 coefficients of a CurvExpr; a failure's witness text is written from its
 integers by scalar._parts_text, as str(Scalar) is.
@@ -38,7 +42,7 @@ from operator import mul
 from typing import Mapping, Optional
 
 from .kinematic import _tasaki_gram, _tasaki_inverse
-from .scalar import Scalar, _Record, _parts_text, binomial, int_sign, omega
+from .scalar import Scalar, _Record, _parts_text, _scalars, binomial, int_sign, omega
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "is_positive",
     "is_monotone",
     "is_crofton_positive",
+    "in_cone",
     "first_variation",
     "norm_inf",
     "norm_one",
@@ -76,6 +81,16 @@ class ConeVerdict(_Record):
 
 
 _MEMBER = ConeVerdict(True)
+_new = object.__new__
+_set_member, _set_witness = ConeVerdict.member.__set__, ConeVerdict.witness.__set__
+
+
+def _failure(witness: dict) -> ConeVerdict:
+    """ConeVerdict(False, witness), past the checks of __init__."""
+    verdict = _new(ConeVerdict)
+    _set_member(verdict, False)
+    _set_witness(verdict, witness)
+    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -144,35 +159,140 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
 
 # ----------------------------------------------------------------------
 # the three cones
+#
+# One kernel per cone reads the store (n, den, parts) of a Valuation and
+# returns None for a member, or its first failure as (kind, k, q, parts,
+# scale), the failing value being sum_e parts[e] pi^e / scale.  kind is the
+# witness kind for P and CP; for M it is 0 (the value on points) or the
+# family, 1 or 2, of the violated inequality.  A degree with one pi
+# exponent is decided by integer comparisons alone; the others go through
+# int_sign, whose den argument names the value in an UndecidableSignError.
+# The predicates write the witness of a failure eagerly (_verdict); in_cone
+# writes nothing.
+
+def _positive_failure(n: int, den: int, store) -> Optional[tuple]:
+    """The first negative mu coefficient, k and then q ascending."""
+    for k in sorted(store):
+        parts = store[k]
+        if len(parts) == 1:
+            ((e, a),) = parts.items()
+            if min(a) < 0:
+                q = next(q for q, x in enumerate(a) if x < 0)
+                return "negative_mu_coefficient", k, q, {e: a[q]}, den
+            continue
+        for q, column in enumerate(zip(*parts.values())):
+            if min(column) < 0:  # nonnegative numerators give a nonnegative coefficient
+                c = dict(zip(parts, column))
+                if int_sign(c, den) < 0:
+                    return "negative_mu_coefficient", k, q, c, den
+    return None
+
+
+def _crofton_failure(n: int, den: int, store) -> Optional[tuple]:
+    """The first negative nu coordinate, k and then q ascending."""
+    for k in sorted(store):
+        parts = store[k]
+        columns, gden, shift = _gram_block(n, k)
+        q0 = max(0, k - n)
+        if len(parts) == 1:
+            ((e, a),) = parts.items()
+            a = a[q0:]
+            for q, column in enumerate(columns, q0):
+                b = sum(map(mul, column, a))
+                if b < 0:
+                    return "negative_nu_coordinate", k, q, {e + shift: b}, den * gden
+            continue
+        for q, b in enumerate(_nu_parts(n, k, parts), q0):
+            if int_sign(b) < 0:
+                return "negative_nu_coordinate", k, q, b, den * gden
+    return None
+
+
+@lru_cache(maxsize=None)
+def _monotone_rows(n: int, k: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """The inequalities of M at degree k >= 1 as (family, q, i, x, j, y),
+    each asking a_i x - a_j y >= 0 of the mu coefficients, family 1 and then
+    family 2, q ascending; family 2 is taken times 2.  Indices outside the
+    valid mu range enter with coefficient zero."""
+    rows = []
+    for q in range(max(0, k - n), (k - 1) // 2 + 1):
+        # (k-2q) a_q - (k-2q-1) a_{q+1}; a_{q+1} is out of range only where
+        # its factor is 0
+        w = k - 2 * q - 1
+        rows.append((1, q, q, w + 1, q + 1 if w else q, w))
+    for q in range(max(0, k - n - 1), (k - 2) // 2 + 1):
+        # 2 * ((n+q-k+3/2) a_{q+1} - (n+q-k+1) a_q)
+        m = n + q - k
+        rows.append((2, q, q + 1, 2 * m + 3, q, 2 * m + 2))
+    return tuple(rows)
+
+
+def _monotone_failure(n: int, den: int, store) -> Optional[tuple]:
+    """A negative value on points, else the first violated inequality, k
+    ascending; the slack of family f is over f * den."""
+    parts = store.get(0, {})
+    if len(parts) == 1:
+        ((e, (c,)),) = parts.items()
+        if c < 0:
+            return 0, 0, 0, {e: c}, den
+    elif parts:
+        c0 = {e: a[0] for e, a in parts.items()}
+        if int_sign(c0, den) < 0:
+            return 0, 0, 0, c0, den
+    for k in sorted(store):
+        if k == 0:
+            continue
+        parts = store[k]
+        if len(parts) == 1:
+            ((e, a),) = parts.items()
+            for f, q, i, x, j, y in _monotone_rows(n, k):
+                slack = a[i] * x - a[j] * y
+                if slack < 0:
+                    return f, k, q, {e: slack}, f * den
+            continue
+        for f, q, i, x, j, y in _monotone_rows(n, k):
+            slack = {e: a[i] * x - a[j] * y for e, a in parts.items()}
+            if int_sign(slack) < 0:
+                return f, k, q, slack, f * den
+    return None
+
+
+_KERNELS = {"P": _positive_failure, "CP": _crofton_failure, "M": _monotone_failure}
+
+
+def _verdict(failure: Optional[tuple]) -> ConeVerdict:
+    """The ConeVerdict of a kernel's result, its witness text written from
+    the integers of the failure."""
+    if failure is None:
+        return _MEMBER
+    kind, k, q, parts, scale = failure
+    text = _parts_text(parts, scale)
+    if kind == 0:
+        return _failure({"kind": "negative_point_value", "value": text})
+    if kind in (1, 2):
+        return _failure({"kind": "inequality", "family": kind, "k": k, "q": q, "slack": text})
+    field = "coefficient" if kind == "negative_mu_coefficient" else "coordinate"
+    return _failure({"kind": kind, "k": k, "q": q, field: text})
+
+
+def in_cone(v: Valuation, cone: str) -> bool:
+    """Membership of v in the cone "P", "CP" or "M": the .member of
+    is_positive, is_crofton_positive or is_monotone, from the same kernel,
+    with no witness built."""
+    kernel = _KERNELS.get(cone)
+    if kernel is None:
+        raise ValueError(f"unknown cone {cone!r}: expected 'P', 'CP' or 'M'")
+    return kernel(v.n, v._den, v._parts) is None
+
 
 def is_positive(v: Valuation) -> ConeVerdict:
     """Membership in P: every mu coefficient nonnegative."""
-    den = v._den
-    for k in v.degrees():
-        parts = v._parts[k]
-        if min(map(min, parts.values())) >= 0:
-            continue  # nonnegative numerators give nonnegative coefficients
-        for q in range(k // 2 + 1):
-            c = {e: a[q] for e, a in parts.items()}
-            if int_sign(c, den) < 0:
-                return ConeVerdict(False, {
-                    "kind": "negative_mu_coefficient", "k": k, "q": q,
-                    "coefficient": _parts_text(c, den),
-                })
-    return _MEMBER
+    return _verdict(_positive_failure(v.n, v._den, v._parts))
 
 
 def is_crofton_positive(v: Valuation) -> ConeVerdict:
     """Membership in CP: every nu coordinate of every degree nonnegative."""
-    n, den = v.n, v._den
-    for k in v.degrees():
-        for q, b in zip(q_range(n, k), _nu_parts(n, k, v._parts[k])):
-            if int_sign(b) < 0:
-                return ConeVerdict(False, {
-                    "kind": "negative_nu_coordinate", "k": k, "q": q,
-                    "coordinate": _parts_text(b, den * _gram_block(n, k)[1]),
-                })
-    return _MEMBER
+    return _verdict(_crofton_failure(v.n, v._den, v._parts))
 
 
 def is_monotone(v: Valuation) -> ConeVerdict:
@@ -183,45 +303,7 @@ def is_monotone(v: Valuation) -> ConeVerdict:
     outside the valid mu range enter with coefficient zero, matching the
     local vanishing of the corresponding basis elements.
     """
-    n, den = v.n, v._den
-    c0 = {e: a[0] for e, a in v._parts.get(0, {}).items()}
-    if int_sign(c0, den) < 0:
-        return ConeVerdict(False, {
-            "kind": "negative_point_value", "value": _parts_text(c0, den),
-        })
-    for k in v.degrees():
-        if k == 0:
-            continue
-        verdict = _component_monotone(n, k, den, v._parts[k])
-        if not verdict.member:
-            return verdict
-    return _MEMBER
-
-
-def _component_monotone(n: int, k: int, den: int, parts: Mapping[int, tuple[int, ...]]) -> ConeVerdict:
-    """Both inequality families on the integer parts {e: [a_0..a_{k//2}]}
-    of one degree component over den; family 2 is taken times 2."""
-
-    def failure(family: int, q: int, slack: dict[int, int], scale: int) -> ConeVerdict:
-        return ConeVerdict(False, {
-            "kind": "inequality", "family": family, "k": k, "q": q,
-            "slack": _parts_text(slack, scale),
-        })
-
-    for q in range(max(0, k - n), (k - 1) // 2 + 1):
-        # (k-2q) a_q - (k-2q-1) a_{q+1}; a_{q+1} is out of range only where
-        # its factor is 0
-        w = k - 2 * q - 1
-        slack = {e: a[q] * (w + 1) - (a[q + 1] * w if w else 0) for e, a in parts.items()}
-        if int_sign(slack) < 0:
-            return failure(1, q, slack, den)
-    for q in range(max(0, k - n - 1), (k - 2) // 2 + 1):
-        # 2 * ((n+q-k+3/2) a_{q+1} - (n+q-k+1) a_q)
-        m = n + q - k
-        slack = {e: a[q + 1] * (2 * m + 3) - a[q] * (2 * m + 2) for e, a in parts.items()}
-        if int_sign(slack) < 0:
-            return failure(2, q, slack, 2 * den)
-    return _MEMBER
+    return _verdict(_monotone_failure(v.n, v._den, v._parts))
 
 
 # ----------------------------------------------------------------------
@@ -271,16 +353,20 @@ class CurvExpr(_Record):
 
 
 @lru_cache(maxsize=None)
-def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
-    """delta(mu_{k,q}) as (e, den, rows), rows[q] listing (symbol key, x)
-    for the coefficient x * pi^e / den, () outside q_range.  Each coefficient
-    of the four-term c_{n,k,q} expression is an integer times w =
-    omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those of
-    Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are 2(m+1)(k-2q),
-    -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1); zeros are dropped."""
+def _delta_table(n: int, k: int) -> tuple[int, int, tuple, tuple, tuple]:
+    """delta(mu_{k,q}) as a dense table (e, den, keys, columns, rows): the
+    coefficient of the symbol keys[j] in delta(mu_{k,q}) is columns[j][q] *
+    pi^e / den, q over 0..k//2 with zeros outside q_range.  rows[q] lists
+    the j with columns[j][q] != 0 in the order of the expression below, and
+    the keys come in the order the rows reach them, q ascending.  Each
+    coefficient of the four-term c_{n,k,q} expression is an integer times
+    w = omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those
+    of Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are
+    2(m+1)(k-2q), -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1)."""
     e1, w1 = omega(2 * n - k + 1).monomial()
     e0, w0 = omega(2 * n - k).monomial()
     w = w1 / w0
+    table: dict[tuple[str, int, int], list[int]] = {}
     rows = []
     for q in range(k // 2 + 1):
         row = []
@@ -292,8 +378,14 @@ def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
             if q >= 1:
                 row += [(("Gamma", k - 1, q - 1), -2 * (k + 1 - 2 * q) * m),
                         (("B", k - 1, q - 1), (k + 1 - 2 * q) * (2 * m + 1))]
-        rows.append(tuple((key, w.numerator * x) for key, x in row if x))
-    return e1 - e0, w.denominator, tuple(rows)
+        for key, x in row:
+            if x:
+                table.setdefault(key, [0] * (k // 2 + 1))[q] = w.numerator * x
+        rows.append(tuple(key for key, x in row if x))
+    keys = tuple(table)
+    index = {key: j for j, key in enumerate(keys)}
+    return (e1 - e0, w.denominator, keys, tuple(tuple(table[key]) for key in keys),
+            tuple(tuple(index[key] for key in row) for row in rows))
 
 
 def first_variation(n: int, v: Valuation) -> CurvExpr:
@@ -301,6 +393,9 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
 
     Linear extension of the four-term expression for delta(mu_{k,q}); the
     Euler characteristic spans the kernel.  Degree drops by exactly one.
+    The terms are in the order the table rows of the nonzero coefficients
+    reach their symbols, pi exponent by pi exponent and q ascending, which
+    fixes the term all_nonnegative meets first.
     """
     if v.n != n:
         raise ValueError(f"ambient dimension mismatch: {v.n} vs {n}")
@@ -308,19 +403,20 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     for k, by_e in v._parts.items():
         if k == 0:
             continue
-        shift, den, rows = _delta_table(n, k)
-        acc: dict[tuple[str, int, int], dict[int, int]] = {}
-        for e, a in by_e.items():
-            f = e + shift
-            for x, row in zip(a, rows):
-                if x:
-                    for key, c in row:
-                        t = acc.setdefault(key, {})
-                        t[f] = t.get(f, 0) + c * x
-        for key, t in acc.items():
-            if any(t.values()):
-                terms[key] = Scalar.from_parts(t, den * v._den)
-    return CurvExpr(n, terms)
+        shift, den, keys, columns, rows = _delta_table(n, k)
+        if next(iter(by_e.values())).count(0) != max(0, k - n):
+            # a zero in the first vector's q range: reach the symbols row by row
+            order = dict.fromkeys(j for a in by_e.values() for x, row in zip(a, rows) if x for j in row)
+            keys, columns = [keys[j] for j in order], [columns[j] for j in order]
+        acc = {e + shift: [sum(map(mul, column, a)) for column in columns] for e, a in by_e.items()}
+        for key, c in zip(keys, _scalars(acc, den * v._den, len(keys))):
+            if c:
+                terms[key] = c
+    # every key of _delta_table satisfies the index conditions of CurvExpr
+    expr = CurvExpr.__new__(CurvExpr)
+    object.__setattr__(expr, "n", n)
+    object.__setattr__(expr, "terms", terms)
+    return expr
 
 
 # ----------------------------------------------------------------------
@@ -329,12 +425,16 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
 def norm_inf(v: Valuation) -> Scalar:
     """max_q |a_q| over the mu coefficients of a homogeneous valuation."""
     k = _require_homogeneous(v)
-    best = Scalar.zero()
+    parts, den = v._parts.get(k, {}), v._den
+    best: dict[int, int] = {}
     for q in q_range(v.n, k):
-        c = abs(v.coefficient(k, q))
-        if (c - best).sign() > 0:
+        c = {e: a[q] for e, a in parts.items()}
+        if int_sign(c, den) < 0:
+            c = {e: -x for e, x in c.items()}
+        diff = {e: c.get(e, 0) - best.get(e, 0) for e in c.keys() | best.keys()}
+        if int_sign(diff, den) > 0:
             best = c
-    return best
+    return Scalar.from_parts(best, den)
 
 
 def norm_one(v: Valuation) -> Scalar:

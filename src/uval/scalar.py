@@ -298,9 +298,13 @@ class _Record:
         return type(self), self._fields()
 
 
+_new = object.__new__
+_set_terms = Scalar._terms.__set__  # the slot, past Scalar.__setattr__
+
+
 def _raw(terms: dict[int, Fraction]) -> Scalar:
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "_terms", terms)
+    s = _new(Scalar)
+    _set_terms(s, terms)
     return s
 
 
@@ -344,13 +348,15 @@ def _parts_text(parts: Mapping[int, int], den: int) -> str:
     for e, x in sorted(parts.items()):
         if x:
             g = gcd(x, den)
-            p, q, pi = abs(x) // g, den // g, "π" if abs(e) == 1 else f"π^{abs(e)}"
+            p, q = abs(x) // g, den // g
             if e == 0:
                 body = str(p) if q == 1 else f"{p}/{q}"
-            elif e > 0:
-                body = (pi if p == 1 else f"{p}{pi}") + ("" if q == 1 else f"/{q}")
             else:
-                body = f"{p}/{pi}" if q == 1 else f"{p}/({q}{pi})"
+                pi = "π" if e == 1 or e == -1 else f"π^{abs(e)}"
+                if e > 0:
+                    body = (pi if p == 1 else f"{p}{pi}") + ("" if q == 1 else f"/{q}")
+                else:
+                    body = f"{p}/{pi}" if q == 1 else f"{p}/({q}{pi})"
             out.append((" - " if x < 0 else " + ") + body if out else ("-" if x < 0 else "") + body)
     return "".join(out) or "0"
 
@@ -428,46 +434,61 @@ def _rung(i: int) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+@lru_cache(maxsize=None)
+def _rung_powers(i: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The power rows of rung i = (lo, hi, r) for the exponent spread d:
+    (lo^j r^(d-j), hi^j r^(d-j)) for j = 0..d, built on first use."""
+    lo, hi, r = _rung(i)
+    return tuple((lo**j * r ** (d - j), hi**j * r ** (d - j)) for j in range(d + 1))
+
+
 def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
     """The exact sign (-1, 0, 1) of sum_e parts[e] * pi^e / den, integer
     parts[e] and den > 0.
 
-    Without its lowest pi power this is an integer polynomial P(pi), bounded
-    in integer arithmetic on each rung of the ladder in turn; den only names
-    the value.  Still straddling zero on the last rung raises
+    Nonzero parts of one sign decide it at once.  Otherwise, without its
+    lowest pi power, the value is an integer polynomial P(pi) of degree d,
+    bounded on each rung of the ladder in turn by multiply-adds over that
+    rung's power rows for d (_rung_powers, tabled on first use); den only
+    names the value.  Still straddling zero on the last rung raises
     UndecidableSignError naming the scalar.
     """
-    if len(parts) == 1:
-        (c,) = parts.values()
+    if len(parts) < 2:
+        c = sum(parts.values())
         return (c > 0) - (c < 0)
-    terms = [(e, c) for e, c in parts.items() if c]
-    if not terms:
-        return 0
-    if len(terms) == 1:
-        return 1 if terms[0][1] > 0 else -1
-    e0 = min(e for e, _ in terms)
-    d = max(e for e, _ in terms) - e0
+    values = parts.values()
+    if 0 in values:
+        parts = {e: c for e, c in parts.items() if c}
+        values = parts.values()
+        if len(parts) < 2:
+            c = sum(values)
+            return (c > 0) - (c < 0)
+    # pi^e > 0, so terms of one sign decide it, as rung 0 would
+    if min(values) > 0:
+        return 1
+    if max(values) < 0:
+        return -1
+    e0 = min(parts)
+    d = max(parts) - e0
     for i in range(len(_LADDER_WIDTHS)):
-        lo, hi, r = _rung(i)
+        powers = _rung_powers(i, d)
         # r^d * P(x) for x in [lo/r, hi/r]: each term c x^j is
         # increasing in x for c > 0 and decreasing for c < 0
         low = high = 0
-        for e, c in terms:
-            j = e - e0
-            scale = r ** (d - j)
-            at_lo, at_hi = c * lo**j * scale, c * hi**j * scale
+        for e, c in parts.items():
+            at_lo, at_hi = powers[e - e0]
             if c > 0:
-                low += at_lo
-                high += at_hi
+                low += c * at_lo
+                high += c * at_hi
             else:
-                low += at_hi
-                high += at_lo
+                low += c * at_hi
+                high += c * at_lo
         if low > 0:
             return 1
         if high < 0:
             return -1
     raise UndecidableSignError(
-        f"sign of {_parts_text(dict(terms), den)} undecided "
+        f"sign of {_parts_text(parts, den)} undecided "
         "on the last enclosure of pi (width < 1e-48)"
     )
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from uval.cones import (
     first_variation,
-    is_crofton_positive,
+    in_cone,
     is_monotone,
     is_positive,
 )
@@ -219,9 +219,9 @@ def test_criterion_10_cones():
             qs = list(q_range(n, k))
             for _ in range(samples):
                 v = Valuation(n, {(k, q): rng.randint(-4, 4) for q in qs})
-                in_cp = is_crofton_positive(v).member
-                in_m = is_monotone(v).member
-                in_p = is_positive(v).member
+                in_cp = in_cone(v, "CP")
+                in_m = in_cone(v, "M")
+                in_p = in_cone(v, "P")
                 assert (not in_cp) or in_m, (n, k)
                 assert (not in_m) or in_p, (n, k)
                 if k >= 1:
