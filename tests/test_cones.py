@@ -1,9 +1,14 @@
 """Positive / monotone / Crofton-positive cones, first variation, norms."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+
+import uval.cones
+import uval.scalar
 
 from uval.checks import (
     check_cone_chain,
@@ -14,6 +19,7 @@ from uval.checks import (
 from uval.cones import (
     CurvExpr,
     first_variation,
+    in_cone,
     is_crofton_positive,
     is_monotone,
     is_positive,
@@ -23,7 +29,7 @@ from uval.cones import (
     nu_coeffs,
 )
 from uval.kinematic import pairing_fourier
-from uval.scalar import Scalar, factorial, omega
+from uval.scalar import Scalar, UndecidableSignError, factorial, omega
 from uval.valuation import Valuation, chi, mu, q_range, tau
 
 
@@ -107,6 +113,151 @@ def test_monotone_witness_contents():
 
 def test_cone_chain_random():
     check_cone_chain("full")
+
+
+# ----------------------------------------------------------------------
+# pinned outputs
+
+# Partial quotients of pi up to the convergent of depth 44, the first whose
+# p - q pi the sign ladder cannot decide.
+PI_CF = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1, 84, 2,
+         1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1, 1, 6, 8, 1)
+
+
+def _pi_convergents():
+    h0, h1, k0, k1 = 1, PI_CF[0], 0, 1
+    out = [(h1, k1)]
+    for a in PI_CF[1:]:
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        out.append((h1, k1))
+    return out
+
+
+def _pinned_vectors():
+    """A seeded set at n <= 6, every degree: integer entries, plus entries
+    that are fractions, a + b pi (with a pi^-1 or pi^2 term at times) or
+    s (p - q pi) pi^t for a convergent p/q of pi, the deepest ones more
+    often; about a third of the vectors have a second degree."""
+    conv = _pi_convergents()
+    rng = random.Random(19)
+
+    def entry(kind):
+        if kind == "int":
+            return rng.randint(-4, 4)
+        if kind == "frac":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if kind == "mixed":
+            return Scalar({0: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                           1: rng.choice((-2, -1, 1, 2)), rng.choice((-1, 2)): rng.randint(-1, 1)})
+        p, q = conv[rng.choice((rng.randint(0, 44), rng.randint(40, 44)))]
+        s = rng.choice((-2, -1, 1, 2))
+        return Scalar({0: s * p, 1: -s * q}) * Scalar.pi(rng.randint(-1, 1))
+
+    for n in range(1, 7):
+        for k in range(2 * n + 1):
+            for kind in ("int", "frac", "mixed", "near"):
+                for _ in range(4):
+                    coeffs = {(k, q): entry("int") for q in q_range(n, k)}
+                    if kind != "int":
+                        for q in q_range(n, k):
+                            if rng.random() < 0.5:
+                                coeffs[(k, q)] = entry(kind)
+                    if rng.random() < 0.3:
+                        j = rng.randint(0, 2 * n)
+                        for q in q_range(n, j):
+                            coeffs.setdefault((j, q), entry(rng.choice(("int", kind))))
+                    yield n, Valuation(n, coeffs)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except UndecidableSignError as exc:
+        return exc
+
+
+def _cone_digests():
+    """Per output family, the first 16 hex digits of the SHA-256 of its
+    lines over _pinned_vectors(); every UndecidableSignError message goes to
+    "undecidable", named by its family.  in_cone must give each verdict's
+    .member, or raise the same error."""
+    families = ("P", "CP", "M", "nu_coeffs", "first_variation", "delta_sign", "undecidable")
+    hashes = {f: hashlib.sha256() for f in families}
+
+    def record(family, call, text):
+        result = _outcome(call)
+        if isinstance(result, UndecidableSignError):
+            hashes["undecidable"].update(f"{family}:{result}\n".encode())
+        else:
+            hashes[family].update(f"{text(result)}\n".encode())
+        return result
+
+    for n, v in _pinned_vectors():
+        for family, test in (("P", is_positive), ("CP", is_crofton_positive), ("M", is_monotone)):
+            verdict = record(family, lambda: test(v), lambda r: json.dumps(r.to_json()))
+            member = _outcome(lambda: in_cone(v, family))
+            if isinstance(verdict, UndecidableSignError):
+                assert str(member) == str(verdict), (family, n, v)
+            else:
+                assert member == verdict.member, (family, n, v)
+        for k in v.degrees():
+            record("nu_coeffs", lambda: nu_coeffs(v.component(k), k), lambda r: ";".join(map(str, r)))
+        record("first_variation", lambda: first_variation(n, v).items(), repr)
+        record("delta_sign", lambda: first_variation(n, v).all_nonnegative(), repr)
+    return {f: h.hexdigest()[:16] for f, h in hashes.items()}
+
+
+# computed from the same vectors by the predicates before they shared one
+# kernel per cone
+PINNED_DIGESTS = {
+    "P": "dbee56567bd823e3",
+    "CP": "31c113c16bd77496",
+    "M": "b03a5ccf9ed8fb11",
+    "nu_coeffs": "5732653521b08c05",
+    "first_variation": "74eb4e7ef1564950",
+    "delta_sign": "f6d7132eae5aced6",
+    "undecidable": "e5cf23ae52daddda",
+}
+
+
+def test_cone_outputs_pinned():
+    got = _cone_digests()
+    for family, want in PINNED_DIGESTS.items():
+        assert got[family] == want, f"{family} outputs differ from the pinned ones"
+
+
+def test_in_cone_refuses_unknown_cone():
+    with pytest.raises(ValueError, match="unknown cone 'C'"):
+        in_cone(chi(2), "C")
+
+
+def test_warm_cone_tests_build_no_scalar(monkeypatch):
+    # the kernels decide in int and write witnesses from the integers; once
+    # the Gram blocks and the ladder are warm, no Scalar is built
+    vectors = [v for _, v in _pinned_vectors()]
+    tests = [is_positive, is_crofton_positive, is_monotone] + [
+        lambda v, cone=cone: in_cone(v, cone) for cone in ("P", "CP", "M")]
+
+    def run():
+        out = []
+        for v in vectors:
+            for test in tests:
+                try:
+                    out.append(test(v))
+                except UndecidableSignError as exc:
+                    out.append(str(exc))
+        return out
+
+    warm = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Scalar was built")
+
+    monkeypatch.setattr(uval.scalar, "_raw", refuse)
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    monkeypatch.setattr(uval.cones, "_scalars", refuse)
+    assert run() == warm
 
 
 def test_strictness_witnesses():

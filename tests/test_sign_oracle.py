@@ -3,7 +3,8 @@
 sign() decides in integer arithmetic over a fixed ladder of enclosures, the
 last one narrower than 10^-48.  The reference here evaluates the scalar
 term by term in Fraction interval arithmetic over an enclosure narrower
-than 10^-100; wherever sign() decides, the two must agree.
+than 10^-100; wherever sign() decides, the two must agree.  A fixed table
+of near-cancelling scalars also pins where the ladder decides at all.
 """
 
 import math
@@ -89,3 +90,24 @@ def test_sign_matches_narrow_enclosure(s):
 def test_reference_reaches_undecidable_depth():
     assert PI_HI - PI_LO < Fraction(1, 10**100)
     assert len(str(CONVERGENTS[44][1])) == 25
+
+
+# The convergent scalars whose sign the ladder leaves undecided, as
+# (depth, m) for (p - q pi) (1 + pi)^m.
+UNDECIDED = {(44, m) for m in range(4)} | {(depth, m) for depth in (42, 43) for m in (1, 2, 3)}
+
+
+def test_ladder_decides_exactly_where_it_did():
+    # a faster ladder must decide each of these as the reference does and
+    # raise on the same ones, not merely agree where it decides
+    raised = set()
+    for depth, (p, q) in enumerate(CONVERGENTS[:45]):
+        for m in range(4):
+            s = Scalar({0: p, 1: -q}) * Scalar({0: 1, 1: 1}) ** m
+            try:
+                got = sign(s)
+            except UndecidableSignError:
+                raised.add((depth, m))
+                continue
+            assert got == _reference_sign(s), (depth, m)
+    assert raised == UNDECIDED
