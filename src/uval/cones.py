@@ -24,7 +24,7 @@ All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block comes from the integer Tasaki Gram matrix M
 of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
-and delta is a cached dense integer table.  Each cone has one kernel on
+and delta is a cached integer table.  Each cone has one kernel on
 the store that returns its first failure.  A degree stored with one pi
 exponent is decided there by integer comparisons; every other sign goes
 to scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
@@ -42,7 +42,7 @@ from operator import mul
 from typing import Mapping, Optional
 
 from .kinematic import _tasaki_gram, _tasaki_inverse
-from .scalar import Scalar, _Record, _parts_text, _scalars, binomial, int_sign, omega
+from .scalar import Scalar, _Record, _parts_text, binomial, int_sign, omega
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
@@ -81,16 +81,6 @@ class ConeVerdict(_Record):
 
 
 _MEMBER = ConeVerdict(True)
-_new = object.__new__
-_set_member, _set_witness = ConeVerdict.member.__set__, ConeVerdict.witness.__set__
-
-
-def _failure(witness: dict) -> ConeVerdict:
-    """ConeVerdict(False, witness), past the checks of __init__."""
-    verdict = _new(ConeVerdict)
-    _set_member(verdict, False)
-    _set_witness(verdict, witness)
-    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -268,11 +258,11 @@ def _verdict(failure: Optional[tuple]) -> ConeVerdict:
     kind, k, q, parts, scale = failure
     text = _parts_text(parts, scale)
     if kind == 0:
-        return _failure({"kind": "negative_point_value", "value": text})
+        return ConeVerdict(False, {"kind": "negative_point_value", "value": text})
     if kind in (1, 2):
-        return _failure({"kind": "inequality", "family": kind, "k": k, "q": q, "slack": text})
+        return ConeVerdict(False, {"kind": "inequality", "family": kind, "k": k, "q": q, "slack": text})
     field = "coefficient" if kind == "negative_mu_coefficient" else "coordinate"
-    return _failure({"kind": kind, "k": k, "q": q, field: text})
+    return ConeVerdict(False, {"kind": kind, "k": k, "q": q, field: text})
 
 
 def in_cone(v: Valuation, cone: str) -> bool:
@@ -353,20 +343,16 @@ class CurvExpr(_Record):
 
 
 @lru_cache(maxsize=None)
-def _delta_table(n: int, k: int) -> tuple[int, int, tuple, tuple, tuple]:
-    """delta(mu_{k,q}) as a dense table (e, den, keys, columns, rows): the
-    coefficient of the symbol keys[j] in delta(mu_{k,q}) is columns[j][q] *
-    pi^e / den, q over 0..k//2 with zeros outside q_range.  rows[q] lists
-    the j with columns[j][q] != 0 in the order of the expression below, and
-    the keys come in the order the rows reach them, q ascending.  Each
-    coefficient of the four-term c_{n,k,q} expression is an integer times
-    w = omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those
-    of Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are
-    2(m+1)(k-2q), -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1)."""
+def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
+    """delta(mu_{k,q}) as (e, den, rows), rows[q] listing (symbol key, x)
+    for the coefficient x * pi^e / den, () outside q_range.  Each coefficient
+    of the four-term c_{n,k,q} expression is an integer times w =
+    omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those of
+    Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are 2(m+1)(k-2q),
+    -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1); zeros are dropped."""
     e1, w1 = omega(2 * n - k + 1).monomial()
     e0, w0 = omega(2 * n - k).monomial()
     w = w1 / w0
-    table: dict[tuple[str, int, int], list[int]] = {}
     rows = []
     for q in range(k // 2 + 1):
         row = []
@@ -378,14 +364,8 @@ def _delta_table(n: int, k: int) -> tuple[int, int, tuple, tuple, tuple]:
             if q >= 1:
                 row += [(("Gamma", k - 1, q - 1), -2 * (k + 1 - 2 * q) * m),
                         (("B", k - 1, q - 1), (k + 1 - 2 * q) * (2 * m + 1))]
-        for key, x in row:
-            if x:
-                table.setdefault(key, [0] * (k // 2 + 1))[q] = w.numerator * x
-        rows.append(tuple(key for key, x in row if x))
-    keys = tuple(table)
-    index = {key: j for j, key in enumerate(keys)}
-    return (e1 - e0, w.denominator, keys, tuple(tuple(table[key]) for key in keys),
-            tuple(tuple(index[key] for key in row) for row in rows))
+        rows.append(tuple((key, w.numerator * x) for key, x in row if x))
+    return e1 - e0, w.denominator, tuple(rows)
 
 
 def first_variation(n: int, v: Valuation) -> CurvExpr:
@@ -393,9 +373,6 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
 
     Linear extension of the four-term expression for delta(mu_{k,q}); the
     Euler characteristic spans the kernel.  Degree drops by exactly one.
-    The terms are in the order the table rows of the nonzero coefficients
-    reach their symbols, pi exponent by pi exponent and q ascending, which
-    fixes the term all_nonnegative meets first.
     """
     if v.n != n:
         raise ValueError(f"ambient dimension mismatch: {v.n} vs {n}")
@@ -403,20 +380,19 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
     for k, by_e in v._parts.items():
         if k == 0:
             continue
-        shift, den, keys, columns, rows = _delta_table(n, k)
-        if next(iter(by_e.values())).count(0) != max(0, k - n):
-            # a zero in the first vector's q range: reach the symbols row by row
-            order = dict.fromkeys(j for a in by_e.values() for x, row in zip(a, rows) if x for j in row)
-            keys, columns = [keys[j] for j in order], [columns[j] for j in order]
-        acc = {e + shift: [sum(map(mul, column, a)) for column in columns] for e, a in by_e.items()}
-        for key, c in zip(keys, _scalars(acc, den * v._den, len(keys))):
-            if c:
-                terms[key] = c
-    # every key of _delta_table satisfies the index conditions of CurvExpr
-    expr = CurvExpr.__new__(CurvExpr)
-    object.__setattr__(expr, "n", n)
-    object.__setattr__(expr, "terms", terms)
-    return expr
+        shift, den, rows = _delta_table(n, k)
+        acc: dict[tuple[str, int, int], dict[int, int]] = {}
+        for e, a in by_e.items():
+            f = e + shift
+            for x, row in zip(a, rows):
+                if x:
+                    for key, c in row:
+                        t = acc.setdefault(key, {})
+                        t[f] = t.get(f, 0) + c * x
+        for key, t in acc.items():
+            if any(t.values()):
+                terms[key] = Scalar.from_parts(t, den * v._den)
+    return CurvExpr(n, terms)
 
 
 # ----------------------------------------------------------------------

@@ -298,13 +298,9 @@ class _Record:
         return type(self), self._fields()
 
 
-_new = object.__new__
-_set_terms = Scalar._terms.__set__  # the slot, past Scalar.__setattr__
-
-
 def _raw(terms: dict[int, Fraction]) -> Scalar:
-    s = _new(Scalar)
-    _set_terms(s, terms)
+    s = Scalar.__new__(Scalar)
+    object.__setattr__(s, "_terms", terms)
     return s
 
 
@@ -348,15 +344,13 @@ def _parts_text(parts: Mapping[int, int], den: int) -> str:
     for e, x in sorted(parts.items()):
         if x:
             g = gcd(x, den)
-            p, q = abs(x) // g, den // g
+            p, q, pi = abs(x) // g, den // g, "π" if abs(e) == 1 else f"π^{abs(e)}"
             if e == 0:
                 body = str(p) if q == 1 else f"{p}/{q}"
+            elif e > 0:
+                body = (pi if p == 1 else f"{p}{pi}") + ("" if q == 1 else f"/{q}")
             else:
-                pi = "π" if e == 1 or e == -1 else f"π^{abs(e)}"
-                if e > 0:
-                    body = (pi if p == 1 else f"{p}{pi}") + ("" if q == 1 else f"/{q}")
-                else:
-                    body = f"{p}/{pi}" if q == 1 else f"{p}/({q}{pi})"
+                body = f"{p}/{pi}" if q == 1 else f"{p}/({q}{pi})"
             out.append((" - " if x < 0 else " + ") + body if out else ("-" if x < 0 else "") + body)
     return "".join(out) or "0"
 
@@ -434,12 +428,14 @@ def _rung(i: int) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
-@lru_cache(maxsize=None)
-def _rung_powers(i: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The power rows of rung i = (lo, hi, r) for the exponent spread d:
-    (lo^j r^(d-j), hi^j r^(d-j)) for j = 0..d, built on first use."""
+@lru_cache(maxsize=256)
+def _power_row(i: int, j: int, k: int) -> tuple[int, int]:
+    """(lo^j r^k, hi^j r^k) on rung i = (lo, hi, r), built on first use.
+    Only the rows of the terms present are built and the cache is bounded,
+    so a scalar with a large exponent spread costs its terms' powers alone."""
     lo, hi, r = _rung(i)
-    return tuple((lo**j * r ** (d - j), hi**j * r ** (d - j)) for j in range(d + 1))
+    scale = r**k
+    return lo**j * scale, hi**j * scale
 
 
 def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
@@ -448,9 +444,9 @@ def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
 
     Nonzero parts of one sign decide it at once.  Otherwise, without its
     lowest pi power, the value is an integer polynomial P(pi) of degree d,
-    bounded on each rung of the ladder in turn by multiply-adds over that
-    rung's power rows for d (_rung_powers, tabled on first use); den only
-    names the value.  Still straddling zero on the last rung raises
+    bounded on each rung of the ladder in turn by multiply-adds over the
+    rung's power rows of its terms (_power_row, cached on first use); den
+    only names the value.  Still straddling zero on the last rung raises
     UndecidableSignError naming the scalar.
     """
     if len(parts) < 2:
@@ -471,12 +467,12 @@ def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
     e0 = min(parts)
     d = max(parts) - e0
     for i in range(len(_LADDER_WIDTHS)):
-        powers = _rung_powers(i, d)
         # r^d * P(x) for x in [lo/r, hi/r]: each term c x^j is
         # increasing in x for c > 0 and decreasing for c < 0
         low = high = 0
         for e, c in parts.items():
-            at_lo, at_hi = powers[e - e0]
+            j = e - e0
+            at_lo, at_hi = _power_row(i, j, d - j)
             if c > 0:
                 low += c * at_lo
                 high += c * at_hi

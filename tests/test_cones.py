@@ -6,8 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from pi_convergents import CONVERGENTS
 
-import uval.cones
 import uval.scalar
 
 from uval.checks import (
@@ -118,28 +118,11 @@ def test_cone_chain_random():
 # ----------------------------------------------------------------------
 # pinned outputs
 
-# Partial quotients of pi up to the convergent of depth 44, the first whose
-# p - q pi the sign ladder cannot decide.
-PI_CF = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1, 84, 2,
-         1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1, 1, 6, 8, 1)
-
-
-def _pi_convergents():
-    h0, h1, k0, k1 = 1, PI_CF[0], 0, 1
-    out = [(h1, k1)]
-    for a in PI_CF[1:]:
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        out.append((h1, k1))
-    return out
-
-
 def _pinned_vectors():
     """A seeded set at n <= 6, every degree: integer entries, plus entries
     that are fractions, a + b pi (with a pi^-1 or pi^2 term at times) or
     s (p - q pi) pi^t for a convergent p/q of pi, the deepest ones more
     often; about a third of the vectors have a second degree."""
-    conv = _pi_convergents()
     rng = random.Random(19)
 
     def entry(kind):
@@ -150,7 +133,7 @@ def _pinned_vectors():
         if kind == "mixed":
             return Scalar({0: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                            1: rng.choice((-2, -1, 1, 2)), rng.choice((-1, 2)): rng.randint(-1, 1)})
-        p, q = conv[rng.choice((rng.randint(0, 44), rng.randint(40, 44)))]
+        p, q = CONVERGENTS[rng.choice((rng.randint(0, 44), rng.randint(40, 44)))]
         s = rng.choice((-2, -1, 1, 2))
         return Scalar({0: s * p, 1: -s * q}) * Scalar.pi(rng.randint(-1, 1))
 
@@ -256,7 +239,6 @@ def test_warm_cone_tests_build_no_scalar(monkeypatch):
 
     monkeypatch.setattr(uval.scalar, "_raw", refuse)
     monkeypatch.setattr(Scalar, "__init__", refuse)
-    monkeypatch.setattr(uval.cones, "_scalars", refuse)
     assert run() == warm
 
 

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from pi_convergents import CONVERGENTS
 
 from uval.checks import check_scalar_ring_axioms, check_scalar_serialization
 from uval.scalar import (
@@ -111,19 +112,10 @@ def test_sign_undecidable_raises():
         sign(base**8)
 
 
-# Partial quotients of the continued fraction of pi up to depth 44, whose
-# convergent p/q has a 25-digit q.
-PI_CF = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2, 1, 84, 2,
-         1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1, 1, 6, 8, 1)
-
-
 def _near_pi(depth):
     """p - q*pi for the depth-th convergent p/q of pi."""
-    h0, h1, k0, k1 = 1, PI_CF[0], 0, 1
-    for a in PI_CF[1 : depth + 1]:
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    return Scalar({0: h1, 1: -k1})
+    p, q = CONVERGENTS[depth]
+    return Scalar({0: p, 1: -q})
 
 
 def test_sign_budget_ignores_refined_pi():
@@ -156,6 +148,16 @@ def test_undecidable_message_names_the_scalar():
             decide()
         assert str(info.value) == want
 
+
+
+def test_int_sign_builds_only_the_power_rows_of_its_terms():
+    # pi^20000 - 3 spans 20001 powers of pi in two terms; rung 0 decides
+    # it from the two power rows of those terms
+    from uval.scalar import _power_row, int_sign
+
+    _power_row.cache_clear()
+    assert int_sign({0: -3, 20000: 1}) == 1
+    assert _power_row.cache_info().currsize == 2
 
 _FRESH_PROCESS = """
 import json, sys

@@ -7,10 +7,10 @@ than 10^-100; wherever sign() decides, the two must agree.  A fixed table
 of near-cancelling scalars also pins where the ladder decides at all.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
+from pi_convergents import CONVERGENTS
 
 pytest.importorskip("hypothesis")
 
@@ -20,24 +20,6 @@ from hypothesis import strategies as st  # noqa: E402
 from uval.scalar import Scalar, UndecidableSignError, pi_bounds, sign  # noqa: E402
 
 PI_LO, PI_HI = pi_bounds(Fraction(1, 10**100))
-
-
-def _convergents(x: Fraction, count: int) -> list[tuple[int, int]]:
-    """The first convergents p/q of the continued fraction of x."""
-    out = []
-    h0, h1, k0, k1 = 0, 1, 1, 0
-    for _ in range(count):
-        a = math.floor(x)
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        out.append((h1, k1))
-        x = 1 / (x - a)
-    return out
-
-
-# Up to depth 45 (q with 26 digits); the 10^-100 enclosure fixes these
-# convergents of pi exactly.
-CONVERGENTS = _convergents(PI_LO, 46)
 
 
 def _reference_sign(s: Scalar):
@@ -89,7 +71,10 @@ def test_sign_matches_narrow_enclosure(s):
 
 def test_reference_reaches_undecidable_depth():
     assert PI_HI - PI_LO < Fraction(1, 10**100)
-    assert len(str(CONVERGENTS[44][1])) == 25
+    assert len(CONVERGENTS) == 46 and len(str(CONVERGENTS[44][1])) == 25
+    # each p/q is within 1/q^2 of pi, as a convergent of pi is
+    for p, q in CONVERGENTS:
+        assert abs(Fraction(p, q) - PI_LO) < Fraction(1, q * q)
 
 
 # The convergent scalars whose sign the ladder leaves undecided, as
