@@ -24,15 +24,13 @@ all through the one kernel scalar._scalars from reduced integers.
 Locality is concentrated in the restriction of global Tasaki valuations
 to level n, which drops the mu terms that vanish locally, so the quotient
 by the relation ideal (f_{n+1}, f_{n+2}) needs no polynomial reduction.
-:func:`from_monomial` applies it to a global polynomial in (t, u).  The
-Alesker product :func:`multiply` applies it to products computed with the
-Tasaki product formula on the stored integer vectors, with the pi
-exponents of each coordinate packed as the digits of one int, so the
-formula runs once per pair of degrees; the quotient-map route
-from_monomial(n, to_monomial(a) * to_monomial(b)), in Scalar and
-GradedPoly arithmetic, is kept as its independent cross-check.  The
-kinematic blocks and the Tasaki Gram matrix run the same formula loop on
-unpacked integer vectors (_basis_products).
+:func:`from_monomial` applies it to a global polynomial in (t, u), and the
+Alesker product :func:`multiply` to the Tasaki product formula run on the
+stored integer vectors, one per degree and pi exponent; the quotient-map
+route from_monomial(n, to_monomial(a) * to_monomial(b)), in Scalar and
+GradedPoly arithmetic, is its independent cross-check.  The kinematic
+blocks and the Tasaki Gram matrix run the same formula loop
+(_basis_products).
 """
 
 from __future__ import annotations
@@ -326,10 +324,7 @@ def tau(n: int, k: int, q: int) -> Valuation:
     i < k - n vanish locally and are dropped (so e.g. tau_{2,0} = mu_{2,1}
     at n = 1).
     """
-    if n < 1:
-        raise ValueError("ambient complex dimension must be >= 1")
-    if not 0 <= k <= 2 * n:
-        raise ValueError(f"degree {k} out of range for n={n}")
+    q_range(n, k)  # names a bad n or degree
     if not 0 <= q <= k // 2:
         raise ValueError(f"tau index (k={k}, q={q}) out of range")
     return _raw(n, 1, {k: {0: tuple(_restrict(n, k, [int(i == q) for i in range(k // 2 + 1)]))}})
@@ -408,9 +403,8 @@ def to_monomial(v: Valuation) -> GradedPoly:
 #   tau_{k,i} tau_{l,j} = omega_{k+l}/(omega_k omega_l)
 #                         * C(k+l-2s, k-2i) C(2s, 2i) tau_{k+l,s},  s = i + j,
 # so every structure constant is an integer times one pi monomial fixed by
-# the two degrees.  The product runs on one packed integer vector per degree
-# of each operand (see multiply); the tables below are keyed by degrees (and
-# n for the restriction) and never grow with the operands.
+# the two degrees.  The tables below are keyed by degrees (and n for the
+# restriction) and never grow with the operands.
 
 @lru_cache(maxsize=None)
 def _lift(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -423,16 +417,15 @@ def _lift(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _degree_pair(k: int, l: int) -> tuple[int, int, int, tuple[tuple[tuple[int, int, int], ...], ...]]:
-    """The degree pair (k, l) as (e, f, bits, weights): omega_{k+l}/(omega_k
+def _degree_pair(k: int, l: int) -> tuple[int, int, tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """The degree pair (k, l) as (e, f, weights): omega_{k+l}/(omega_k
     omega_l) = f pi^e / _shift_denominator(k + l); weights[i] lists (j, s,
     C(k+l-2s, k-2i) C(2s, 2i)) over j <= l/2, s = i + j, the integer part of
-    tau_{k,i} tau_{l,j}; bits is the bit length of the largest f * weight."""
+    tau_{k,i} tau_{l,j}."""
     e, c = _omega_ratio(k, l)
-    f = int(c * _shift_denominator(k + l))
     weights = tuple(tuple((j, i + j, binomial(k + l - 2 * (i + j), k - 2 * i) * binomial(2 * (i + j), 2 * i))
                           for j in range(l // 2 + 1)) for i in range(k // 2 + 1))
-    return e, f, (f * max(w for row in weights for _, _, w in row)).bit_length(), weights
+    return e, int(c * _shift_denominator(k + l)), weights
 
 
 def _omega_ratio(k: int, l: int) -> tuple[int, Fraction]:
@@ -458,6 +451,19 @@ def _restrict(n: int, m: int, alpha: Sequence[int]) -> list[int]:
     return [0] * max(0, m - n) + [sum(map(mul, row, alpha)) for row in _restriction(n, m)]
 
 
+@lru_cache(maxsize=None)
+def _fold_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The rows j < dim_val(n, m) of the matrix C(m - n, s - j), m > n."""
+    return tuple((0,) * j + tuple(binomial(m - n, t) for t in range(m - n + 1)) for j in range(dim_val(n, m)))
+
+
+def _fold(n: int, m: int, z: list[int]) -> list[int]:
+    """The coordinates in canonical_basis(n, m) of the level-n restriction
+    of the global Tasaki coordinates z: z itself for m <= n, where the
+    tau_{m,j} are the basis, else y_j = sum_s C(m - n, s - j) z_s."""
+    return z if m <= n else [sum(map(mul, row, z)) for row in _fold_rows(n, m)]
+
+
 def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
     """The global lift of the degree-k mu-coordinates a (indexed by q):
     its global Tasaki coordinates [alpha_0..alpha_{k//2}]."""
@@ -470,110 +476,67 @@ def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
     return alpha
 
 
-def _spread(v: Valuation) -> tuple[int, int, int]:
-    """(N, lowest, highest pi exponent) of v's store, N >= sum |global Tasaki coordinates|:
-    the lift of mu_{k,q} has sum |coefficients| = C(k//2+1, q+1) <= 2^(k//2+1)."""
-    norm, exps = 0, []
-    for k, by_e in v._parts.items():
-        for a in by_e.values():
-            norm += sum(map(abs, a)) << (k // 2 + 1)
-        exps += by_e
-    return norm, min(exps), max(exps)
-
-
-def _packed_lift(v: Valuation, e0: int, w: int) -> dict[int, list[int]]:
-    """Each degree's global Tasaki coordinates, lifted once packed: digit e - e0 is the pi^e part."""
-    out = {}
-    for k, by_e in v._parts.items():
-        x = None
-        for e, a in by_e.items():
-            a = [c << (e - e0) * w for c in a] if e > e0 else a
-            x = a if x is None else [u + c for u, c in zip(x, a)]
-        out[k] = _lift_vector(k, x)
-    return out
-
-
-def _packed_product(n: int, a: Valuation, b: Valuation) -> tuple[int, int, int, dict[int, list[int]]]:
-    """The product formula on the pi-digit-packed stores of a and b, as
-    (w, e0, count, {m: z}): z holds the global Tasaki coordinates of degree
-    m <= 2n over a._den * b._den * _shift_denominator(m), digit t < count
-    being the pi^(e0 + t) part; w = 0 for one digit, else see multiply."""
-    pairs = [(k, l, _degree_pair(k, l)) for k in a._parts for l in b._parts if k + l <= 2 * n]
-    if not pairs:
-        return 0, 0, 1, {}
-    (na, ea, ha), (nb, eb, hb) = _spread(a), _spread(b)
-    shifts = [t[0] for _, _, t in pairs]  # the pi shifts, 0 or 1
-    low, count = min(shifts), ha - ea + hb - eb + max(shifts) - min(shifts) + 1
-    w = 0 if count == 1 else na.bit_length() + nb.bit_length() + max(t[2] for _, _, t in pairs) + n + 2
-    xa, yb = _packed_lift(a, ea, w), _packed_lift(b, eb, w)
-    acc: dict[int, list[int]] = {}
-    for k, l, (e, f, _, weights) in pairs:
-        m = k + l
-        z = acc.get(m) or acc.setdefault(m, [0] * (m // 2 + 1))
-        _tau_product(z, f << (e - low) * w, weights, xa[k], yb[l])  # the shift moves every digit up e - low places
-    return w, ea + eb + low, count, acc
-
-
-def _tau_product(z: list[int], f: int, weights, x: Sequence[int], y: Sequence[int]) -> None:
-    """The product formula of one degree pair: adds f * weight * x_i * y_j
-    into z[s], s = i + j, over the (j, s, weight) rows of _degree_pair(k, l),
-    x and y the global Tasaki coordinates of the degree-k and degree-l factors."""
+def _tau_product(f: int, weights, x: Sequence[int], targets) -> None:
+    """The product formula of one degree pair: for each (z, y) of targets,
+    adds f * weight * x_i * y_j into z[s], s = i + j, over the (j, s,
+    weight) rows of _degree_pair(k, l), x and y the global Tasaki
+    coordinates of the degree-k and degree-l factors."""
     for xi, row in zip(x, weights):
         if xi:
             xi *= f
-            for j, s, wt in row:
-                z[s] += wt * xi * y[j]
-
-
-def _unpack(n: int, w: int, e0: int, count: int, packed: dict[int, list[int]]) -> dict[int, list]:
-    """{m: [(e0 + t, digit t of the mu_{m,r} coordinates), ...]} without
-    all-zero vectors: each z restricted to level n and read as balanced
-    base-2^w digits, nonnegative after adding 2^(w-1) to every digit."""
-    half, mask = 1 << w >> 1, (1 << w) - 1
-    bias = sum(half << t * w for t in range(count))
-    out = {}
-    for m, z in packed.items():
-        pad = (0,) * max(0, m - n)  # mu_{m,r} vanishes locally below q_range
-        z = [sum(map(mul, row, z)) + bias for row in _restriction(n, m)]
-        digits = [(e0 + t, pad + (tuple([((x >> t * w) & mask) - half for x in z]) if w else tuple(z)))
-                  for t in range(count)]
-        if vecs := [(e, d) for e, d in digits if any(d)]:
-            out[m] = vecs
-    return out
+            for z, y in targets:
+                for j, s, wt in row:
+                    if yj := y[j]:
+                        z[s] += wt * xi * yj
 
 
 def multiply(a: Valuation, b: Valuation) -> Valuation:
     """The Alesker product, from the Tasaki product formula.
 
-    The pi exponents of each coordinate are packed as signed base-2^w
-    digits of one int and lifted to global Tasaki coordinates, so the
-    product formula runs once per degree pair (k, l), k + l <= 2n; the pi
-    power of omega_{k+l}/(omega_k omega_l) shifts whole digits.  Each
-    degree is restricted to level n and unpacked, and the store is written
-    over one gcd.  Commutative, graded, unit chi; the quotient-map route
+    Each integer vector of either store is lifted once to global Tasaki
+    coordinates.  Per degree pair (k, l), k + l <= 2n, and pi exponent of
+    a, the product formula runs once over the exponent vectors of b, each
+    adding into the vector of its product exponent, which the degrees
+    shift by the pi power of omega_{k+l}/(omega_k omega_l).  Each vector is
+    restricted to level n, and the store is written over one gcd.
+    Commutative, graded, unit chi; the quotient-map route
     from_monomial(n, to_monomial(a) * to_monomial(b)) is its cross-check.
-
-    Width.  Let |x| <= N_a be the sum of the absolute lifted coordinates of
-    a (N_a from _spread), |y| <= N_b that of b, and F the largest
-    f * weight over the degree pairs in use.  A digit of the restricted
-    coordinate r sums C(r, s) * f * weight * x_i * y_j, each product
-    x_i y_j of a coordinate of a and one of b at most once.  C(r, s) <=
-    sum_s C(r, s) = 2^r and r <= n, so its absolute value is at most
-    2^n F |x| |y| < 2^(w-2) for w = bits(N_a) + bits(N_b) + bits(F) + n + 2.
-    Every digit therefore lies in [-2^(w-1), 2^(w-1)), and the balanced
-    digits decode exactly.
     """
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    w, e0, count, packed = _packed_product(n, a, b)
-    shift_den = lcm(*map(_shift_denominator, packed))
-    digits = [(m, shift_den // _shift_denominator(m), vecs) for m, vecs in _unpack(n, w, e0, count, packed).items()]
+    xa, yb = ({k: [(e, _lift_vector(k, x)) for e, x in by_e.items()] for k, by_e in v._parts.items()} for v in (a, b))
+    acc: dict[int, dict[int, list[int]]] = {}  # {m: {e: global Tasaki coordinates}}
+    for k, xs in xa.items():
+        for l, ys in yb.items():
+            m = k + l
+            if m > 2 * n:
+                continue
+            e, f, weights = _degree_pair(k, l)
+            out = acc.setdefault(m, {})
+            for ea, x in xs:
+                targets = []
+                for eb, y in ys:
+                    z = out.get(ea + eb + e)
+                    if z is None:
+                        z = out[ea + eb + e] = [0] * (m // 2 + 1)
+                    targets.append((z, y))
+                _tau_product(f, weights, x, targets)
+    shift_den = lcm(*map(_shift_denominator, acc))
     g = den = a._den * b._den * shift_den
-    for _, scale, vecs in digits:
-        g = gcd(g, *(scale * gcd(*vec) for _, vec in vecs))
-    parts = {m: {e: tuple([x * scale // g for x in vec]) for e, vec in vecs} for m, scale, vecs in digits}
-    return _raw(n, den // g, parts)
+    vecs = []
+    for m, out in acc.items():
+        rows, by_e = _restriction(n, m), {}
+        for e in sorted(out):
+            if any(r := [sum(map(mul, row, out[e])) for row in rows]):
+                by_e[e] = r
+        if by_e:
+            scale = shift_den // _shift_denominator(m)
+            vecs.append((m, scale, (0,) * max(0, m - n), by_e))  # mu_{m,r} vanishes locally below q_range
+            g = gcd(g, *(scale * gcd(*r) for r in by_e.values()))
+    return _raw(n, den // g, {
+        m: {e: pad + tuple([x * scale // g for x in r]) for e, r in by_e.items()} for m, scale, pad, by_e in vecs
+    })
 
 
 @lru_cache(maxsize=None)
@@ -587,13 +550,14 @@ def _basis_products(n: int, c: int, a: Sequence[int], k: int) -> tuple[int, int,
     (indexed by q, no pi) and canonical_basis(n, k), c + k <= 2n, as (e, den,
     rows): row i holds the canonical degree-(c+k) coordinates of a phi_i,
     entry j being rows[i][j] * pi^e / den.  phi_i is the outer factor of the
-    product formula, which skips its zero coordinates: all but one of tau_{k,i}."""
-    e, f, _, weights = _degree_pair(k, c)
+    product formula, which skips its zero coordinates (all but one of
+    tau_{k,i}), and _fold writes each product in the canonical basis."""
+    e, f, weights = _degree_pair(k, c)
     x, m, rows = _lift_vector(c, a), c + k, []
     for y in _basis_lift(n, k):
         z = [0] * (m // 2 + 1)
-        _tau_product(z, f, weights, y, x)
-        rows.append(_canonical_coords(n, m, _restrict(n, m, z)))
+        _tau_product(f, weights, y, [(z, x)])
+        rows.append(_fold(n, m, z))
     return e, _shift_denominator(m), rows
 
 
@@ -636,13 +600,13 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
     """Coordinates of the degree-k component in the canonical degree-k basis.
 
     For k <= n this is the Tasaki basis tau_{k,j}; for k > n it is the
-    Fourier-transformed basis F(tau_{2n-k,j}), obtained by transforming the
-    component back below the middle degree.
+    Fourier-transformed basis F(tau_{2n-k,j}).  Both are read off the
+    global lift of the component by _fold.
     """
     n = v.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    coords = {e: _canonical_coords(n, k, a) for e, a in v._parts.get(k, {}).items()}
+    coords = {e: _fold(n, k, _lift_vector(k, a)) for e, a in v._parts.get(k, {}).items()}
     return _scalars(coords, v._den, dim_val(n, k))
 
 
@@ -650,18 +614,6 @@ def canonical_basis(n: int, k: int) -> list[Valuation]:
     """The canonical degree-k basis that tau_coords reads: tau_{k,i} for
     k <= n, F(tau_{2n-k,i}) above the middle degree."""
     return [tau(n, k, i) if k <= n else fourier(tau(n, 2 * n - k, i)) for i in range(dim_val(n, k))]
-
-
-def _canonical_coords(n: int, k: int, a: Sequence[int]) -> list[int]:
-    """Coordinates in the canonical degree-k basis of the degree-k
-    mu-coordinates a (indexed by q).  Below the middle degree the
-    tau_{k,j} are a basis and the global lift of mu_{k,q} is its expansion
-    in them; above it the Fourier transform mu_{k,q} -> mu_{2n-k,n-k+q} is
-    lifted at degree 2n-k."""
-    if k <= n:
-        return _lift_vector(k, a)
-    low = 2 * n - k
-    return _lift_vector(low, [a[k - n + i] for i in range(low // 2 + 1)])
 
 
 class KlainPolynomial(_Record):

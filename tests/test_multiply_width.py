@@ -1,13 +1,16 @@
-"""multiply packs the pi exponents of each coordinate as base-2^w digits of
-one int; these inputs stress the digit width.
+"""multiply on wide operands against the quotient-map route.
 
-The pi exponents spread over -6..6 with gaps, numerators reach 10^60 over
-mixed denominators, and zero operands and operands with a single exponent
-occur.  The quotient-map route from_monomial(n, to_monomial(a) *
-to_monomial(b)) is the reference, and pairing_pd must equal the volume
-coefficient of the product; seeded operands over every degree with
-pi^-1, pi^0 and pi^1 terms and odd-over-even coefficients are added as
-examples for it.
+multiply runs the product formula once per degree pair and pi exponent of
+one factor, adding into one integer vector per product exponent.  These
+inputs stress that bookkeeping: pi exponents spread over -6..6 with gaps,
+so the product exponents are sparse, and numerators reach 10^60 over mixed
+denominators; zero operands and operands with a single exponent occur.
+The quotient-map route from_monomial(n, to_monomial(a) * to_monomial(b))
+is the reference, and pairing_pd must equal the volume coefficient of the
+product.  The examples add seeded operands over every degree with pi^-1,
+pi^0 and pi^1 terms and odd-over-even coefficients, operands with five
+contiguous pi powers per coefficient, and (chi+t)^8 at n = 6, whose one pi
+power per degree differs from degree to degree.
 """
 
 import random
@@ -22,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from uval.kinematic import pairing_pd  # noqa: E402
 from uval.scalar import Scalar  # noqa: E402
+from uval.valspec import parse_valspec  # noqa: E402
 from uval.valuation import (  # noqa: E402
     Valuation,
     from_monomial,
@@ -82,6 +86,23 @@ def _seeded_pair(n):
     return operand(), operand()
 
 
+def _five_powers_pair(n):
+    """Two seeded valuations at level n, each coefficient with the five
+    contiguous pi powers pi^-2..pi^2."""
+    rng = random.Random(f"five powers:{n}")
+
+    def operand():
+        return Valuation(n, {
+            (k, q): Scalar({e: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for e in range(-2, 3)})
+            for k in range(2 * n + 1) for q in q_range(n, k)
+        })
+
+    return operand(), operand()
+
+
+_CHI_T_8 = parse_valspec("(chi+t)^8", 6)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_pairs())
 @example(_seeded_pair(1))
@@ -93,7 +114,9 @@ def _seeded_pair(n):
 @example((_GAPPED, _GAPPED))
 @example((_GAPPED, Valuation(5, {(3, 1): Scalar({6: -BIG})})))
 @example((Valuation.zero(5), _GAPPED))
-def test_multiply_survives_wide_digits(pair):
+@example(_five_powers_pair(4))
+@example((_CHI_T_8, _CHI_T_8))
+def test_multiply_survives_wide_operands(pair):
     a, b = pair
     n = a.n
     prod = multiply(a, b)
