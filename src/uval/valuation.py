@@ -324,7 +324,10 @@ def tau(n: int, k: int, q: int) -> Valuation:
     i < k - n vanish locally and are dropped (so e.g. tau_{2,0} = mu_{2,1}
     at n = 1).
     """
-    q_range(n, k)  # names a bad n or degree
+    if n < 1:
+        raise ValueError("ambient complex dimension must be >= 1")
+    if not 0 <= k <= 2 * n:
+        raise ValueError(f"degree {k} out of range for n={n}")
     if not 0 <= q <= k // 2:
         raise ValueError(f"tau index (k={k}, q={q}) out of range")
     return _raw(n, 1, {k: {0: tuple(_restrict(n, k, [int(i == q) for i in range(k // 2 + 1)]))}})
