@@ -28,8 +28,9 @@ __all__ = ["main"]
 # about 20 s on one core (measured, 2 shared cores, Python 3.11): at
 # n = 32 pkf takes 0.7 s, additive of (chi+t)^64 20 s and convert --to
 # prim of it 0.5 s; the Gram-inverse Tasaki matrix takes 2 s at n = 64.
-# mc holds a batch of MC_CHUNK Haar samples of 2n x 2n matrices per
-# thread, about 150 MB at n = 8.
+# mc holds the normal draws of MC_CHUNK samples and one MC_BLOCK of
+# 2n x 2n matrices per thread, about 51 MB at n = 8; the whole process with
+# --threads 2 peaks near 140 MB there.
 MAX_N = {"tasaki": 64, "mc": 8}
 DEFAULT_MAX_N = 32
 
