@@ -1,7 +1,6 @@
 """Wall time and peak RSS of whole `uval` processes, parent against change.
 
-    python3 scripts/cold_costs.py --parent REV --change REV --out BENCH_<label>.json \
-        [--runs N]
+    python3 scripts/cold_costs.py --parent REV --change REV --out BENCH_<label>.json
 
 Both revisions are exported with `git archive`, as scripts/bench_pairs.py
 does.  Each row is one `python -m uval.cli ARGS` process in a fresh
@@ -9,11 +8,11 @@ interpreter, run from the checkout of its side with that side's src on
 PYTHONPATH, BLAS/OpenMP pinned to one thread and PYTHONHASHSEED=0, as
 perfbench's cli_jobs children run.  The rows are the four long jobs of
 cli_jobs and a Monte-Carlo check at the largest n `mc` takes.  Every
-row runs N times per side (default 3), alternating which side goes
-first.  Peak RSS is the child's own ru_maxrss, read with os.wait4, so no
-other child counts.  The rows are written under "cold_costs" into the
---out file, keeping what is already there: each run's wall time, peak
-RSS and stdout digest, and per side the median and range of both.
+row runs RUNS times per side, alternating which side goes first.  Peak
+RSS is the child's own ru_maxrss, read with os.wait4, so no other child
+counts.  The rows are written under "cold_costs" into the --out file,
+keeping what is already there: each run's wall time, peak RSS and
+stdout digest, and per side the median and range of both.
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from clijobs import LONG_JOBS  # noqa: E402
 from common import THREAD_PINS  # noqa: E402
 
-ROWS = {
-    **LONG_JOBS,
-    "mc_n8": ["mc", "--n", "8", "--k", "5", "--angles", "0.3,0.9", "--co-angles", "0.7,0.1",
-              "--samples", "100000", "--threads", "2"],
-}
+# The Monte-Carlo check at the largest n `mc` takes; tests/test_mc_memory.py
+# bounds the peak RSS of this same command.
+MC_N8 = ["mc", "--n", "8", "--k", "5", "--angles", "0.3,0.9", "--co-angles", "0.7,0.1",
+         "--samples", "100000", "--threads", "2"]
+ROWS = {**LONG_JOBS, "mc_n8": MC_N8}
+RUNS = 5  # fresh processes per row and side, the same for every record
 
 
 def run(checkout: Path, argv: list[str]) -> dict:
@@ -72,7 +72,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     out = Path(args.out)
@@ -84,7 +83,7 @@ def main() -> None:
                    (("parent", args.parent), ("change", args.change))}
         for name, argv in ROWS.items():
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     runs[side].append(run(sides[side], argv))
                     print(name, i, side, runs[side][-1], file=sys.stderr, flush=True)
@@ -94,7 +93,7 @@ def main() -> None:
                 **{side: {m: summary([r[m] for r in rs]) for m in ("wall_s", "peak_rss_mb")}
                    for side, rs in runs.items()},
             }
-    record["cold_costs"] = {"runs": args.runs, **commits, "rows": rows}
+    record["cold_costs"] = {"runs": RUNS, **commits, "rows": rows}
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
