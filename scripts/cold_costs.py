@@ -7,7 +7,8 @@ does.  Each row is one `python -m uval.cli ARGS` process in a fresh
 interpreter, run from the checkout of its side with that side's src on
 PYTHONPATH, BLAS/OpenMP pinned to one thread and PYTHONHASHSEED=0, as
 perfbench's cli_jobs children run.  The rows are the four long jobs of
-cli_jobs and a Monte-Carlo check at the largest n `mc` takes.  Every
+cli_jobs and a Monte-Carlo check at the largest n `mc` takes, on 1, 2
+and 3 threads.  Every
 row runs RUNS times per side, alternating which side goes first.  Peak
 RSS is the child's own ru_maxrss, read with os.wait4, so no other child
 counts.  The rows are written under "cold_costs" into the --out file,
@@ -38,7 +39,10 @@ from common import THREAD_PINS  # noqa: E402
 # bounds the peak RSS of this same command.
 MC_N8 = ["mc", "--n", "8", "--k", "5", "--angles", "0.3,0.9", "--co-angles", "0.7,0.1",
          "--samples", "100000", "--threads", "2"]
-ROWS = {**LONG_JOBS, "mc_n8": MC_N8}
+# MC_N8 on 1, 2 and 3 threads: every worker draws at least one whole
+# MC_CHUNK, so the three peaks give the memory per worker.
+ROWS = {**LONG_JOBS, "mc_n8": MC_N8,
+        **{f"mc_n8_t{t}": [*MC_N8[:-1], str(t)] for t in (1, 3)}}
 RUNS = 5  # fresh processes per row and side, the same for every record
 
 

@@ -740,17 +740,28 @@ def check_angles_numeric(level: str) -> None:
                 assert c2 == [1.0] * q + [0.0] * (k // 2 - q), (n, k, q)
 
 
+def _haar_g00_sq(count: int):
+    """|g_00|^2 of count Haar unitaries on C^3 drawn from default_rng(7)."""
+    import numpy as np
+
+    from .grassmann import _haar_blocks
+
+    m = np.empty(count)
+    for s, g in _haar_blocks(3, count, np.random.default_rng(7)):
+        m[s] = np.abs(g[:, 0, 0]) ** 2
+    return m
+
+
 def check_haar_unitary(level: str) -> None:
     import numpy as np
 
-    from .grassmann import _haar_batch, haar_unitary
+    from .grassmann import haar_unitary
 
     g1, g2 = haar_unitary(4, 99), haar_unitary(4, 99)
     assert np.array_equal(g1, g2)
     assert np.allclose(g1 @ g1.conj().T, np.eye(4), atol=1e-12)
     count = 100_000 if level == "full" else 20_000
-    g = _haar_batch(3, count, np.random.default_rng(7))
-    m = np.abs(g[:, 0, 0]) ** 2
+    m = _haar_g00_sq(count)
     dev = abs(float(m.mean()) - 1 / 3) / (float(m.std(ddof=1)) / count**0.5)
     assert dev < 3, dev
 

@@ -25,12 +25,12 @@ from .scalar import UndecidableSignError
 __all__ = ["main"]
 
 # Largest --n per subcommand.  Each cap keeps the heaviest input within
-# about 20 s on one core (measured, 2 shared cores, Python 3.11): at
-# n = 32 pkf takes 0.7 s, additive of (chi+t)^64 20 s and convert --to
-# prim of it 0.5 s; the Gram-inverse Tasaki matrix takes 2 s at n = 64.
-# mc holds the normal draws of MC_CHUNK samples and one MC_BLOCK of
-# 2n x 2n matrices per thread, about 51 MB at n = 8; the whole process with
-# --threads 2 peaks near 140 MB there.
+# about 20 s on one core (whole processes, 2 shared cores, Python 3.11):
+# at n = 32 pkf takes 0.3 s, additive of (chi+t)^64 7.5-9 s and
+# convert --to prim of it 0.3 s; the Gram-inverse Tasaki matrix takes at
+# most 0.8 s at n = 64 (k = 63).  mc holds the real parts of MC_CHUNK
+# samples and one MC_BLOCK of 2n x 2n matrices per thread, about 26 MB
+# at n = 8; the whole process with --threads 2 peaks near 92 MB there.
 MAX_N = {"tasaki": 64, "mc": 8}
 DEFAULT_MAX_N = 32
 

@@ -63,13 +63,16 @@ MAX_SAMPLES = 10_000_000
 # Samples per Haar draw in an mc_crofton worker.  Part of what fixes the
 # output of a (seed, threads) pair: each chunk draws all its real parts,
 # then all its imaginary parts, from the worker's stream, and its |det|
-# values are summed as one array.
+# values are summed as one array.  The real parts of a chunk are held
+# whole (MC_CHUNK * n^2 floats, 16.8 MB at n = 8), since the imaginary
+# parts come after all of them in the stream.
 MC_CHUNK = 1 << 15
-# Samples per block of the per-matrix pipeline (QR, phase fix, rotation
-# of F, determinant).  It only bounds the working set: every matrix goes
-# through the same floating-point operations in a block of any size, so
-# the output does not depend on it.
-MC_BLOCK = 1 << 11
+# Samples per block of the per-matrix pipeline (imaginary parts, QR, phase
+# fix, rotation of F, determinant).  It only bounds the working set: the
+# imaginary parts are drawn in stream order whatever the block, and every
+# matrix goes through the same floating-point operations in a block of any
+# size, so the output does not depend on it.
+MC_BLOCK = 1 << 10
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -220,12 +223,6 @@ def complement_angles_check(f: Frame) -> bool:
 # ----------------------------------------------------------------------
 # Haar sampling
 
-def _blocks(count: int):
-    """Slices of at most MC_BLOCK samples covering range(count)."""
-    for start in range(0, count, MC_BLOCK):
-        yield slice(start, min(start + MC_BLOCK, count))
-
-
 def _haar_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Haar-distributed (b, n, n) unitaries from standard normal real and
     imaginary parts, via QR with the R-diagonal phase correction."""
@@ -235,14 +232,28 @@ def _haar_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
+def _haar_blocks(n: int, count: int, rng: np.random.Generator, re: np.ndarray | None = None):
+    """Yield (slice, unitaries) over blocks of count Haar unitaries on C^n.
+
+    All count real parts are drawn from rng first, into re[:count] when
+    re is given; then each block's imaginary parts, right before its QR.
+    That is the order of one draw of every real part, then one of every
+    imaginary part, so the values do not depend on MC_BLOCK.
+    """
+    re = rng.standard_normal((count, n, n)) if re is None else rng.standard_normal(out=re[:count])
+    im = np.empty((min(count, MC_BLOCK), n, n))
+    for start in range(0, count, MC_BLOCK):
+        s = slice(start, min(start + MC_BLOCK, count))
+        block = im[: s.stop - s.start]
+        rng.standard_normal(out=block)
+        yield s, _haar_block(re[s], block)
+
+
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed stack of (count, n, n) unitaries: all real parts,
-    then all imaginary parts, drawn from rng, and the QR run per block."""
-    re = rng.standard_normal((count, n, n))
-    im = rng.standard_normal((count, n, n))
+    """Haar-distributed stack of (count, n, n) unitaries (see _haar_blocks)."""
     out = np.empty((count, n, n), dtype=complex)
-    for s in _blocks(count):
-        out[s] = _haar_block(re[s], im[s])
+    for s, g in _haar_blocks(n, count, rng):
+        out[s] = g
     return out
 
 
@@ -316,10 +327,11 @@ def mc_crofton(
     above MAX_THREADS or above samples, and samples above MAX_SAMPLES, are
     refused before any worker starts.
 
-    Each worker holds the normal draws of one MC_CHUNK (2 * MC_CHUNK * n^2
-    floats, 8 MB at n = 4 and 34 MB at n = 8) and the working arrays of one
-    MC_BLOCK of matrices: about 14 MB per thread at n = 4 and 51 MB at
-    n = 8, measured as whole-process peak RSS against the thread count.
+    Each worker holds the real parts of one MC_CHUNK (MC_CHUNK * n^2
+    floats, 4.2 MB at n = 4 and 16.8 MB at n = 8) and the working arrays of
+    one MC_BLOCK of matrices, imaginary parts included: about 7 MB per
+    thread at n = 4 and 26 MB at n = 8, measured as whole-process peak RSS
+    against the thread count.
     """
     if not 1 <= k <= n:
         raise ValueError("mc_crofton needs 1 <= k <= n")
@@ -349,7 +361,6 @@ def mc_crofton(
         rng = np.random.default_rng(ss)
         size = min(count, MC_CHUNK)
         re = np.empty((size, n, n))
-        im = np.empty((size, n, n))
         d = np.empty(size)
         # [E | gF] per sample: E is written once, each block overwrites gF
         stacked = np.empty((min(size, MC_BLOCK), 2 * n, 2 * n))
@@ -359,10 +370,8 @@ def mc_crofton(
         left = count
         while left > 0:
             batch = min(left, MC_CHUNK)
-            rng.standard_normal(out=re[:batch])
-            rng.standard_normal(out=im[:batch])
-            for s in _blocks(batch):
-                moved = _haar_block(re[s], im[s]) @ f_complex
+            for s, g in _haar_blocks(n, batch, rng, re):
+                moved = g @ f_complex
                 m = stacked[: s.stop - s.start]
                 m[:, 0::2, k:] = moved.real
                 m[:, 1::2, k:] = moved.imag

@@ -1,6 +1,7 @@
-"""Pinned bits of the Monte-Carlo kernel: mc_crofton results and Haar
-batches as SHA-256 prefixes per case, and the blocked Haar batch against
-the one-shot form it replaced."""
+"""Pinned bits of the Monte-Carlo kernel: mc_crofton results, Haar
+batches and the |g_00|^2 sample of the selftest's Haar check as SHA-256
+prefixes per case, and the blocked Haar batch against the one-shot form
+it replaced."""
 
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from uval.checks import _haar_g00_sq  # noqa: E402
 from uval.grassmann import MC_BLOCK, Frame, _haar_batch, haar_unitary, mc_crofton  # noqa: E402
 
 
@@ -42,6 +44,10 @@ PINNED_DIGESTS = {
     "haar_batch": "43e6838265e4ce47",
     "haar_unitary": "1a4537a5d503c24a",
 }
+# |g_00|^2 over the 100 000 unitaries of check_haar_unitary("full"),
+# computed when every imaginary part of the batch was drawn at once
+HAAR_CHECK_DIGEST = "4fe924ce72b1abe8"
+HAAR_CHECK_MEAN_STD = (0.3336357164728383, 0.23601543122523513)
 
 
 def _digests():
@@ -55,6 +61,12 @@ def test_mc_outputs_pinned():
     got = _digests()
     differ = [name for name, want in PINNED_DIGESTS.items() if got[name] != want]
     assert not differ, f"{', '.join(differ)} differ from the pinned bits"
+
+
+def test_haar_check_sample_pinned():
+    m = _haar_g00_sq(100_000)
+    assert _digest(m.tobytes()) == HAAR_CHECK_DIGEST
+    assert (float(m.mean()), float(m.std(ddof=1))) == HAAR_CHECK_MEAN_STD
 
 
 def _one_shot_haar(n, count, rng):
