@@ -7,11 +7,11 @@ does.  Each row is one `python -m uval.cli ARGS` process in a fresh
 interpreter, run from the checkout of its side with that side's src on
 PYTHONPATH, BLAS/OpenMP pinned to one thread and PYTHONHASHSEED=0, as
 perfbench's cli_jobs children run.  The rows are the four long jobs of
-cli_jobs and a Monte-Carlo check at the largest n `mc` takes, on 1, 2
-and 3 threads.  Every
-row runs RUNS times per side, alternating which side goes first.  Peak
-RSS is the child's own ru_maxrss, read with os.wait4, so no other child
-counts.  The rows are written under "cold_costs" into the --out file,
+cli_jobs, a Monte-Carlo check at the largest n `mc` takes, on 1, 2 and 3
+threads, both Tasaki routes at the `tasaki` cap n = 64, and the README's
+whole-process `convert` and `additive` rows.  Every row runs RUNS times
+per side, alternating which side goes first.  Peak RSS is the child's
+own ru_maxrss, read with os.wait4, so no other child counts.  The rows are written under "cold_costs" into the --out file,
 keeping what is already there: each run's wall time, peak RSS and
 stdout digest, and per side the median and range of both.
 """
@@ -42,7 +42,11 @@ MC_N8 = ["mc", "--n", "8", "--k", "5", "--angles", "0.3,0.9", "--co-angles", "0.
 # MC_N8 on 1, 2 and 3 threads: every worker draws at least one whole
 # MC_CHUNK, so the three peaks give the memory per worker.
 ROWS = {**LONG_JOBS, "mc_n8": MC_N8,
-        **{f"mc_n8_t{t}": [*MC_N8[:-1], str(t)] for t in (1, 3)}}
+        **{f"mc_n8_t{t}": [*MC_N8[:-1], str(t)] for t in (1, 3)},
+        "tasaki64": ["tasaki", "--n", "64", "--k", "64"],
+        "tasaki64_oracle": ["tasaki", "--n", "64", "--k", "63", "--oracle", "--json"],
+        "convert32_prim": ["convert", "--n", "32", "--val", "(chi+t)^64", "--to", "prim"],
+        "additive32": ["additive", "--n", "32", "--val", "(chi+t)^64"]}
 RUNS = 5  # fresh processes per row and side, the same for every record
 
 

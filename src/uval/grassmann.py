@@ -298,16 +298,10 @@ def crofton_prediction(n: int, k: int, e_frame: Frame, f_frame: Frame) -> Scalar
     one), so the only approximation is the angle measurement itself.
     """
     t = tasaki_matrix_closed(n, k)
-    cos_e = [Fraction(c) for c in kahler_cos2(e_frame)]
-    cos_fp = [Fraction(c) for c in kahler_cos2(f_frame.complement())]
-    sig_e = elementary_symmetric(cos_e)
-    sig_f = elementary_symmetric(cos_fp)
-    total = Scalar.zero()
-    for i, si in enumerate(sig_e):
-        for j, sj in enumerate(sig_f):
-            if si and sj:
-                total = total + t[i, j] * (si * sj)
-    return total
+    sig_e = elementary_symmetric([Fraction(c) for c in kahler_cos2(e_frame)])
+    sig_f = elementary_symmetric([Fraction(c) for c in kahler_cos2(f_frame.complement())])
+    total = sum(x * si * sj for row, si in zip(t.rows, sig_e) for x, sj in zip(row, sig_f))
+    return Scalar.of(Fraction(total, t.den), t.e)
 
 
 def mc_crofton(

@@ -30,6 +30,9 @@ where the pairing is diagonal, e_r the tau-expansion of pi_{k,r} from
 per degree by T M = I in int against the pairings, a proof of T = M^{-1}.
 Only tasaki_matrix_oracle eliminates M: the independent route of
 check_tasaki_routes and of the reference kinematic in :mod:`uval.checks`.
+Both routes give a TasakiMatrix the integer block (e, den, rows) they
+compute.  :mod:`uval.linalg` is imported inside the oracle and
+TasakiMatrix.leading_minor_dets alone, so the closed paths never run it.
 
 Block convention: the leg of degree a is expressed in tau_{a, .} when
 a <= n and in the Fourier-transformed basis F(tau_{2n-a, .}) otherwise,
@@ -45,7 +48,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import inverse, leading_minors, pi_block
 from .scalar import Scalar, _Record, _scalars, binomial, double_factorial, factorial, omega
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
@@ -92,27 +94,36 @@ def pairing_fourier(a: Valuation, b: Valuation) -> Scalar:
 
 class TasakiMatrix(_Record):
     """The (p+1)x(p+1) coefficient matrix of the degree-(k, 2n-k) Crofton
-    formula over the bases tau_{k,i} and F(tau_{k,j})."""
+    formula over the bases tau_{k,i} and F(tau_{k,j}), as (e, den, rows):
+    entry (i, j) is rows[i][j] * pi^e / den, with den > 0 and no common
+    factor of den and the entries.  entries holds the same matrix as
+    Scalars; ==, hash and pickling read (n, k, e, den, rows)."""
 
-    __slots__ = ("n", "k", "entries")
+    __slots__ = ("n", "k", "e", "den", "rows", "entries")
 
-    def __init__(self, n: int, k: int, entries: tuple[tuple[Scalar, ...], ...]):
+    def __init__(self, n: int, k: int, e: int, den: int, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "entries", _scalar_rows(e, den, rows))
+
+    def _fields(self) -> tuple:
+        return self.n, self.k, self.e, self.den, self.rows
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         return self.entries[ij[0]][ij[1]]
 
     def leading_minor_dets(self) -> list[Scalar]:
-        m, den, ints = pi_block(self.entries)
-        return [
-            Scalar.from_parts({j * m: x}, den**j) for j, x in enumerate(leading_minors(ints), 1)
-        ]
+        from .linalg import leading_minors
+
+        e, den = self.e, self.den
+        return [Scalar.from_parts({j * e: x}, den**j) for j, x in enumerate(leading_minors(self.rows), 1)]
 
     def to_json(self) -> dict:
         return {
@@ -124,12 +135,11 @@ class TasakiMatrix(_Record):
     def pretty(self) -> str:
         """Render as `common_factor * [[...], [...]]` with integer-leaning
         entries; the factor is the gcd of the entries (single pi power)."""
-        m, den, ints = pi_block(self.entries)
-        g = gcd(*(x for row in ints for x in row)) or den
+        g = gcd(*(x for row in self.rows for x in row)) or self.den
         body = "[" + ",".join(
-            "[" + ",".join(str(Fraction(x, g)) for x in row) + "]" for row in ints
+            "[" + ",".join(str(Fraction(x, g)) for x in row) + "]" for row in self.rows
         ) + "]"
-        return f"{Scalar.of(Fraction(g, den), m)} * {body}"
+        return f"{Scalar.of(Fraction(g, self.den), self.e)} * {body}"
 
 
 def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
@@ -174,13 +184,13 @@ def _tasaki_closed(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...
 
 
 def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
-    """T^n_k from the primitive basis (0 <= k <= n), as Scalars read from
+    """T^n_k from the primitive basis (0 <= k <= n), the block of
     _tasaki_closed: the closed route, which reads no pairing."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     if n < 1:
         raise ValueError("ambient complex dimension must be >= 1")
-    return TasakiMatrix(n, k, _scalar_rows(*_tasaki_closed(n, k)))
+    return TasakiMatrix(n, k, *_tasaki_closed(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -219,9 +229,12 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     """T^n_k as the exact inverse of M_ij = (tau_{k,i}, F(tau_{k,j})), the
     independent route and the package's one elimination of a Gram matrix.
     The row and then the column gcds are divided out first, M = D_r M' D_c,
-    and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1."""
+    and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1; one gcd of the
+    result and its denominator is divided out at the end."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
+    from .linalg import inverse
+
     e, den, rows = _tasaki_gram(n, k)
     r = [gcd(*row) for row in rows]
     rows = [[x // g for x in row] for row, g in zip(rows, r)]
@@ -229,7 +242,9 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     d, inv = inverse(den, [[x // g for x, g in zip(row, c)] for row in rows])
     lr, lc = lcm(*r), lcm(*c)
     inv = [[x * (lc // ci) * (lr // rj) for x, rj in zip(row, r)] for row, ci in zip(inv, c)]
-    return TasakiMatrix(n, k, _scalar_rows(-e, d * lc * lr, inv))
+    d *= lc * lr
+    g = gcd(d, *(x for row in inv for x in row))
+    return TasakiMatrix(n, k, -e, d // g, tuple(tuple(x // g for x in row) for row in inv))
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Exact linear algebra on integer matrices.
 
 Every matrix of the exact core is an integer matrix times one power of
-pi over one denominator; a Tasaki matrix at level n is (floor(n/2)+1)
-square, 17x17 at n = 32.  :func:`inverse`, :func:`leading_minors` and
-:func:`fraction_matrix_rank` run the single fraction-free elimination
-:func:`_bareiss` (Bareiss, Math. Comp. 22, 1968) on integer rows: forward
-for leading minors and rank, and Gauss-Jordan on [A | I] for the inverse,
-whose right block ends as det * A^-1, at a cost polynomial in the size
-and with no Fraction in the loop.  :func:`inverse` has one caller, the
-Tasaki oracle; production reads closed inverses (checked by T M = I).
-:func:`pi_block` reads a Scalar matrix as (pi exponent, denominator,
-integer rows) for TasakiMatrix.pretty and TasakiMatrix.leading_minor_dets.
+pi over one denominator, and callers pass the integers alone; a Tasaki
+matrix at level n is (floor(n/2)+1) square, 17x17 at n = 32.
+:func:`inverse`, :func:`leading_minors` and :func:`fraction_matrix_rank`
+run the single fraction-free elimination :func:`_bareiss` (Bareiss,
+Math. Comp. 22, 1968) on integer rows: forward for leading minors and
+rank, and Gauss-Jordan on [A | I] for the inverse, whose right block
+ends as det * A^-1, at a cost polynomial in the size and with no
+Fraction in the loop.  :func:`inverse` has one caller, the Tasaki
+oracle; production reads closed inverses (checked by T M = I).
+:func:`leading_minors` serves TasakiMatrix.leading_minor_dets, and
+:func:`fraction_matrix_rank` a check in :mod:`uval.checks`.
+:mod:`uval.kinematic` imports this module only inside the oracle and
+the leading minors, so its closed paths never run it.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .scalar import Scalar
-
-__all__ = ["pi_block", "inverse", "leading_minors", "fraction_matrix_rank"]
+__all__ = ["inverse", "leading_minors", "fraction_matrix_rank"]
 
 
 def _bareiss(a: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int, list[int]]:
@@ -63,27 +64,6 @@ def _bareiss(a: list[list[int]], ncols: int, jordan: bool = False) -> tuple[int,
                 row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
         prev = p
     return swaps, pivots
-
-
-def _clear(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(den, ints) with rows[i][j] = ints[i][j] / den, den the lcm of all
-    denominators; int entries are accepted as well."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
-def pi_block(rows: Sequence[Sequence[Scalar]]) -> tuple[int, int, list[list[int]]]:
-    """A Scalar matrix with one pi power as (m, den, ints): entry (i, j) is
-    ints[i][j] * pi^m / den, den the lcm of the rational denominators.
-
-    A zero matrix has m = 0.  An entry with several pi powers, or entries
-    with different ones, raise ValueError.
-    """
-    exps = {s.monomial()[0] for row in rows for s in row if s}
-    if len(exps) > 1:
-        raise ValueError(f"mixed pi powers in matrix: {sorted(exps)}")
-    (m,) = exps or {0}
-    return (m, *_clear([[s.coefficient(m) for s in row] for row in rows]))
 
 
 def _check_square(ints: Sequence[Sequence[int]]) -> None:
@@ -133,6 +113,8 @@ def leading_minors(ints: Sequence[Sequence[int]]) -> list[int]:
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction-free forward elimination."""
-    _, ints = _clear(rows)
+    """Exact rank by fraction-free forward elimination of the rows times
+    the lcm of their denominators (int entries are accepted as well)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     return len(_bareiss(ints, len(ints[0]) if ints else 0)[1])

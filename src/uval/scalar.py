@@ -197,6 +197,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational scalar equals its Fraction (zero equals 0), so it hashes as one
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(tuple(self.items()))
 
     def __bool__(self) -> bool:

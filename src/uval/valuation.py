@@ -18,8 +18,8 @@ denominator and all numerators), so equal values have equal stores.
 Arithmetic, the product, the Fourier transform and the readers in
 :mod:`uval.cones`, :mod:`uval.sl2` and :mod:`uval.kinematic` work on it
 in int.  Scalars are built only when a coefficient is read: items(),
-coefficient(), mu_vector(), str, to_json and the Scalar-valued results,
-all through the one kernel scalar._scalars from reduced integers.
+coefficient(), str, to_json and the Scalar-valued results, all through
+the one kernel scalar._scalars from reduced integers.
 
 Locality is concentrated in the restriction of global Tasaki valuations
 to level n, which drops the mu terms that vanish locally, so the quotient
@@ -167,10 +167,6 @@ class Valuation:
         if len(ds) == 1:
             return ds[0]
         return None
-
-    def mu_vector(self, k: int) -> list[Scalar]:
-        """Coefficients (a_q) of the degree-k component, q ascending."""
-        return [self.coefficient(k, q) for q in q_range(self.n, k)]
 
     # ------------------------------------------------------------------
     def _check_n(self, other: "Valuation") -> None:

@@ -463,8 +463,10 @@ _UNLOADED = {
     "primitive --n 3 --k 2 --r 1": ("poly", "kinematic", "linalg", "cones", "valspec"),
     "convert --n 3 --val chi+t --to prim": ("poly", "kinematic", "linalg", "cones"),
     "sl2 --n 3 --op L --val t": ("poly", "kinematic", "linalg", "cones"),
-    "tasaki --n 3 --k 2": ("poly", "cones", "valspec"),
-    "pkf --n 3": ("poly", "cones", "valspec"),
+    "tasaki --n 3 --k 2": ("poly", "linalg", "cones", "valspec"),
+    "pkf --n 3": ("poly", "linalg", "cones", "valspec"),
+    "kinematic --n 3 --val t": ("poly", "linalg"),
+    "cone --n 3 --test crofton --val t": ("poly", "linalg"),
 }
 
 

@@ -1,6 +1,6 @@
 """Exact linear algebra on integer matrices: Bareiss leading minors
-against the Leibniz sum, and the inverse, rank and pi-block format from
-the same elimination."""
+against the Leibniz sum, and the inverse and rank from the same
+elimination."""
 
 import random
 import time
@@ -11,7 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from uval.kinematic import tasaki_matrix_closed
-from uval.linalg import fraction_matrix_rank, inverse, leading_minors, pi_block
+from uval.linalg import fraction_matrix_rank, inverse, leading_minors
 from uval.scalar import Scalar
 from uval.sl2 import _primitive_basis_inverse, primitive_general
 from uval.valuation import dim_val, q_range
@@ -29,33 +29,35 @@ def _leibniz(rows):
     return total
 
 
-def _minors(rows):
-    """The leading minors of a Scalar matrix with one pi power, through
-    pi_block and the integer leading_minors."""
-    m, den, ints = pi_block(rows)
-    return [Scalar.from_parts({j * m: x}, den**j) for j, x in enumerate(leading_minors(ints), 1)]
-
-
-def _det(rows):
-    return _minors(rows)[-1] if rows else Scalar.one()
-
-
-def _rand_matrix(rng, size, pi_exp, zero_share=0.3):
-    return [
-        [
-            Scalar.zero()
-            if rng.random() < zero_share
-            else Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), pi_exp)
-            for _ in range(size)
-        ]
-        for _ in range(size)
-    ]
-
-
 def _over_den(rows):
     """A rational matrix as (den, ints) with rows = ints / den."""
     den = lcm(*(x.denominator for row in rows for x in row))
     return den, [[int(x * den) for x in row] for row in rows]
+
+
+def _minors(a, pi_exp):
+    """The leading minors of the matrix a * pi^pi_exp, a rational, through
+    the integer leading_minors."""
+    den, ints = _over_den(a)
+    return [Scalar.from_parts({j * pi_exp: x}, den**j) for j, x in enumerate(leading_minors(ints), 1)]
+
+
+def _det(a, pi_exp):
+    return _minors(a, pi_exp)[-1] if a else Scalar.one()
+
+
+def _scalar_rows(a, pi_exp):
+    return [[Scalar.of(x, pi_exp) for x in row] for row in a]
+
+
+def _rand_matrix(rng, size, zero_share=0.3):
+    return [
+        [
+            Fraction(0) if rng.random() < zero_share else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
 
 
 def _assert_canonical(d, rows):
@@ -67,17 +69,17 @@ def test_det_matches_leibniz():
     for size in range(0, 6):
         for pi_exp in (-1, 0, 2):
             for _ in range(12):
-                rows = _rand_matrix(rng, size, pi_exp)
-                assert _det(rows) == _leibniz(rows), rows
+                a = _rand_matrix(rng, size)
+                assert _det(a, pi_exp) == _leibniz(_scalar_rows(a, pi_exp)), a
 
 
 def test_det_of_singular_matrices():
     rng = random.Random(32)
     for size in range(2, 6):
-        rows = _rand_matrix(rng, size, 1)
-        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        assert _det(rows).is_zero
-    assert _det([[Scalar.zero()] * 3 for _ in range(3)]).is_zero
+        a = _rand_matrix(rng, size)
+        a[-1] = [x + y for x, y in zip(a[0], a[1])]
+        assert _det(a, 1).is_zero
+    assert _det([[Fraction(0)] * 3 for _ in range(3)], 0).is_zero
     assert leading_minors([[0] * 3 for _ in range(3)]) == [0, 0, 0]
 
 
@@ -86,17 +88,19 @@ def test_leading_minors_match_leibniz():
     for size in range(1, 6):
         for pi_exp in (-1, 0, 1):
             for zero_share in (0.0, 0.5):
-                rows = _rand_matrix(rng, size, pi_exp, zero_share)
+                a = _rand_matrix(rng, size, zero_share)
+                rows = _scalar_rows(a, pi_exp)
                 want = [_leibniz([row[: j + 1] for row in rows[: j + 1]]) for j in range(size)]
-                assert _minors(rows) == want, rows
+                assert _minors(a, pi_exp) == want, a
 
 
 def test_leading_minors_with_zero_minor():
     # the first leading minor is zero, so the single pass does not apply
     ints = [[0, 1, 2], [1, 0, 3], [2, 3, 1]]
-    rows = [[Scalar.of(a) for a in row] for row in ints]
+    a = [[Fraction(x) for x in row] for row in ints]
+    rows = _scalar_rows(a, 0)
     want = [_leibniz([row[: j + 1] for row in rows[: j + 1]]) for j in range(3)]
-    assert _minors(rows) == want
+    assert _minors(a, 0) == want
     assert leading_minors(ints) == [0, -1, 11]
     assert ints == [[0, 1, 2], [1, 0, 3], [2, 3, 1]]  # the input is not changed
 
@@ -115,21 +119,16 @@ def test_tasaki_leading_minors_are_fast():
     start = time.perf_counter()
     minors = t.leading_minor_dets()
     assert time.perf_counter() - start < 0.5
-    assert minors == _minors(t.entries)
+    assert minors == _minors([[Fraction(x, t.den) for x in row] for row in t.rows], t.e)
     # the single pass agrees with one elimination per minor (the fallback)
-    _, _, ints = pi_block(t.entries)
+    ints = t.rows
     assert leading_minors(ints) == [
         leading_minors([row[:j] for row in ints[:j]])[-1] for j in range(1, t.size + 1)
     ]
     assert len(minors) == 9 and all(m.sign() > 0 for m in minors)
 
 
-def test_mixed_pi_powers_rejected():
-    mixed = [[Scalar.one(), Scalar.pi()], [Scalar.pi(), Scalar.one()]]
-    two_term = [[Scalar.one() + Scalar.pi(), Scalar.zero()], [Scalar.zero(), Scalar.one()]]
-    for rows in (mixed, two_term):
-        with pytest.raises(ValueError):
-            pi_block(rows)
+def test_non_square_rejected():
     for ints in ([[1, 1]], [[1, 2], [3]]):
         with pytest.raises(ValueError):
             leading_minors(ints)
@@ -164,11 +163,10 @@ def test_scalar_inverse_is_exact():
     for size in range(2, 7):
         for pi_exp in (-2, 0, 1):
             a = _invertible(rng, size, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
-            rows = [[Scalar.of(x, pi_exp) for x in row] for row in a]
-            m, den, ints = pi_block(rows)
-            d, inv_ints = inverse(den, ints)
+            rows = _scalar_rows(a, pi_exp)
+            d, inv_ints = inverse(*_over_den(a))
             _assert_canonical(d, inv_ints)
-            inv = [[Scalar.from_parts({-m: x}, d) for x in row] for row in inv_ints]
+            inv = [[Scalar.from_parts({-pi_exp: x}, d) for x in row] for row in inv_ints]
             for i in range(size):
                 for j in range(size):
                     total = Scalar.zero()
@@ -186,9 +184,6 @@ def test_singular_inverse_raises():
         a[-1] = [x * (size - 1) for x in a[0]]
         with pytest.raises(ZeroDivisionError):
             inverse(*_over_den(a))
-        m, den, ints = pi_block([[Scalar.of(x, 1) for x in row] for row in a])
-        with pytest.raises(ZeroDivisionError):
-            inverse(den, ints)
 
 
 def _eliminated_primitive_basis_inverse(n, k):
@@ -250,8 +245,8 @@ def test_rank_of_products_of_known_rank():
     assert fraction_matrix_rank([]) == 0
 
 
-# TasakiMatrix.pretty() for every 0 <= k <= n <= 8, as printed before the
-# matrix was read through pi_block.
+# TasakiMatrix.pretty() for every 0 <= k <= n <= 8, as printed when the
+# record held Scalar entries only and its text was rebuilt from them.
 PRETTY = {
     (1, 0): '1 * [[1]]',
     (1, 1): '2/π * [[1]]',

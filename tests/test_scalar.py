@@ -75,6 +75,18 @@ def test_serialization_roundtrip():
     check_scalar_serialization("full")
 
 
+def test_hash_agrees_with_eq_on_rationals():
+    # a rational scalar equals its int or Fraction, so sets and dicts find it
+    for value in (0, 3, -7, 10**30 + 1, Fraction(3, 4), Fraction(-5, 2), Fraction(6, 3)):
+        s = Scalar.of(value)
+        assert s == value and hash(s) == hash(value), value
+        assert s in {value} and value in {s}
+    assert Scalar.zero() in {0} and Scalar.one() in {1} and Scalar.zero() == Fraction(0)
+    # a scalar with a pi term equals no rational
+    for s in (Scalar.pi(), Scalar.of(3, -1), Scalar.of(3) + Scalar.pi()):
+        assert s != 3 and s not in {3, Fraction(3)}
+
+
 def test_division_by_monomial():
     s = Scalar.pi(2) + Scalar.of(3)
     d = Scalar.of(Fraction(1, 2), 1)

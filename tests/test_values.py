@@ -50,9 +50,13 @@ def test_records_keep_the_frozen_dataclass_protocol():
     t = KinematicTensor(1, m, blocks)
     assert t == KinematicTensor(n=1, mu=m, blocks=blocks, kind="kinematic", cpn_normalized=False)
     assert repr(t) == f"KinematicTensor(n=1, mu={m!r}, blocks={blocks!r}, kind='kinematic', cpn_normalized=False)"
-    entries = ((Scalar.of(3),),)
-    assert hash(TasakiMatrix(1, 0, entries)) == hash((1, 0, entries))
-    assert TasakiMatrix(1, 0, entries) != (1, 0, entries)
+    rows = ((3, -1), (-1, 3))
+    t8 = TasakiMatrix(2, 2, 0, 8, rows)
+    assert t8 == TasakiMatrix(n=2, k=2, e=0, den=8, rows=rows) == tasaki_matrix_closed(2, 2)
+    assert hash(t8) == hash((2, 2, 0, 8, rows))
+    assert t8 != (2, 2, 0, 8, rows)
+    assert t8 not in {TasakiMatrix(2, 2, 1, 8, rows), TasakiMatrix(2, 2, 0, 4, rows), TasakiMatrix(3, 2, 0, 8, rows)}
+    assert t8[0, 1] == Scalar.of(Fraction(-1, 8))
     assert Sl2Operator("H") == Sl2Operator(kind="H") != Sl2Operator("L")
     assert KlainPolynomial(2, (Scalar.one(), Scalar.zero())).degree == 2
     for record, field in ((t, "kind"), (Sl2Operator("H"), "kind"), (ConeVerdict(True), "member")):
