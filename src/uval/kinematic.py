@@ -122,8 +122,7 @@ class TasakiMatrix(_Record):
     def leading_minor_dets(self) -> list[Scalar]:
         from .linalg import leading_minors
 
-        e, den = self.e, self.den
-        return [Scalar.from_parts({j * e: x}, den**j) for j, x in enumerate(leading_minors(self.rows), 1)]
+        return [Scalar.from_parts({j * self.e: x}, self.den**j) for j, x in enumerate(leading_minors(self.rows), 1)]
 
     def to_json(self) -> dict:
         return {

@@ -47,7 +47,8 @@ class Scalar:
     """A Laurent polynomial sum_e c_e * pi^e with c_e in Q, c_e != 0.
 
     Instances are immutable; all operations return fresh objects.  The zero
-    scalar is the empty term map.  Equality is exact, term by term.
+    scalar is the empty term map.  Equality is exact, term by term, and a
+    rational scalar equals, and hashes as, its int or Fraction.
     """
 
     __slots__ = ("_terms",)
@@ -197,7 +198,6 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a rational scalar equals its Fraction (zero equals 0), so it hashes as one
         if self._terms.keys() <= {0}:
             return hash(self._terms.get(0, 0))
         return hash(tuple(self.items()))

@@ -30,7 +30,7 @@ def _leibniz(rows):
 
 
 def _over_den(rows):
-    """A rational matrix as (den, ints) with rows = ints / den."""
+    """A rational (int or Fraction) matrix as (den, ints) with rows = ints / den."""
     den = lcm(*(x.denominator for row in rows for x in row))
     return den, [[int(x * den) for x in row] for row in rows]
 
@@ -53,7 +53,7 @@ def _scalar_rows(a, pi_exp):
 def _rand_matrix(rng, size, zero_share=0.3):
     return [
         [
-            Fraction(0) if rng.random() < zero_share else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            0 if rng.random() < zero_share else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
             for _ in range(size)
         ]
         for _ in range(size)
@@ -79,7 +79,7 @@ def test_det_of_singular_matrices():
         a = _rand_matrix(rng, size)
         a[-1] = [x + y for x, y in zip(a[0], a[1])]
         assert _det(a, 1).is_zero
-    assert _det([[Fraction(0)] * 3 for _ in range(3)], 0).is_zero
+    assert _det([[0] * 3 for _ in range(3)], 0).is_zero
     assert leading_minors([[0] * 3 for _ in range(3)]) == [0, 0, 0]
 
 
@@ -97,10 +97,9 @@ def test_leading_minors_match_leibniz():
 def test_leading_minors_with_zero_minor():
     # the first leading minor is zero, so the single pass does not apply
     ints = [[0, 1, 2], [1, 0, 3], [2, 3, 1]]
-    a = [[Fraction(x) for x in row] for row in ints]
-    rows = _scalar_rows(a, 0)
+    rows = _scalar_rows(ints, 0)
     want = [_leibniz([row[: j + 1] for row in rows[: j + 1]]) for j in range(3)]
-    assert _minors(a, 0) == want
+    assert _minors(ints, 0) == want
     assert leading_minors(ints) == [0, -1, 11]
     assert ints == [[0, 1, 2], [1, 0, 3], [2, 3, 1]]  # the input is not changed
 
@@ -121,9 +120,8 @@ def test_tasaki_leading_minors_are_fast():
     assert time.perf_counter() - start < 0.5
     assert minors == _minors([[Fraction(x, t.den) for x in row] for row in t.rows], t.e)
     # the single pass agrees with one elimination per minor (the fallback)
-    ints = t.rows
-    assert leading_minors(ints) == [
-        leading_minors([row[:j] for row in ints[:j]])[-1] for j in range(1, t.size + 1)
+    assert leading_minors(t.rows) == [
+        leading_minors([row[:j] for row in t.rows[:j]])[-1] for j in range(1, t.size + 1)
     ]
     assert len(minors) == 9 and all(m.sign() > 0 for m in minors)
 
