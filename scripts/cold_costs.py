@@ -11,9 +11,10 @@ cli_jobs, a Monte-Carlo check at the largest n `mc` takes, on 1, 2 and 3
 threads, both Tasaki routes at the `tasaki` cap n = 64, and the README's
 whole-process `convert` and `additive` rows.  Every row runs RUNS times
 per side, alternating which side goes first.  Peak RSS is the child's
-own ru_maxrss, read with os.wait4, so no other child counts.  The rows are written under "cold_costs" into the --out file,
-keeping what is already there: each run's wall time, peak RSS and
-stdout digest, and per side the median and range of both.
+own ru_maxrss, read with os.wait4, so no other child counts.  The rows
+are written under "cold_costs" into the --out file, keeping what is
+already there: each run's wall time, peak RSS and stdout digest, and per
+side the median and range of both.
 """
 
 from __future__ import annotations

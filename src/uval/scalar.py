@@ -272,7 +272,9 @@ class _Record:
     """Base of the small immutable records (ConeVerdict, TasakiMatrix, ...):
     a subclass lists its fields in __slots__ and sets each in __init__ with
     object.__setattr__.  This gives == (same class only), hash and repr over
-    the fields in order, refuses assignment, and copies through __init__."""
+    the fields in order, refuses assignment, and copies through __init__.
+    A subclass with a slot derived from the others (TasakiMatrix.entries)
+    overrides _fields with the constructor's arguments."""
 
     __slots__ = ()
 
