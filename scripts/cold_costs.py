@@ -1,4 +1,5 @@
-"""Wall time and peak RSS of whole `uval` processes, parent against change.
+"""Wall time, CPU time and peak RSS of whole `uval` processes, parent
+against change.
 
     python3 scripts/cold_costs.py --parent REV --change REV --out BENCH_<label>.json
 
@@ -8,13 +9,16 @@ interpreter, run from the checkout of its side with that side's src on
 PYTHONPATH, BLAS/OpenMP pinned to one thread and PYTHONHASHSEED=0, as
 perfbench's cli_jobs children run.  The rows are the four long jobs of
 cli_jobs, a Monte-Carlo check at the largest n `mc` takes, on 1, 2 and 3
-threads, both Tasaki routes at the `tasaki` cap n = 64, and the README's
-whole-process `convert` and `additive` rows.  Every row runs RUNS times
-per side, alternating which side goes first.  Peak RSS is the child's
-own ru_maxrss, read with os.wait4, so no other child counts.  The rows
-are written under "cold_costs" into the --out file, keeping what is
-already there: each run's wall time, peak RSS and stdout digest, and per
-side the median and range of both.
+threads, both Tasaki routes at the `tasaki` cap n = 64, the README's
+whole-process `convert` and `additive` rows, and its library `kinematic`
+rows as `kinematic --n N --val "(chi+t)^(2N)"` for N = 16, 24 and 32.
+Every row runs RUNS times per side, alternating which side goes first.
+CPU time (ru_utime + ru_stime) and peak RSS (ru_maxrss) are the child's
+own, read with os.wait4, so no other child counts; CPU time moves less
+than wall time when other work shares the cores.  The rows are written
+under "cold_costs" into the --out file, keeping what is already there:
+each run's wall time, CPU time, peak RSS and stdout digest, and per side
+the median and range of the three.
 """
 
 from __future__ import annotations
@@ -47,12 +51,14 @@ ROWS = {**LONG_JOBS, "mc_n8": MC_N8,
         "tasaki64": ["tasaki", "--n", "64", "--k", "64"],
         "tasaki64_oracle": ["tasaki", "--n", "64", "--k", "63", "--oracle", "--json"],
         "convert32_prim": ["convert", "--n", "32", "--val", "(chi+t)^64", "--to", "prim"],
-        "additive32": ["additive", "--n", "32", "--val", "(chi+t)^64"]}
+        "additive32": ["additive", "--n", "32", "--val", "(chi+t)^64"],
+        **{f"kinematic{n}": ["kinematic", "--n", str(n), "--val", f"(chi+t)^{2 * n}"] for n in (16, 24, 32)}}
 RUNS = 5  # fresh processes per row and side, the same for every record
 
 
 def run(checkout: Path, argv: list[str]) -> dict:
-    """One fresh `uval` process: wall seconds, peak RSS in MB, stdout digest."""
+    """One fresh `uval` process: wall and CPU seconds, peak RSS in MB,
+    stdout digest."""
     env = dict(os.environ, **THREAD_PINS, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     env.pop("UVAL_SEED", None)
     with tempfile.TemporaryFile() as out:
@@ -68,6 +74,7 @@ def run(checkout: Path, argv: list[str]) -> dict:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} in {checkout}")
     return {
         "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mb": usage.ru_maxrss / 1024,
         "stdout_sha256": hashlib.sha256(stdout).hexdigest()[:16],
     }
@@ -99,7 +106,7 @@ def main() -> None:
             rows[name] = {
                 "argv": argv,
                 "runs": runs,
-                **{side: {m: summary([r[m] for r in rs]) for m in ("wall_s", "peak_rss_mb")}
+                **{side: {m: summary([r[m] for r in rs]) for m in ("wall_s", "cpu_s", "peak_rss_mb")}
                    for side, rs in runs.items()},
             }
     record["cold_costs"] = {"runs": RUNS, **commits, "rows": rows}

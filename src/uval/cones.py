@@ -24,7 +24,10 @@ All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block comes from the integer Tasaki Gram matrix M
 of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
-and delta is a cached integer table.  Each cone has one kernel on
+and delta is a cached integer table.  Like every table of uval.kinematic,
+a Gram block is one integer block (e, den, rows) in the canonical form of
+scalar._reduced; the delta table has the same shape with sparse rows.
+Each cone has one kernel on
 the store that returns its first failure.  A degree stored with one pi
 exponent is decided there by integer comparisons; every other sign goes
 to scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
@@ -37,12 +40,11 @@ integers by scalar._parts_text, as str(Scalar) is.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from operator import mul
 from typing import Mapping, Optional
 
 from .kinematic import _tasaki_gram, _tasaki_inverse
-from .scalar import Scalar, _Record, _parts_text, binomial, int_sign, omega
+from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
@@ -87,8 +89,8 @@ _MEMBER = ConeVerdict(True)
 # dual basis and Crofton positivity
 
 @lru_cache(maxsize=None)
-def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """G_pq = <mu_{k,p}, mu_{k,q}> as (columns, den, e), G_pq = columns[q][p]
+def _gram_block(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """G_pq = <mu_{k,p}, mu_{k,q}> as (e, den, rows), G_pq = rows[p][q]
     * pi^e / den and den coprime to the entries.  F is an isometry of the
     pairing mapping mu_{2n-k,q} to mu_{k,q+k-n}, so a degree above n reuses
     2n - k; below it G = L M L^T, M = _tasaki_gram(n, k) and L the lift
@@ -99,8 +101,7 @@ def _gram_block(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
     e, den, m = _tasaki_gram(n, k)
     lift = _lift(k)
     gram = [[sum(u * v * m[i][j] for i, u in a for j, v in b) for b in lift] for a in lift]
-    g = gcd(den, *(x for r in gram for x in r))
-    return tuple(tuple(x // g for x in r) for r in gram), den // g, e
+    return e, *_reduced(den, gram)
 
 
 def nu(n: int, k: int, p: int) -> Valuation:
@@ -124,14 +125,15 @@ def nu(n: int, k: int, p: int) -> Valuation:
 def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:
     """The nu coordinates b_q = sum_p a_p G_pq of the degree-k part
     {e: [a_0..a_{k//2}]} of a store over den, q ascending, each as parts
-    {e: x} of the value sum_e x pi^e / (den * _gram_block(n, k)[1])."""
-    columns, _, shift = _gram_block(n, k)
+    {e: x} of the value sum_e x pi^e / (den * _gram_block(n, k)[1]).  G is
+    symmetric, so row q of the block is its column q."""
+    shift, _, rows = _gram_block(n, k)
     q0 = max(0, k - n)
-    out: list[dict[int, int]] = [{} for _ in columns]
+    out: list[dict[int, int]] = [{} for _ in rows]
     for e, a in parts.items():
         a = a[q0:]
-        for b, column in zip(out, columns):
-            b[e + shift] = sum(map(mul, column, a))
+        for b, row in zip(out, rows):
+            b[e + shift] = sum(map(mul, row, a))
     return out
 
 
@@ -182,13 +184,13 @@ def _crofton_failure(n: int, den: int, store) -> Optional[tuple]:
     """The first negative nu coordinate, k and then q ascending."""
     for k in sorted(store):
         parts = store[k]
-        columns, gden, shift = _gram_block(n, k)
+        shift, gden, rows = _gram_block(n, k)
         q0 = max(0, k - n)
         if len(parts) == 1:
             ((e, a),) = parts.items()
             a = a[q0:]
-            for q, column in enumerate(columns, q0):
-                b = sum(map(mul, column, a))
+            for q, row in enumerate(rows, q0):
+                b = sum(map(mul, row, a))
                 if b < 0:
                     return "negative_nu_coordinate", k, q, {e + shift: b}, den * gden
             continue

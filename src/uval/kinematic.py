@@ -8,14 +8,18 @@ phi_i, psi_j run through bases of the degree-k piece and its complementary
 piece and M_ij = (phi_i, psi_j) is the duality pairing, then the degree-k
 contribution is sum K_ij (m phi_i) x psi_j with K = M^{-1}.
 
-The operator is linear in m, and block (c+k, 2n-k) of k(mu_{c,q}) is an
-integer matrix times one power of pi fixed by the degrees.  These blocks
-are cached per (n, c, k), built once from the integer tau-coordinates of
-mu_{c,q} phi_i and the integer inverse Gram block of degree k.
-:func:`kinematic` splits m into integer parts per (degree, pi exponent),
-sums the cached blocks in int and builds one Scalar per entry at the
-end.  The per-basis route in Scalar arithmetic is kept as the reference
-in :mod:`uval.checks`.
+Every cached table here (the closed and certified Tasaki matrices, the
+Gram matrix, the kinematic blocks) is one integer block (e, den, rows):
+integers over one denominator times one power of pi fixed by the
+degrees, in the canonical form of scalar._reduced.  The operator is
+linear in m, and the tables of k(mu_{c,q}) are cached per (n, c, k) as
+(e, den, one flat block per q), built once from the integer
+tau-coordinates of mu_{c,q} phi_i and the integer inverse Gram block of
+degree k.  Block (a, b) of k(m) comes from the one table with c = a + b
+- 2n, k = 2n - b, so :func:`kinematic` writes it once: sum_q x_q W_q in
+int per pi exponent of m's store, then one Scalar per entry.  Every
+Scalar matrix of this module comes from _scalar_rows.  The per-basis
+route in Scalar arithmetic is kept as the reference in :mod:`uval.checks`.
 
 pairing_pd is the volume coefficient of the product.  The blocks and the
 cached Tasaki Gram matrix M_ij = (tau_{k,i}, F(tau_{k,j})), the only
@@ -48,7 +52,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .scalar import Scalar, _Record, _scalars, binomial, double_factorial, factorial, omega
+from .scalar import Scalar, _Record, _reduced, _scalars, binomial, double_factorial, factorial, omega
 from .sl2 import _primitive_tau_coeffs
 from .valuation import (
     Valuation,
@@ -107,7 +111,7 @@ class TasakiMatrix(_Record):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "entries", _scalar_rows(e, den, rows))
+        object.__setattr__(self, "entries", _scalar_rows({e: [x for row in rows for x in row]}, den, len(rows)))
 
     def _fields(self) -> tuple:
         return self.n, self.k, self.e, self.den, self.rows
@@ -150,9 +154,11 @@ def _primitive_pairing(n: int, k: int, r: int) -> Fraction:
     )
 
 
-def _scalar_rows(e: int, den: int, rows) -> tuple[tuple[Scalar, ...], ...]:
-    """The Scalar matrix of (e, den, rows): entry (i, j) is rows[i][j] * pi^e / den."""
-    return tuple(tuple(_scalars({e: row}, den, len(row))) for row in rows)
+def _scalar_rows(blocks: dict[int, list[int]], den: int, width: int) -> tuple[tuple[Scalar, ...], ...]:
+    """The Scalar matrix of the flat integer blocks {e: ints} over den, width
+    columns: entry (i, j) is sum_e ints[i * width + j] * pi^e / den."""
+    scalars = _scalars(blocks, den, len(next(iter(blocks.values()))))
+    return tuple(tuple(scalars[r:r + width]) for r in range(0, len(scalars), width))
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +184,7 @@ def _tasaki_closed(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...
             x = num * (den // q) * ai
             for j, aj in enumerate(a):
                 row[j] += x * aj
-    g = gcd(den, *(x for row in sums for x in row))
-    return e, den // g, tuple(tuple(x // g for x in row) for row in sums)
+    return e, *_reduced(den, sums)
 
 
 def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
@@ -204,8 +209,7 @@ def _tasaki_gram(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]
     for psi in canonical_basis(n, 2 * n - k):
         e, den, products = _basis_products(n, 2 * n - k, psi._parts[2 * n - k][0], k)
         rows.append([z[0] for z in products])
-    g = gcd(den, *(x for row in rows for x in row))
-    return e, den // g, tuple(tuple(x // g for x in row) for row in rows)
+    return e, *_reduced(den, rows)
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +232,7 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     """T^n_k as the exact inverse of M_ij = (tau_{k,i}, F(tau_{k,j})), the
     independent route and the package's one elimination of a Gram matrix.
     The row and then the column gcds are divided out first, M = D_r M' D_c,
-    and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1; one gcd of the
-    result and its denominator is divided out at the end."""
+    and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1, then reduced."""
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     from .linalg import inverse
@@ -241,9 +244,7 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     d, inv = inverse(den, [[x // g for x, g in zip(row, c)] for row in rows])
     lr, lc = lcm(*r), lcm(*c)
     inv = [[x * (lc // ci) * (lr // rj) for x, rj in zip(row, r)] for row, ci in zip(inv, c)]
-    d *= lc * lr
-    g = gcd(d, *(x for row in inv for x in row))
-    return TasakiMatrix(n, k, -e, d // g, tuple(tuple(x // g for x in row) for row in inv))
+    return TasakiMatrix(n, k, -e, *_reduced(d * lc * lr, inv))
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +311,14 @@ class KinematicTensor(_Record):
 
 
 @lru_cache(maxsize=None)
-def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]] | None:
-    """Block (c+k, 2n-k) of the kinematic tensor of mu_{c,q}, for every q in
-    q_range(n, c), as (pi exponent, common denominator, ((q, ints), ...)):
-    entry (row, j) of the block of mu_{c,q} is ints[row * dim + j] * pi^e / den
+def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
+    """Block (c+k, 2n-k) of the kinematic tensor of mu_{c,q} for every q in
+    q_range(n, c), as (e, den, rows): rows holds one flat block W_q per q,
+    entry (i, j) of the block of mu_{c,q} being W_q[i * dim + j] * pi^e / den
     with dim = dim_val(n, k).  None if the block is zero for every q.
 
-    Row q's integers are sum_i A_q[i][row] K[i][j], a plain int product of
-    the integer tau-coordinates A_q[i] of mu_{c,q} phi_i, one row of
+    W_q[i * dim + j] = sum_l A_q[l][i] K[l][j], a plain int product of the
+    integer tau-coordinates A_q[l] of mu_{c,q} phi_l, one row of
     _basis_products, and the integer inverse Gram block K of degree k from
     _tasaki_inverse.  Every product has the one pi exponent of
     omega_{c+k}/(omega_c omega_k) and the same denominator.
@@ -327,13 +328,9 @@ def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int,
     rows = []
     for q in q_range(n, c):
         ea, da, a = _basis_products(n, c, [int(i == q) for i in range(c // 2 + 1)], k)
-        rows.append((q, [sum(map(mul, row, col)) for row in zip(*a) for col in cols]))
-    g = gcd(*(x for _, w in rows for x in w))
-    if not g:
-        return None
-    den = da * dk
-    g = gcd(g, den)
-    return ea + ek, den // g, tuple((q, tuple(x // g for x in w)) for q, w in rows)
+        rows.append([sum(map(mul, row, col)) for row in zip(*a) for col in cols])
+    den, rows = _reduced(da * dk, rows)
+    return (ea + ek, den, rows) if any(map(any, rows)) else None
 
 
 def kinematic(n: int, m: Valuation) -> KinematicTensor:
@@ -341,41 +338,34 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
     K_ij (m phi_i) x psi_j with phi the canonical basis, psi its Fourier
     transform and K the inverse pairing matrix of the degree.
 
-    m's store holds integer parts per (degree c, pi exponent) over one
-    denominator.  Block (c+k, 2n-k) receives sum_q x_q W_q in int, with
-    W_q the cached integer block of mu_{c,q} from _kinematic_block and one
-    pi shift per degree pair; one Scalar per entry is built at the end.
-    A block (a, b) comes from the single degree pair c = a + b - 2n,
-    k = 2n - b, so each block has one denominator.  All-zero blocks are
+    m's store holds integer parts x per (degree c, pi exponent) over one
+    denominator.  A block (a, b) comes from the single degree pair
+    c = a + b - 2n, k = 2n - b, so it is written once: sum_q x_q W_q in int
+    per pi exponent, with W_q the cached integer block of mu_{c,q} from
+    _kinematic_block, then one Scalar per entry.  All-zero blocks are
     dropped.
     """
     if m.n != n:
         raise ValueError(f"ambient dimension mismatch: {m.n} vs {n}")
-    # (a, b) -> (table denominator, {pi exponent: flat integer block})
-    acc: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
+    blocks = {}
     for c, by_e in m._parts.items():
+        q0 = max(0, c - n)
         for k in range(2 * n - c + 1):
             table = _kinematic_block(n, c, k)
             if table is None:
                 continue
             shift, wden, rows = table
-            _, sums = acc.setdefault((c + k, 2 * n - k), (wden, {}))
+            sums = {}
             for e, x in by_e.items():
-                z = sums.get(e + shift)
-                for q, w in rows:
-                    xq = x[q]
+                z = None
+                for xq, w in zip(x[q0:], rows):
                     if xq:
                         z = [xq * v for v in w] if z is None else [u + xq * v for u, v in zip(z, w)]
                 if z is not None:
                     sums[e + shift] = z
-    blocks = {}
-    for (a, b), (wden, sums) in acc.items():
-        size = dim_val(n, b)
-        scalars = _scalars(sums, m._den * wden, dim_val(n, a) * size)
-        if any(scalars):
-            blocks[(a, b)] = tuple(
-                tuple(scalars[r:r + size]) for r in range(0, len(scalars), size)
-            )
+            block = _scalar_rows(sums, m._den * wden, dim_val(n, 2 * n - k))
+            if any(map(any, block)):
+                blocks[(c + k, 2 * n - k)] = block
     return KinematicTensor(n=n, mu=m, blocks=blocks)
 
 
@@ -390,7 +380,7 @@ def principal_kinematic(n: int) -> KinematicTensor:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    blocks = [_scalar_rows(*_tasaki_inverse(n, k)) for k in range(n + 1)]
+    blocks = [TasakiMatrix(n, k, *_tasaki_inverse(n, k)).entries for k in range(n + 1)]
     return KinematicTensor(n, chi(n), {(k, 2 * n - k): blocks[min(k, 2 * n - k)] for k in range(2 * n + 1)})
 
 

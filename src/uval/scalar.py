@@ -7,10 +7,11 @@ a Laurent polynomial in pi with Fraction coefficients, stored sparsely as
 a map {pi-exponent: coefficient}.  pi is treated as a formal transcendental:
 no floating point enters any algebraic computation.  Every Scalar built from
 the integers of a store goes through one kernel from reduced integers to
-Fractions, and its text comes from one formatter.  The only numeric exits
-are :meth:`Scalar.to_float` (for display and the Monte-Carlo module) and
-:func:`sign`, which decides signs exactly in integer arithmetic over a
-fixed ladder of rational enclosures of pi.
+Fractions, and its text comes from one formatter; every cached integer
+table of the exact core is put in canonical form by one helper.  The
+only numeric exits are :meth:`Scalar.to_float` (for display and the
+Monte-Carlo module) and :func:`sign`, which decides signs exactly in
+integer arithmetic over a fixed ladder of rational enclosures of pi.
 
 The module also houses the small combinatorial constants used throughout:
 ball volumes omega_k, odd double factorials, binomials.
@@ -274,7 +275,8 @@ class _Record:
     object.__setattr__.  This gives == (same class only), hash and repr over
     the fields in order, refuses assignment, and copies through __init__.
     A subclass with a slot derived from the others (TasakiMatrix.entries)
-    overrides _fields with the constructor's arguments."""
+    lists it last and overrides _fields with the constructor's arguments,
+    which repr then names alone."""
 
     __slots__ = ()
 
@@ -290,7 +292,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields()))
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -339,6 +341,15 @@ def _scalars(vectors: Mapping[int, Sequence[int]], den: int, size: int) -> list[
                 terms[e] = _fraction(x // g, den // g)
         out.append(_raw(terms) if terms else _ZERO)
     return out
+
+
+def _reduced(den: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The integer block rows / den, den > 0, in canonical form (den, rows):
+    the common factor of den and the entries divided out.  Every cached
+    exact table is born over one positive denominator and reduced here; an
+    all-zero block ends over 1."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 def _parts_text(parts: Mapping[int, int], den: int) -> str:

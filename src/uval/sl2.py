@@ -33,10 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .scalar import Scalar, _Record, _scalars, double_factorial, factorial
+from .scalar import Scalar, _Record, _reduced, _scalars, double_factorial, factorial
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
@@ -163,9 +163,7 @@ def _primitive_basis_inverse(n: int, k: int) -> tuple[int, tuple[tuple[int, ...]
             below = 2 ** (i - r) * factorial(i - r) * factorial(kk - 2 * i) * odd[n - 2 * r]
             x[i] = top // below * odd[n - r - i]
         rows.append([scale // shrink[r] * sum(w * x[i] for i, w in terms) for terms in _lift(kk)])
-    den = top * scale
-    g = gcd(den, *(y for row in rows for y in row))
-    return den // g, tuple(tuple(y // g for y in row) for row in rows)
+    return _reduced(top * scale, rows)
 
 
 def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:

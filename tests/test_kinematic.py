@@ -203,8 +203,8 @@ def test_principal_route_mismatch_raises(monkeypatch):
     block = module._kinematic_block
 
     def perturbed(n, c, k):
-        e, den, ((q, w), *rest) = block(n, c, k)
-        return e, den, ((q, (w[0] + 1, *w[1:])), *rest)
+        e, den, (w, *rest) = block(n, c, k)
+        return e, den, ((w[0] + 1, *w[1:]), *rest)
 
     monkeypatch.setattr(module, "_kinematic_block", perturbed)
     with pytest.raises(AssertionError, match="^1$"):

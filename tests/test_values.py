@@ -44,6 +44,14 @@ def test_value_types_round_trip(how):
         assert repr(again) == repr(value)
 
 
+def test_record_repr_is_a_constructor_call():
+    # TasakiMatrix derives its Scalar entries from the integer block, so its
+    # repr names the constructor's fields alone and evaluates back to it
+    t = tasaki_matrix_closed(2, 2)
+    assert repr(t) == "TasakiMatrix(n=2, k=2, e=0, den=8, rows=((3, -1), (-1, 3)))"
+    assert eval(repr(t), {"TasakiMatrix": TasakiMatrix}) == t
+
+
 def test_records_keep_the_frozen_dataclass_protocol():
     m = Valuation(1, {(0, 0): 1})
     blocks = {(0, 2): ((Scalar.one(),),)}
