@@ -14,8 +14,9 @@ whole-process `convert` and `additive` rows, and its library `kinematic`
 rows as `kinematic --n N --val "(chi+t)^(2N)"` for N = 16, 24 and 32.
 Every row runs RUNS times per side, alternating which side goes first.
 CPU time (ru_utime + ru_stime) and peak RSS (ru_maxrss) are the child's
-own, read with os.wait4, so no other child counts; CPU time moves less
-than wall time when other work shares the cores.  The rows are written
+own, read with os.wait4, so no other child counts.  CPU time leaves out
+the time a child waits for a core, but not the slowdown that other work
+on shared cores causes while it runs.  The rows are written
 under "cold_costs" into the --out file, keeping what is already there:
 each run's wall time, CPU time, peak RSS and stdout digest, and per side
 the median and range of the three.
