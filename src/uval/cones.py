@@ -45,7 +45,7 @@ from typing import Mapping, Optional
 
 from .kinematic import _tasaki_gram, _tasaki_inverse
 from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega
-from .valuation import Valuation, _combine, _lift, _restrict, q_range
+from .valuation import Valuation, _combine, _lift, _restrict, dim_val, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -111,7 +111,7 @@ def nu(n: int, k: int, p: int) -> Valuation:
     on the orbit of planes of type (k, p).  At kk = min(k, 2n-k) its tau
     coordinates are T (C(p-q0, s))_s, T = _tasaki_inverse(n, kk) the
     certified closed Gram inverse, q0 = max(0, k-n); restricted to level n
-    and moved up by q0 (as F does), they are its mu coordinates.
+    they are its mu coordinates, by position in the window, which F keeps.
     """
     qs = q_range(n, k)
     if p not in qs:
@@ -119,19 +119,18 @@ def nu(n: int, k: int, p: int) -> Valuation:
     q0, kk = qs.start, min(k, 2 * n - k)
     e, den, rows = _tasaki_inverse(n, kk)
     y = [sum(binomial(p - q0, s) * x for s, x in enumerate(row)) for row in rows]
-    return _combine(n, den, [(1, e, {k: {0: (0,) * q0 + tuple(_restrict(n, kk, y))}})])
+    return _combine(n, den, [(1, e, {k: {0: tuple(_restrict(n, kk, y))}})])
 
 
 def _nu_parts(n: int, k: int, parts: Mapping[int, tuple[int, ...]]) -> list[dict[int, int]]:
-    """The nu coordinates b_q = sum_p a_p G_pq of the degree-k part
-    {e: [a_0..a_{k//2}]} of a store over den, q ascending, each as parts
-    {e: x} of the value sum_e x pi^e / (den * _gram_block(n, k)[1]).  G is
-    symmetric, so row q of the block is its column q."""
+    """The nu coordinates b_q = sum_p a_p G_pq of the degree-k part {e: a}
+    of a store over den, a indexed by position in q_range(n, k), q
+    ascending, each as parts {e: x} of the value sum_e x pi^e / (den *
+    _gram_block(n, k)[1]).  G is symmetric, so row q of the block is its
+    column q."""
     shift, _, rows = _gram_block(n, k)
-    q0 = max(0, k - n)
     out: list[dict[int, int]] = [{} for _ in rows]
     for e, a in parts.items():
-        a = a[q0:]
         for b, row in zip(out, rows):
             b[e + shift] = sum(map(mul, row, a))
     return out
@@ -165,14 +164,14 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
 def _positive_failure(n: int, den: int, store) -> Optional[tuple]:
     """The first negative mu coefficient, k and then q ascending."""
     for k in sorted(store):
-        parts = store[k]
+        parts, q0 = store[k], q_range(n, k).start
         if len(parts) == 1:
             ((e, a),) = parts.items()
             if min(a) < 0:
-                q = next(q for q, x in enumerate(a) if x < 0)
-                return "negative_mu_coefficient", k, q, {e: a[q]}, den
+                i = next(i for i, x in enumerate(a) if x < 0)
+                return "negative_mu_coefficient", k, q0 + i, {e: a[i]}, den
             continue
-        for q, column in enumerate(zip(*parts.values())):
+        for q, column in enumerate(zip(*parts.values()), q0):
             if min(column) < 0:  # nonnegative numerators give a nonnegative coefficient
                 c = dict(zip(parts, column))
                 if int_sign(c, den) < 0:
@@ -185,10 +184,9 @@ def _crofton_failure(n: int, den: int, store) -> Optional[tuple]:
     for k in sorted(store):
         parts = store[k]
         shift, gden, rows = _gram_block(n, k)
-        q0 = max(0, k - n)
+        q0 = q_range(n, k).start
         if len(parts) == 1:
             ((e, a),) = parts.items()
-            a = a[q0:]
             for q, row in enumerate(rows, q0):
                 b = sum(map(mul, row, a))
                 if b < 0:
@@ -203,19 +201,21 @@ def _crofton_failure(n: int, den: int, store) -> Optional[tuple]:
 @lru_cache(maxsize=None)
 def _monotone_rows(n: int, k: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """The inequalities of M at degree k >= 1 as (family, q, i, x, j, y),
-    each asking a_i x - a_j y >= 0 of the mu coefficients, family 1 and then
-    family 2, q ascending; family 2 is taken times 2.  Indices outside the
-    valid mu range enter with coefficient zero."""
-    rows = []
-    for q in range(max(0, k - n), (k - 1) // 2 + 1):
+    each asking a_i x - a_j y >= 0 of the mu coefficients, a indexed by
+    position in q_range(n, k), family 1 and then family 2, q ascending;
+    family 2 is taken times 2.  Indices outside the valid mu range enter
+    with coefficient zero, so such a row names a_i in their place."""
+    q0, rows = q_range(n, k).start, []
+    for q in range(q0, (k - 1) // 2 + 1):
         # (k-2q) a_q - (k-2q-1) a_{q+1}; a_{q+1} is out of range only where
         # its factor is 0
-        w = k - 2 * q - 1
-        rows.append((1, q, q, w + 1, q + 1 if w else q, w))
+        i, w = q - q0, k - 2 * q - 1
+        rows.append((1, q, i, w + 1, i + 1 if w else i, w))
     for q in range(max(0, k - n - 1), (k - 2) // 2 + 1):
-        # 2 * ((n+q-k+3/2) a_{q+1} - (n+q-k+1) a_q)
-        m = n + q - k
-        rows.append((2, q, q + 1, 2 * m + 3, q, 2 * m + 2))
+        # 2 * ((n+q-k+3/2) a_{q+1} - (n+q-k+1) a_q); a_q is below the
+        # window only at q = k-n-1, where its factor is 0
+        i, m = q + 1 - q0, n + q - k
+        rows.append((2, q, i, 2 * m + 3, i - 1 if m + 1 else i, 2 * m + 2))
     return tuple(rows)
 
 
@@ -346,9 +346,9 @@ class CurvExpr(_Record):
 
 @lru_cache(maxsize=None)
 def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
-    """delta(mu_{k,q}) as (e, den, rows), rows[q] listing (symbol key, x)
-    for the coefficient x * pi^e / den, () outside q_range.  Each coefficient
-    of the four-term c_{n,k,q} expression is an integer times w =
+    """delta(mu_{k,q}) as (e, den, rows), one row per q of q_range(n, k),
+    listing (symbol key, x) for the coefficient x * pi^e / den.  Each
+    coefficient of the four-term c_{n,k,q} expression is an integer times w =
     omega_{2n-k+1}/omega_{2n-k} = pi^e num/den: with m = n+q-k, those of
     Gamma_{k-1,q}, B_{k-1,q}, Gamma_{k-1,q-1}, B_{k-1,q-1} are 2(m+1)(k-2q),
     -2(m+1)(k-2q-1), -2(k+1-2q)m and (k+1-2q)(2m+1); zeros are dropped."""
@@ -356,16 +356,14 @@ def _delta_table(n: int, k: int) -> tuple[int, int, tuple[tuple, ...]]:
     e0, w0 = omega(2 * n - k).monomial()
     w = w1 / w0
     rows = []
-    for q in range(k // 2 + 1):
-        row = []
-        if q in q_range(n, k):
-            m = n + q - k
-            if k - 1 >= 2 * q:
-                row += [(("Gamma", k - 1, q), 2 * (m + 1) * (k - 2 * q)),
-                        (("B", k - 1, q), -2 * (m + 1) * (k - 2 * q - 1))]
-            if q >= 1:
-                row += [(("Gamma", k - 1, q - 1), -2 * (k + 1 - 2 * q) * m),
-                        (("B", k - 1, q - 1), (k + 1 - 2 * q) * (2 * m + 1))]
+    for q in q_range(n, k):
+        row, m = [], n + q - k
+        if k - 1 >= 2 * q:
+            row += [(("Gamma", k - 1, q), 2 * (m + 1) * (k - 2 * q)),
+                    (("B", k - 1, q), -2 * (m + 1) * (k - 2 * q - 1))]
+        if q >= 1:
+            row += [(("Gamma", k - 1, q - 1), -2 * (k + 1 - 2 * q) * m),
+                    (("B", k - 1, q - 1), (k + 1 - 2 * q) * (2 * m + 1))]
         rows.append(tuple((key, w.numerator * x) for key, x in row if x))
     return e1 - e0, w.denominator, tuple(rows)
 
@@ -405,8 +403,8 @@ def norm_inf(v: Valuation) -> Scalar:
     k = _require_homogeneous(v)
     parts, den = v._parts.get(k, {}), v._den
     best: dict[int, int] = {}
-    for q in q_range(v.n, k):
-        c = {e: a[q] for e, a in parts.items()}
+    for i in range(dim_val(v.n, k)):
+        c = {e: a[i] for e, a in parts.items()}
         if int_sign(c, den) < 0:
             c = {e: -x for e, x in c.items()}
         diff = {e: c.get(e, 0) - best.get(e, 0) for e in c.keys() | best.keys()}

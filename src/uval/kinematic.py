@@ -190,10 +190,10 @@ def _tasaki_closed(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...
 def tasaki_matrix_closed(n: int, k: int) -> TasakiMatrix:
     """T^n_k from the primitive basis (0 <= k <= n), the block of
     _tasaki_closed: the closed route, which reads no pairing."""
-    if not 0 <= k <= n:
-        raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     if n < 1:
         raise ValueError("ambient complex dimension must be >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("tasaki_matrix_closed needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     return TasakiMatrix(n, k, *_tasaki_closed(n, k))
 
 
@@ -233,6 +233,8 @@ def tasaki_matrix_oracle(n: int, k: int) -> TasakiMatrix:
     independent route and the package's one elimination of a Gram matrix.
     The row and then the column gcds are divided out first, M = D_r M' D_c,
     and put back in int by M^-1 = D_c^-1 M'^-1 D_r^-1, then reduced."""
+    if n < 1:
+        raise ValueError("ambient complex dimension must be >= 1")
     if not 0 <= k <= n:
         raise ValueError("tasaki_matrix_oracle needs 0 <= k <= n; use the Fourier symmetry above the middle degree")
     from .linalg import inverse
@@ -327,7 +329,7 @@ def _kinematic_block(n: int, c: int, k: int) -> tuple[int, int, tuple[tuple[int,
     cols = list(zip(*kmat))
     rows = []
     for q in q_range(n, c):
-        ea, da, a = _basis_products(n, c, [int(i == q) for i in range(c // 2 + 1)], k)
+        ea, da, a = _basis_products(n, c, [int(i == q) for i in q_range(n, c)], k)
         rows.append([sum(map(mul, row, col)) for row in zip(*a) for col in cols])
     den, rows = _reduced(da * dk, rows)
     return (ea + ek, den, rows) if any(map(any, rows)) else None
@@ -349,7 +351,6 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
         raise ValueError(f"ambient dimension mismatch: {m.n} vs {n}")
     blocks = {}
     for c, by_e in m._parts.items():
-        q0 = max(0, c - n)
         for k in range(2 * n - c + 1):
             table = _kinematic_block(n, c, k)
             if table is None:
@@ -358,7 +359,7 @@ def kinematic(n: int, m: Valuation) -> KinematicTensor:
             sums = {}
             for e, x in by_e.items():
                 z = None
-                for xq, w in zip(x[q0:], rows):
+                for xq, w in zip(x, rows):
                     if xq:
                         z = [xq * v for v in w] if z is None else [u + xq * v for u, v in zip(z, w)]
                 if z is not None:
@@ -379,7 +380,7 @@ def principal_kinematic(n: int) -> KinematicTensor:
     reference route.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("ambient complex dimension must be >= 1")
     blocks = [TasakiMatrix(n, k, *_tasaki_inverse(n, k)).entries for k in range(n + 1)]
     return KinematicTensor(n, chi(n), {(k, 2 * n - k): blocks[min(k, 2 * n - k)] for k in range(2 * n + 1)})
 

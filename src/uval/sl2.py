@@ -59,13 +59,14 @@ def _apply(v: Valuation, shift: int, image) -> Valuation:
     for k, by_e in v._parts.items():
         m = k + shift
         if 0 <= m <= 2 * n:
-            targets = q_range(n, m)
-            steps = [(q, t, w) for q in q_range(n, k) for t, w in image(k, q) if w and t in targets]
+            sources, targets = q_range(n, k), q_range(n, m)
+            steps = [(q - sources.start, t - targets.start, w)
+                     for q in sources for t, w in image(k, q) if w and t in targets]
             out = parts[m] = {}
             for e, a in by_e.items():
-                b = out[e] = [0] * (m // 2 + 1)
-                for q, t, w in steps:
-                    b[t] += w * a[q]
+                b = out[e] = [0] * len(targets)
+                for i, j, w in steps:
+                    b[j] += w * a[i]
     return _combine(n, v._den, [(1, 0, parts)])
 
 
@@ -178,8 +179,7 @@ def lefschetz_decompose(v: Valuation) -> list[tuple[int, int, Scalar]]:
     out: list[tuple[int, int, Scalar]] = []
     for k in v.degrees():
         den, inv = _primitive_basis_inverse(n, k)
-        windows = {e: a[max(0, k - n):] for e, a in v._parts[k].items()}
-        coords = {e: [sum(map(mul, row, a)) for row in inv] for e, a in windows.items()}
+        coords = {e: [sum(map(mul, row, a)) for row in inv] for e, a in v._parts[k].items()}
         out += [(k, r, c) for r, c in enumerate(_scalars(coords, den * v._den, len(inv))) if c]
     return out
 

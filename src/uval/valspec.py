@@ -64,6 +64,7 @@ class _Token(_Record):
 
 
 _OPS = set("+-*/^()[],")
+_DIGITS = set("0123456789")  # str.isdigit() also takes superscripts and other scripts' digits
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -74,9 +75,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("num", text[i:j], i))
             i = j

@@ -3,18 +3,20 @@
 A :class:`Valuation` stores an element of the finite-dimensional graded
 algebra of continuous, translation- and U(n)-invariant convex valuations.
 The internal coordinates are the hermitian intrinsic volumes mu_{k,q},
-indexed by degree 0 <= k <= 2n and max(0, k-n) <= q <= floor(k/2); these
-form a genuine basis in every degree and the Fourier transform permutes
-them.  The Tasaki valuations tau_{k,i} (whose Klain functions are the
-elementary symmetric polynomials of the squared cosines of the multiple
-Kaehler angle), the global monomials in (t, u), and the primitive elements
-are views computed from the mu coordinates.
+indexed by degree 0 <= k <= 2n and q in q_range(n, k), max(0, k-n) <= q
+<= floor(k/2); these form a genuine basis in every degree and the Fourier
+transform permutes them, keeping each one's position in its q_range.  The
+Tasaki valuations tau_{k,i} (whose Klain functions are the elementary
+symmetric polynomials of the squared cosines of the multiple Kaehler
+angle), the global monomials in (t, u), and the primitive elements are
+views computed from the mu coordinates.
 
 Every coefficient is a rational combination of powers of pi, so a
 Valuation stores integers only: one least common denominator and, per
-degree k and pi exponent e, the vector of numerators indexed by q.  The
-store is canonical (no all-zero vector, no common factor of the
-denominator and all numerators), so equal values have equal stores.
+degree k and pi exponent e, the vector of numerators indexed by position
+in q_range(n, k), so the Fourier transform relabels degrees.  The store is
+canonical (no all-zero vector, no common factor of the denominator and all
+numerators), so equal values have equal stores.
 Arithmetic, the product, the Fourier transform and the readers in
 :mod:`uval.cones`, :mod:`uval.sl2` and :mod:`uval.kinematic` work on it
 in int.  Scalars are built only when a coefficient is read: items(),
@@ -64,6 +66,7 @@ __all__ = [
 _ONE = Scalar.one()
 
 
+@lru_cache(maxsize=None)
 def q_range(n: int, k: int) -> range:
     """Valid mu indices q at degree k in C^n: max(0, k-n) <= q <= floor(k/2)."""
     if n < 1:
@@ -78,13 +81,8 @@ def dim_val(n: int, k: int) -> int:
     return len(q_range(n, k))
 
 
-@lru_cache(maxsize=None)
-def _mu_keys(n: int) -> frozenset[tuple[int, int]]:
-    return frozenset((k, q) for k in range(2 * n + 1) for q in q_range(n, k))
-
-
-# The store: {k: {e: (a_0, ..., a_{k//2})}}, the mu_{k,q} coefficient being
-# sum_e a_q pi^e / den; a_q = 0 for q outside q_range(n, k).
+# The store: {k: {e: (a_0, ..., a_{d-1})}}, d = dim_val(n, k), the mu_{k,q}
+# coefficient being sum_e a_i pi^e / den at i = q - q_range(n, k).start.
 Parts = dict[int, dict[int, tuple[int, ...]]]
 
 
@@ -102,27 +100,27 @@ class Valuation:
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], Scalar | RationalLike] | None = None):
         if n < 1:
             raise ValueError("ambient complex dimension must be >= 1")
-        terms = []  # (k, q, e, numerator, denominator)
+        terms = []  # (k, position in q_range, e, numerator, denominator)
         if coeffs:
-            keys = _mu_keys(n)
             for (k, q), c in coeffs.items():
-                if (k, q) not in keys:
-                    q_range(n, k)  # names a bad degree
+                qs = q_range(n, k)  # names a bad degree
+                if q not in qs:
                     raise ValueError(f"mu index (k={k}, q={q}) out of range at n={n}")
+                i = q - qs.start
                 if isinstance(c, int):
                     if c:
-                        terms.append((k, q, 0, c, 1))
+                        terms.append((k, i, 0, c, 1))
                     continue
                 if not isinstance(c, Scalar):
                     c = Scalar.of(c)
-                terms += [(k, q, e, f.numerator, f.denominator) for e, f in c._terms.items()]
+                terms += [(k, i, e, f.numerator, f.denominator) for e, f in c._terms.items()]
         # the lcm of reduced denominators leaves no common factor
         den = lcm(*[t[4] for t in terms])
         parts: dict[int, dict[int, list[int]]] = {}
-        for k, q, e, num, d in terms:
+        for k, i, e, num, d in terms:
             by_e = parts.get(k) or parts.setdefault(k, {})
-            a = by_e.get(e) or by_e.setdefault(e, [0] * (k // 2 + 1))
-            a[q] = num * (den // d)
+            a = by_e.get(e) or by_e.setdefault(e, [0] * dim_val(n, k))
+            a[i] = num * (den // d)
         _init(self, n, den, {k: {e: tuple(a) for e, a in by_e.items()} for k, by_e in parts.items()})
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -138,16 +136,17 @@ class Valuation:
 
     def items(self) -> list[tuple[tuple[int, int], Scalar]]:
         """The nonzero coefficients, sorted by (k, q)."""
-        return [
-            ((k, q), c) for k in self.degrees()
-            for q, c in enumerate(_scalars(self._parts[k], self._den, k // 2 + 1)) if c
-        ]
+        out = []
+        for k in self.degrees():
+            qs = q_range(self.n, k)
+            out += [((k, q), c) for q, c in zip(qs, _scalars(self._parts[k], self._den, len(qs))) if c]
+        return out
 
     def coefficient(self, k: int, q: int) -> Scalar:
         by_e = self._parts.get(k)
-        if not by_e or not 0 <= q <= k // 2:
+        if not by_e or q not in (qs := q_range(self.n, k)):
             return Scalar.zero()
-        return Scalar.from_parts({e: a[q] for e, a in by_e.items()}, self._den)
+        return Scalar.from_parts({e: a[q - qs.start] for e, a in by_e.items()}, self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -308,9 +307,9 @@ def mu(n: int, k: int, q: int) -> Valuation:
     formulas an out-of-range mu is zero, but as a constructor request it is
     an error.
     """
-    if q not in q_range(n, k):
+    if q not in (qs := q_range(n, k)):
         raise ValueError(f"mu index (k={k}, q={q}) out of range at n={n}")
-    return _raw(n, 1, {k: {0: tuple(int(i == q) for i in range(k // 2 + 1))}})
+    return _raw(n, 1, {k: {0: tuple(int(i == q) for i in qs)}})
 
 
 def tau(n: int, k: int, q: int) -> Valuation:
@@ -446,8 +445,8 @@ def _restriction(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _restrict(n: int, m: int, alpha: Sequence[int]) -> list[int]:
-    """The level-n mu_{m,r} coordinates, 0 outside q_range, of global Tasaki coordinates."""
-    return [0] * max(0, m - n) + [sum(map(mul, row, alpha)) for row in _restriction(n, m)]
+    """The level-n mu_{m,r} coordinates, r over q_range(n, m), of global Tasaki coordinates."""
+    return [sum(map(mul, row, alpha)) for row in _restriction(n, m)]
 
 
 @lru_cache(maxsize=None)
@@ -463,12 +462,12 @@ def _fold(n: int, m: int, z: list[int]) -> list[int]:
     return z if m <= n else [sum(map(mul, row, z)) for row in _fold_rows(n, m)]
 
 
-def _lift_vector(k: int, a: Sequence[int]) -> list[int]:
-    """The global lift of the degree-k mu-coordinates a (indexed by q):
-    its global Tasaki coordinates [alpha_0..alpha_{k//2}]."""
+def _lift_vector(n: int, k: int, a: Sequence[int]) -> list[int]:
+    """The global lift of the degree-k mu-coordinates a, indexed by position
+    in q_range(n, k): its global Tasaki coordinates [alpha_0..alpha_{k//2}]."""
     alpha = [0] * (k // 2 + 1)
     lift = _lift(k)
-    for q, v in enumerate(a):
+    for q, v in enumerate(a, q_range(n, k).start):
         if v:
             for i, w in lift[q]:
                 alpha[i] += w * v
@@ -504,7 +503,7 @@ def multiply(a: Valuation, b: Valuation) -> Valuation:
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     n = a.n
-    xa, yb = ({k: [(e, _lift_vector(k, x)) for e, x in by_e.items()] for k, by_e in v._parts.items()} for v in (a, b))
+    xa, yb = ({k: [(e, _lift_vector(n, k, x)) for e, x in by_e.items()] for k, by_e in v._parts.items()} for v in (a, b))
     acc: dict[int, dict[int, list[int]]] = {}  # {m: {e: global Tasaki coordinates}}
     for k, xs in xa.items():
         for l, ys in yb.items():
@@ -531,28 +530,28 @@ def multiply(a: Valuation, b: Valuation) -> Valuation:
                 by_e[e] = r
         if by_e:
             scale = shift_den // _shift_denominator(m)
-            vecs.append((m, scale, (0,) * max(0, m - n), by_e))  # mu_{m,r} vanishes locally below q_range
+            vecs.append((m, scale, by_e))
             g = gcd(g, *(scale * gcd(*r) for r in by_e.values()))
     return _raw(n, den // g, {
-        m: {e: pad + tuple([x * scale // g for x in r]) for e, r in by_e.items()} for m, scale, pad, by_e in vecs
+        m: {e: tuple([x * scale // g for x in r]) for e, r in by_e.items()} for m, scale, by_e in vecs
     })
 
 
 @lru_cache(maxsize=None)
 def _basis_lift(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The global Tasaki coordinates of canonical_basis(n, k)."""
-    return tuple(tuple(_lift_vector(k, v._parts[k][0])) for v in canonical_basis(n, k))
+    return tuple(tuple(_lift_vector(n, k, v._parts[k][0])) for v in canonical_basis(n, k))
 
 
 def _basis_products(n: int, c: int, a: Sequence[int], k: int) -> tuple[int, int, list[list[int]]]:
     """The products of the degree-c element with integer mu-coordinates a
-    (indexed by q, no pi) and canonical_basis(n, k), c + k <= 2n, as (e, den,
-    rows): row i holds the canonical degree-(c+k) coordinates of a phi_i,
+    (indexed by position in q_range(n, c), no pi) and canonical_basis(n, k),
+    c + k <= 2n, as (e, den, rows): row i holds the canonical degree-(c+k) coordinates of a phi_i,
     entry j being rows[i][j] * pi^e / den.  phi_i is the outer factor of the
     product formula, which skips its zero coordinates (all but one of
     tau_{k,i}), and _fold writes each product in the canonical basis."""
     e, f, weights = _degree_pair(k, c)
-    x, m, rows = _lift_vector(c, a), c + k, []
+    x, m, rows = _lift_vector(n, c, a), c + k, []
     for y in _basis_lift(n, k):
         z = [0] * (m // 2 + 1)
         _tau_product(f, weights, y, [(z, x)])
@@ -565,15 +564,13 @@ def _basis_products(n: int, c: int, a: Sequence[int], k: int) -> tuple[int, int,
 
 def fourier(v: Valuation) -> Valuation:
     """The Alesker-Fourier transform: the index permutation
-    mu_{k,q} -> mu_{2n-k, n-k+q}.  An involution that reverses degree."""
+    mu_{k,q} -> mu_{2n-k, n-k+q}.  An involution that reverses degree.
+
+    It keeps each basis element's position in q_range, so it relabels the
+    degrees of the store; stores are never mutated, so the vectors are
+    shared."""
     n = v.n
-    parts = {}
-    for k, by_e in v._parts.items():
-        low, top = max(0, k - n), k // 2
-        # mu_{k,q} -> mu_{2n-k, n-k+q} over q in q_range(n, k)
-        pad = [0] * (n - k + low)
-        parts[2 * n - k] = {e: (*pad, *a[low:top + 1]) for e, a in by_e.items()}
-    return _raw(n, v._den, parts)
+    return _raw(n, v._den, {2 * n - k: by_e for k, by_e in v._parts.items()})
 
 
 def iota(v: Valuation) -> Valuation:
@@ -587,7 +584,8 @@ def iota(v: Valuation) -> Valuation:
     if any(k % 2 for k in v._parts):
         raise ValueError("iota is defined on even-degree valuations only")
     parts = {
-        k: {e: _restrict(v.n, k, _lift_vector(k, a)[::-1]) for e, a in by_e.items()} for k, by_e in v._parts.items()
+        k: {e: _restrict(v.n, k, _lift_vector(v.n, k, a)[::-1]) for e, a in by_e.items()}
+        for k, by_e in v._parts.items()
     }
     return _combine(v.n, v._den, [(1, 0, parts)])
 
@@ -605,7 +603,7 @@ def tau_coords(v: Valuation, k: int) -> list[Scalar]:
     n = v.n
     if not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range for n={n}")
-    coords = {e: _fold(n, k, _lift_vector(k, a)) for e, a in v._parts.get(k, {}).items()}
+    coords = {e: _fold(n, k, _lift_vector(n, k, a)) for e, a in v._parts.get(k, {}).items()}
     return _scalars(coords, v._den, dim_val(n, k))
 
 

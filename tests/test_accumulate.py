@@ -37,17 +37,15 @@ def _no_zero_stored(x) -> bool:
 
 
 def _canonical_store(v: Valuation) -> bool:
-    """The store's canonical form: no empty degree, no all-zero vector, a
-    vector of length k//2 + 1 that is 0 outside q_range, and the least
-    denominator (no common factor with all numerators)."""
+    """The store's canonical form: no empty degree, no all-zero vector, one
+    entry per q of q_range, and the least denominator (no common factor
+    with all numerators)."""
     numerators = []
     for k, by_e in v._parts.items():
         if not by_e:
             return False
         for a in by_e.values():
-            if len(a) != k // 2 + 1 or not any(a):
-                return False
-            if any(x for q, x in enumerate(a) if q not in q_range(v.n, k)):
+            if len(a) != len(q_range(v.n, k)) or not any(a):
                 return False
             numerators += a
     return v._den >= 1 and gcd(v._den, *numerators) == 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from uval.cli import main
-from uval.kinematic import primitive_pairing_closed, tasaki_matrix_closed
+from uval.kinematic import primitive_pairing_closed, principal_kinematic, tasaki_matrix_closed, tasaki_matrix_oracle
 from uval.scalar import Scalar
 from uval.cli import DEFAULT_MAX_N, MAX_N
 from uval.grassmann import MAX_SAMPLES
@@ -197,6 +197,19 @@ def test_parse_errors_carry_offsets():
         parse_valspec("t^-1", 2)
 
 
+def test_parse_only_ascii_digits_are_numbers():
+    # superscripts and other scripts' digits are unexpected characters at
+    # their offset, not numbers
+    for text, pos in (("t^\u00b2", 2), ("\u0663*t", 0), ("mu[2,\u0661]", 5), ("(chi+t)^\u00b9\u2070", 8)):
+        with pytest.raises(ValSpecError, match="unexpected character") as exc:
+            parse_valspec(text, 2)
+        assert exc.value.pos == pos, text
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run_cli(["convert", "--n", "2", "--val", "t^\u00b2", "--to", "mu"]) == (2, "")
+    assert err.getvalue() == "error: unexpected character '\u00b2' (at offset 2)\n"
+
+
 def test_parse_unicode_pi():
     assert parse_valspec("π * chi", 2) == chi(2) * Scalar.pi(1)
 
@@ -366,6 +379,21 @@ def test_closed_routes_reject_n0():
             code, out = run_cli(["tasaki", "--n", "0", "--k", "0", *route])
         assert (code, out) == (2, ""), route
         assert message in err.getvalue(), route
+
+
+def test_tasaki_routes_check_n_before_k():
+    # k = 0 is valid at every n, so a bad n is what each route names
+    message = "ambient complex dimension must be >= 1"
+    for route in (tasaki_matrix_closed, tasaki_matrix_oracle, lambda n, _: principal_kinematic(n)):
+        for n in (0, -3):
+            with pytest.raises(ValueError) as exc:
+                route(n, 0)
+            assert str(exc.value) == message, (route, n)
+    for route in ([], ["--oracle"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run_cli(["tasaki", "--n", "-3", "--k", "0", *route]) == (2, ""), route
+        assert err.getvalue() == f"error: {message}\n", route
 
 
 def test_cli_mc_thread_bound_exits_2():

@@ -80,7 +80,7 @@ def test_basis_products_are_the_products():
             for k in range(2 * n - c + 1):
                 basis = canonical_basis(n, k)
                 for q in q_range(n, c):
-                    e, den, rows = _basis_products(n, c, [int(i == q) for i in range(c // 2 + 1)], k)
+                    e, den, rows = _basis_products(n, c, [int(i == q) for i in q_range(n, c)], k)
                     assert len(rows) == len(basis), (n, c, k, q)
                     for row, phi in zip(rows, basis):
                         expected = tau_coords(multiply(mu(n, c, q), phi), c + k)

@@ -188,8 +188,7 @@ def _eliminated_primitive_basis_inverse(n, k):
     """The inverse of the pi_{k,r} columns by elimination: linalg.inverse of
     their integer mu coordinates over the window, each row r scaled back by
     the denominator of pi_{k,r}, and the whole reduced to lowest terms."""
-    q0 = q_range(n, k)[0]
-    cols = [(v._den, v._parts[k][0][q0:]) for v in (primitive_general(n, k, r) for r in range(dim_val(n, k)))]
+    cols = [(v._den, v._parts[k][0]) for v in (primitive_general(n, k, r) for r in range(dim_val(n, k)))]
     d, rows = inverse(1, [list(col) for col in zip(*(b for _, b in cols))])
     rows = [[dr * x for x in row] for (dr, _), row in zip(cols, rows)]
     g = gcd(d, *(x for row in rows for x in row))

@@ -74,7 +74,8 @@ def _product_digests():
             vectors.append([rng.randint(-9, 9) if i in q_range(n, c) else 0 for i in range(c // 2 + 1)])
             for k in range(2 * n - c + 1):
                 for a in vectors:
-                    record("basis_products", repr((n, c, k, a, _basis_products(n, c, a, k))))
+                    # a lists every q; _basis_products reads the q_range window
+                    record("basis_products", repr((n, c, k, a, _basis_products(n, c, a[max(0, c - n):], k))))
     for n in range(1, 17):
         for k in range(n + 1):
             record("tasaki_gram", repr((n, k, _tasaki_gram(n, k))))
