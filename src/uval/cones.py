@@ -164,18 +164,18 @@ def nu_coeffs(v: Valuation, k: int) -> list[Scalar]:
 def _positive_failure(n: int, den: int, store) -> Optional[tuple]:
     """The first negative mu coefficient, k and then q ascending."""
     for k in sorted(store):
-        parts, q0 = store[k], q_range(n, k).start
+        parts = store[k]
         if len(parts) == 1:
             ((e, a),) = parts.items()
             if min(a) < 0:
                 i = next(i for i, x in enumerate(a) if x < 0)
-                return "negative_mu_coefficient", k, q0 + i, {e: a[i]}, den
+                return "negative_mu_coefficient", k, q_range(n, k).start + i, {e: a[i]}, den
             continue
-        for q, column in enumerate(zip(*parts.values()), q0):
+        for i, column in enumerate(zip(*parts.values())):
             if min(column) < 0:  # nonnegative numerators give a nonnegative coefficient
                 c = dict(zip(parts, column))
                 if int_sign(c, den) < 0:
-                    return "negative_mu_coefficient", k, q, c, den
+                    return "negative_mu_coefficient", k, q_range(n, k).start + i, c, den
     return None
 
 

@@ -546,10 +546,11 @@ def _basis_lift(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _basis_products(n: int, c: int, a: Sequence[int], k: int) -> tuple[int, int, list[list[int]]]:
     """The products of the degree-c element with integer mu-coordinates a
     (indexed by position in q_range(n, c), no pi) and canonical_basis(n, k),
-    c + k <= 2n, as (e, den, rows): row i holds the canonical degree-(c+k) coordinates of a phi_i,
-    entry j being rows[i][j] * pi^e / den.  phi_i is the outer factor of the
-    product formula, which skips its zero coordinates (all but one of
-    tau_{k,i}), and _fold writes each product in the canonical basis."""
+    c + k <= 2n, as (e, den, rows): row i holds the canonical degree-(c+k)
+    coordinates of a phi_i, entry j being rows[i][j] * pi^e / den.  phi_i
+    is the outer factor of the product formula, which skips its zero
+    coordinates (all but one of tau_{k,i}), and _fold writes each product
+    in the canonical basis."""
     e, f, weights = _degree_pair(k, c)
     x, m, rows = _lift_vector(n, c, a), c + k, []
     for y in _basis_lift(n, k):
