@@ -66,7 +66,7 @@ __all__ = [
 _ONE = Scalar.one()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool never reads an int's entry
 def q_range(n: int, k: int) -> range:
     """Valid mu indices q at degree k in C^n: max(0, k-n) <= q <= floor(k/2)."""
     if n < 1:

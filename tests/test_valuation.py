@@ -74,6 +74,17 @@ def test_dim_val():
     assert dim_val(3, 3) == 2
 
 
+def test_q_range_cache_keeps_argument_types_apart():
+    # q_range is cached: a float degree must fail as it does in a fresh
+    # process, not read the entry of the equal int degree
+    assert q_range(3, 2) == range(0, 2) and q_range(3, 5) == range(2, 3)
+    for k in (2.0, 5.0):
+        with pytest.raises(TypeError):
+            q_range(3, k)
+        with pytest.raises(TypeError):
+            Valuation(3, {(k, 2): 1})
+
+
 # ----------------------------------------------------------------------
 # quotient map and canonical representative
 
