@@ -368,32 +368,21 @@ def test_cli_exit_codes():
 
 
 def test_closed_routes_reject_n0():
+    # both Tasaki routes check n before k: k = 0 is valid at every n, so
+    # a bad n is what each names
     message = "ambient complex dimension must be >= 1"
-    with pytest.raises(ValueError, match=message):
-        tasaki_matrix_closed(0, 0)
-    with pytest.raises(ValueError, match=message):
-        primitive_pairing_closed(0, 0, 0)
-    for route in ([], ["--oracle"]):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, out = run_cli(["tasaki", "--n", "0", "--k", "0", *route])
-        assert (code, out) == (2, ""), route
-        assert message in err.getvalue(), route
-
-
-def test_tasaki_routes_check_n_before_k():
-    # k = 0 is valid at every n, so a bad n is what each route names
-    message = "ambient complex dimension must be >= 1"
-    for route in (tasaki_matrix_closed, tasaki_matrix_oracle, lambda n, _: principal_kinematic(n)):
-        for n in (0, -3):
+    for n in (0, -3):
+        for route in (tasaki_matrix_closed, tasaki_matrix_oracle, lambda n, _: principal_kinematic(n)):
             with pytest.raises(ValueError) as exc:
                 route(n, 0)
             assert str(exc.value) == message, (route, n)
-    for route in ([], ["--oracle"]):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            assert run_cli(["tasaki", "--n", "-3", "--k", "0", *route]) == (2, ""), route
-        assert err.getvalue() == f"error: {message}\n", route
+        for route in ([], ["--oracle"]):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                assert run_cli(["tasaki", "--n", str(n), "--k", "0", *route]) == (2, ""), route
+            assert err.getvalue() == f"error: {message}\n", route
+    with pytest.raises(ValueError, match=message):
+        primitive_pairing_closed(0, 0, 0)
 
 
 def test_cli_mc_thread_bound_exits_2():
