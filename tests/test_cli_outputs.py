@@ -45,6 +45,8 @@ def _cases():
     for val in BAD_VALS:
         for command in (["kinematic"], ["cone", "--test", "crofton"], ["convert", "--to", "tau"]):
             yield "valspec_errors", [*command, "--n", "2", "--val", val]
+        for command in (["additive"], ["sl2", "--op", "L"], ["delta"]):
+            yield "valspec_errors_more", [*command, "--n", "2", "--val", val]
     for argv in (["tasaki", "--n", "2", "--k", "7"], ["tasaki", "--n", "3", "--k", "4", "--oracle"],
                  ["pkf", "--n", "33"], ["tasaki", "--n", "65", "--k", "0"], ["primitive", "--n", "2", "--k", "5", "--r", "0"],
                  ["cone", "--n", "40", "--test", "positive", "--val", "chi"]):
@@ -89,7 +91,8 @@ def _cli_digests():
 
 
 # computed from the same runs while each stored vector held floor(k/2)+1
-# numerators, zero below q_range
+# numerators, zero below q_range; valspec_errors_more while each --val
+# subcommand parsed --val in its own handler
 PINNED_DIGESTS = {
     "tasaki": "669092a33a42b22a",
     "pkf": "f767976698a92c9e",
@@ -101,6 +104,7 @@ PINNED_DIGESTS = {
     "delta": "0b75a3ade2003a55",
     "primitive": "84616f920bcb6fab",
     "valspec_errors": "7c9c39c13cddcb10",
+    "valspec_errors_more": "b586b97e92c9bd0b",
     "range_errors": "27e8d66669138b2d",
     "usage_errors": "65990fcff160b73a",
 }
