@@ -11,7 +11,8 @@ alternating which side runs first, then TRACED traced runs per side
 (`--trace 1`), again alternating, and keeps the per-layer numbers named
 with --layer: each side's median and every traced value.  The record
 holds every run's end-to-end metrics, each side's median and quartiles,
-and how many pairs the change won.
+and how many pairs the change won.  It is written into the --out file,
+keeping what else is already there.
 """
 
 from __future__ import annotations
@@ -124,7 +125,10 @@ def main() -> None:
                 "layers": layers,
                 "runs": runs,
             }
-    Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    out = Path(args.out)
+    if out.exists():  # keep what else the file holds, e.g. scripts/cold_costs.py's rows
+        record = {**json.loads(out.read_text()), **record}
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,19 +2,21 @@
 
     PYTHONPATH=src python3 scripts/pins.py [MODULE ...]
 
-Each pinned-output test module under tests/ computes its SHA-256 prefixes
-in one function and compares them with its PINNED_DIGESTS.  This script
-runs those functions (all of them, or the MODULEs named, e.g.
-test_cli_outputs) and prints one line per family, `module family
-digest`, with the pinned value after it where the two differ.  It exits
-1 if any family differs.  A change that alters an output on purpose runs
-it to read the new digests, writes them into the module's PINNED_DIGESTS,
-and names each changed family and why in CHANGES.md.
+Every tests/test_*.py that defines PINNED_DIGESTS is a pin module: it
+computes its SHA-256 prefixes in one function, `_digests`, and compares
+them with its PINNED_DIGESTS.  This script runs those functions (of all
+pin modules, or of the MODULEs named, e.g. test_cli_outputs) and prints
+one line per family, `module family digest`, with the pinned value after
+it where the two differ.  It exits 1 if any family differs.  A change
+that alters an output on purpose runs it to read the new digests, writes
+them into the module's PINNED_DIGESTS, and names each changed family and
+why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -22,16 +24,9 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 
-# module -> its digest function
-PINS = {
-    "test_product_outputs": "_product_digests",
-    "test_kinematic_outputs": "_outputs_digests",
-    "test_tasaki_outputs": "_tasaki_digests",
-    "test_cones": "_cone_digests",
-    "test_mc_outputs": "_digests",
-    "test_store_outputs": "_store_digests",
-    "test_cli_outputs": "_cli_digests",
-}
+# every test module with a line that starts `PINNED_DIGESTS`
+PINS = sorted(path.stem for path in TESTS.glob("test_*.py")
+              if re.search(r"^PINNED_DIGESTS\b", path.read_text(), re.MULTILINE))
 
 
 def main(names: list[str]) -> int:
@@ -44,7 +39,7 @@ def main(names: list[str]) -> int:
             print(f"{name} skipped: {exc}")
             continue
         pinned = module.PINNED_DIGESTS
-        for family, digest in getattr(module, PINS[name])().items():
+        for family, digest in module._digests().items():
             want = pinned.get(family)
             differ += digest != want
             print(f"{name} {family} {digest}" + ("" if digest == want else f" (pinned {want})"))

@@ -886,7 +886,7 @@ CHECKS: list[tuple[str, object]] = [
 ]
 
 
-def run_selftest(level: str = "full", write=print) -> tuple[int, int]:
+def run_selftest(level: str = "full") -> tuple[int, int]:
     """Run every check at the given level; returns (passed, failed).
 
     A check that needs numpy is reported as skipped, not failed, when
@@ -901,15 +901,15 @@ def run_selftest(level: str = "full", write=print) -> tuple[int, int]:
             fn(level)
         except AssertionError as exc:
             failed += 1
-            write(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         except ModuleNotFoundError as exc:
             if exc.name != "numpy":
                 raise
             skipped += 1
-            write(f"skip {name}: numpy is not installed")
+            print(f"skip {name}: numpy is not installed")
         else:
             passed += 1
-            write(f"ok   {name}")
+            print(f"ok   {name}")
     skips = f", {skipped} skipped" if skipped else ""
-    write(f"selftest: {passed} passed, {failed} failed{skips} (level={level})")
+    print(f"selftest: {passed} passed, {failed} failed{skips} (level={level})")
     return passed, failed

@@ -11,12 +11,15 @@ before any work.
 
 At module level this imports only uval.scalar, for the exit-code
 mapping; each subcommand imports the modules it runs, so `uval --help`
-compiles no other core module.
+compiles no other core module.  main() parses --val, after the --n cap
+check, for the six subcommands that take it, and builds its parser once
+per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -71,42 +74,34 @@ def _cmd_pkf(args) -> int:
 
 def _cmd_kinematic(args) -> int:
     from .kinematic import kinematic
-    from .valspec import parse_valspec
 
-    m = parse_valspec(args.val, args.n)
-    return _tensor_cmd(args, kinematic(args.n, m))
+    return _tensor_cmd(args, kinematic(args.n, args.val))
 
 
 def _cmd_additive(args) -> int:
     from .kinematic import additive_kinematic
-    from .valspec import parse_valspec
 
-    m = parse_valspec(args.val, args.n)
-    return _tensor_cmd(args, additive_kinematic(args.n, m))
+    return _tensor_cmd(args, additive_kinematic(args.n, args.val))
 
 
 def _cmd_cone(args) -> int:
     from .cones import is_crofton_positive, is_monotone, is_positive
-    from .valspec import parse_valspec
 
-    v = parse_valspec(args.val, args.n)
     test = {
         "positive": is_positive,
         "monotone": is_monotone,
         "crofton": is_crofton_positive,
     }[args.test]
-    verdict = test(v)
+    verdict = test(args.val)
     return _emit(args, verdict.to_json,
                  lambda: "member" if verdict.member else f"not a member; witness: {verdict.witness}")
 
 
 def _cmd_convert(args) -> int:
     from .sl2 import lefschetz_decompose
-    from .valspec import parse_valspec
     from .valuation import _format_combo, tau_coords, to_monomial
 
-    v = parse_valspec(args.val, args.n)
-    n = args.n
+    v, n = args.val, args.n
     if args.to == "mu":
         return _emit(args, v.to_json, lambda: str(v))
     if args.to == "mono":
@@ -128,10 +123,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_sl2(args) -> int:
     from .sl2 import Sl2Operator
-    from .valspec import parse_valspec
 
-    v = parse_valspec(args.val, args.n)
-    out = Sl2Operator(args.op).apply(v)
+    out = Sl2Operator(args.op).apply(args.val)
     return _emit(args, out.to_json, lambda: str(out))
 
 
@@ -144,10 +137,8 @@ def _cmd_primitive(args) -> int:
 
 def _cmd_delta(args) -> int:
     from .cones import first_variation
-    from .valspec import parse_valspec
 
-    v = parse_valspec(args.val, args.n)
-    expr = first_variation(args.n, v)
+    expr = first_variation(args.n, args.val)
     return _emit(args, lambda: [{"symbol": sym, "k": k, "q": q, "coeff": c.to_json()}
                                 for (sym, k, q), c in expr.items()], lambda: str(expr))
 
@@ -194,7 +185,31 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+# Every option by flag, each declared once: --json goes on every
+# subcommand, --n on every one but selftest, the rest where named.
+_OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--n": {"type": int, "required": True},
+    "--k": {"type": int, "required": True},
+    "--r": {"type": int, "required": True},
+    "--val": {"required": True},
+    "--cpn": {"action": "store_true", "help": "CP^n probability normalization"},
+    "--oracle": {"action": "store_true", "help": "use the Gram-inverse route"},
+    "--test": {"choices": ("positive", "monotone", "crofton"), "required": True},
+    "--to": {"choices": ("mu", "tau", "mono", "prim"), "required": True},
+    "--op": {"choices": ("L", "Lambda", "H"), "required": True},
+    "--angles": {"default": "", "help": "Kaehler angles of E (radians, comma separated)"},
+    "--co-angles": {"dest": "co_angles", "default": "", "help": "angles of the complement of F"},
+    "--samples": {"type": int, "default": 100_000},
+    "--seed": {"type": int, "default": None, "help": "default: UVAL_SEED, else 0"},
+    "--threads": {"type": int, "default": 1},
+    "--level": {"choices": ("quick", "full"), "default": "full"},
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each handler is bound here."""
     parser = argparse.ArgumentParser(
         prog="uval",
         description="Exact hermitian integral geometry: unitary-invariant "
@@ -202,74 +217,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
+        shared = ("--json",) if name == "selftest" else ("--json", "--n")
+        for flag in (*shared, *flags):
+            p.add_argument(flag, **_OPTIONS[flag])
 
-    p = add("tasaki", _cmd_tasaki, "print the Tasaki matrix T^n_k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="use the Gram-inverse route")
-
-    p = add("pkf", _cmd_pkf, "principal kinematic tensor k(chi)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cpn", action="store_true", help="CP^n probability normalization")
-
-    p = add("kinematic", _cmd_kinematic, "kinematic tensor of a valuation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--cpn", action="store_true", help="CP^n probability normalization")
-
-    p = add("additive", _cmd_additive, "additive kinematic tensor of a valuation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--val", required=True)
-
-    p = add("cone", _cmd_cone, "cone membership tests")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--test", choices=("positive", "monotone", "crofton"), required=True)
-    p.add_argument("--val", required=True)
-
-    p = add("convert", _cmd_convert, "rewrite a valuation in another basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--to", choices=("mu", "tau", "mono", "prim"), required=True)
-
-    p = add("sl2", _cmd_sl2, "apply an sl(2) operator")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--op", choices=("L", "Lambda", "H"), required=True)
-    p.add_argument("--val", required=True)
-
-    p = add("primitive", _cmd_primitive, "the primitive element pi_{k,r}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = add("delta", _cmd_delta, "first-variation curvature measure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--val", required=True)
-
-    p = add("mc", _cmd_mc, "Monte-Carlo Crofton check for flat discs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--angles", default="", help="Kaehler angles of E (radians, comma separated)")
-    p.add_argument("--co-angles", dest="co_angles", default="", help="angles of the complement of F")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None, help="default: UVAL_SEED, else 0")
-    p.add_argument("--threads", type=int, default=1)
-
-    p = add("selftest", _cmd_selftest, "run the invariant suite")
-    p.add_argument("--level", choices=("quick", "full"), default="full")
-
+    add("tasaki", _cmd_tasaki, "print the Tasaki matrix T^n_k", "--k", "--oracle")
+    add("pkf", _cmd_pkf, "principal kinematic tensor k(chi)", "--cpn")
+    add("kinematic", _cmd_kinematic, "kinematic tensor of a valuation", "--val", "--cpn")
+    add("additive", _cmd_additive, "additive kinematic tensor of a valuation", "--val")
+    add("cone", _cmd_cone, "cone membership tests", "--test", "--val")
+    add("convert", _cmd_convert, "rewrite a valuation in another basis", "--val", "--to")
+    add("sl2", _cmd_sl2, "apply an sl(2) operator", "--op", "--val")
+    add("primitive", _cmd_primitive, "the primitive element pi_{k,r}", "--k", "--r")
+    add("delta", _cmd_delta, "first-variation curvature measure", "--val")
+    add("mc", _cmd_mc, "Monte-Carlo Crofton check for flat discs",
+        "--k", "--angles", "--co-angles", "--samples", "--seed", "--threads")
+    add("selftest", _cmd_selftest, "run the invariant suite", "--level")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _check_n(args)
+        _check_n(args)  # before --val, so an over-cap --n costs no parse
+        if hasattr(args, "val"):
+            from .valspec import parse_valspec
+
+            args.val = parse_valspec(args.val, args.n)
         return args.fn(args)
     except UndecidableSignError as exc:
         print(f"error: {exc}", file=sys.stderr)

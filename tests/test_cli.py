@@ -455,6 +455,25 @@ def test_cli_usage_error_exits_2():
     assert proc.returncode == 2
 
 
+def test_cli_builds_its_parser_once_per_process():
+    """Three main() calls in a fresh interpreter build one parser: the
+    top-level ArgumentParser and its eleven subparsers, 12 in all."""
+    script = (
+        "import argparse, contextlib, io\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from uval.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['tasaki', '--n', '2', '--k', str(k)]) for k in range(3)]\n"
+        "print(codes, len(built))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout == "[0, 0, 0] 12\n", proc.stdout + proc.stderr
+
+
 def test_cli_selftest_quick():
     """In a fresh interpreter, `import uval.cli` loads neither the selftest
     registry nor dataclasses nor json; selftest through main() loads the

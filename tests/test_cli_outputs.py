@@ -75,7 +75,7 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _cli_digests():
+def _digests():
     """Per family, the first 16 hex digits of the SHA-256 of its lines."""
     hashes = {}
 
@@ -111,7 +111,7 @@ PINNED_DIGESTS = {
 
 
 def test_cli_outputs_pinned():
-    got = _cli_digests()
+    got = _digests()
     assert set(got) == set(PINNED_DIGESTS)
     differ = [family for family, want in PINNED_DIGESTS.items() if got[family] != want]
     assert not differ, f"{', '.join(differ)} outputs differ from the pinned ones"

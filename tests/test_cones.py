@@ -160,7 +160,7 @@ def _outcome(call):
         return exc
 
 
-def _cone_digests():
+def _digests():
     """Per output family, the first 16 hex digits of the SHA-256 of its
     lines over _pinned_vectors(); every UndecidableSignError message goes to
     "undecidable", named by its family.  in_cone must give each verdict's
@@ -205,7 +205,7 @@ PINNED_DIGESTS = {
 
 
 def test_cone_outputs_pinned():
-    got = _cone_digests()
+    got = _digests()
     for family, want in PINNED_DIGESTS.items():
         assert got[family] == want, f"{family} outputs differ from the pinned ones"
 

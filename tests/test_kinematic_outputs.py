@@ -43,7 +43,7 @@ def _text(x) -> str:
     return json.dumps(x.to_json(), sort_keys=True)
 
 
-def _outputs_digests():
+def _digests():
     """Per output family, the first 16 hex digits of the SHA-256 of its
     lines."""
     hashes = {}
@@ -94,7 +94,7 @@ PINNED_DIGESTS = {
 
 
 def test_kinematic_outputs_pinned():
-    got = _outputs_digests()
+    got = _digests()
     assert set(got) == set(PINNED_DIGESTS)
     for family, want in PINNED_DIGESTS.items():
         assert got[family] == want, f"{family} outputs differ from the pinned ones"

@@ -52,7 +52,7 @@ def _text(v: Valuation) -> str:
     return json.dumps(v.to_json(), sort_keys=True)
 
 
-def _product_digests():
+def _digests():
     """Per output family, the first 16 hex digits of the SHA-256 of its
     lines."""
     hashes = {}
@@ -97,7 +97,7 @@ PINNED_DIGESTS = {
 
 
 def test_product_outputs_pinned():
-    got = _product_digests()
+    got = _digests()
     assert set(got) == set(PINNED_DIGESTS)
     for family, want in PINNED_DIGESTS.items():
         assert got[family] == want, f"{family} outputs differ from the pinned ones"

@@ -48,7 +48,7 @@ def _text(x) -> str:
 CONES = (("positive", is_positive), ("crofton", is_crofton_positive), ("monotone", is_monotone))
 
 
-def _store_digests():
+def _digests():
     """Per output family, the first 16 hex digits of the SHA-256 of its
     lines.  A line whose call raises records the error instead, so a
     broken reader shows as its own family."""
@@ -121,7 +121,7 @@ PINNED_DIGESTS = {
 
 
 def test_store_outputs_pinned():
-    got = _store_digests()
+    got = _digests()
     assert set(got) == set(PINNED_DIGESTS)
     differ = [family for family, want in PINNED_DIGESTS.items() if got[family] != want]
     assert not differ, f"{', '.join(differ)} outputs differ from the pinned ones"

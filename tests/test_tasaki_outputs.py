@@ -8,7 +8,7 @@ import json
 from uval.kinematic import principal_kinematic, tasaki_matrix_closed, tasaki_matrix_oracle
 
 
-def _tasaki_digests():
+def _digests():
     """Per output family, the first 16 hex digits of the SHA-256 of its
     lines."""
     hashes = {}
@@ -40,7 +40,7 @@ PINNED_DIGESTS = {
 
 
 def test_tasaki_outputs_pinned():
-    got = _tasaki_digests()
+    got = _digests()
     assert set(got) == set(PINNED_DIGESTS)
     for family, want in PINNED_DIGESTS.items():
         assert got[family] == want, f"{family} outputs differ from the pinned ones"
