@@ -24,7 +24,6 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 
-# every test module with a line that starts `PINNED_DIGESTS`
 PINS = sorted(path.stem for path in TESTS.glob("test_*.py")
               if re.search(r"^PINNED_DIGESTS\b", path.read_text(), re.MULTILINE))
 
