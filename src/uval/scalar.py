@@ -172,7 +172,9 @@ class Scalar:
             q = Fraction(other)
             return _raw({e: c / q for e, c in self._terms.items()})
         if isinstance(other, Scalar):
-            e0, c0 = other.monomial()  # raises on zero / multi-term
+            if other.is_zero:
+                raise ZeroDivisionError("division of Scalar by zero")
+            e0, c0 = other.monomial()  # raises on multi-term
             return _raw({e - e0: c / c0 for e, c in self._terms.items()})
         return NotImplemented
 
@@ -180,6 +182,8 @@ class Scalar:
         if not isinstance(k, int):
             raise TypeError("Scalar exponent must be an integer")
         if k < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("division of Scalar by zero")
             e0, c0 = self.monomial()
             return Scalar({k * e0: c0**k})
         out = _ONE

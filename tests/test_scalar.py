@@ -95,12 +95,22 @@ def test_division_by_monomial():
 
 def test_division_rejections():
     s = Scalar.one()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a monomial scalar"):
         s / (Scalar.one() + Scalar.pi(1))
-    with pytest.raises(ValueError):
-        s / Scalar.zero()
-    with pytest.raises(ZeroDivisionError):
-        s / 0
+    with pytest.raises(ValueError, match="not a monomial scalar"):
+        (Scalar.one() + Scalar.pi(1)) ** -1
+
+
+def test_division_by_zero_scalar():
+    # a zero Scalar divisor fails as the int 0 does, whatever the dividend
+    from uval.valuation import chi
+
+    for divide in (lambda: Scalar.pi(1) / 0, lambda: Scalar.pi(1) / Scalar.zero(),
+                   lambda: Scalar.zero() / Scalar.zero(), lambda: Scalar.zero() ** -1,
+                   lambda: chi(2) / Scalar.zero(), lambda: chi(2) / 0):
+        with pytest.raises(ZeroDivisionError, match="^division of Scalar by zero$"):
+            divide()
+    assert Scalar.zero() ** 0 == Scalar.one()
 
 
 def test_sign_monomials():
