@@ -1,9 +1,9 @@
 """The `uval` command line: scriptable access to the valuation algebra.
 
-Subcommands: tasaki, pkf, kinematic, additive, cone, convert, sl2,
-primitive, mc, selftest.  Output is deterministic (stable ordering
-everywhere) and UTF-8; `--json` switches to the machine format.  Exit
-codes: 0 success, 1 failed selftest or undecidable sign, 2 usage error.
+The eleven subcommands are the keys of _COMMANDS.  Output is
+deterministic (stable ordering everywhere) and UTF-8; `--json` switches
+to the machine format.  Exit codes: 0 success, 1 failed selftest or
+undecidable sign, 2 usage error.
 
 Every --n is at most a cap per subcommand (MAX_N, else DEFAULT_MAX_N),
 and mc --samples at most grassmann.MAX_SAMPLES; larger values exit 2
@@ -12,8 +12,10 @@ before any work.
 At module level this imports only uval.scalar, for the exit-code
 mapping; each subcommand imports the modules it runs, so `uval --help`
 compiles no other core module.  main() parses --val, after the --n cap
-check, for the six subcommands that take it, and builds its parser once
-per process.
+check, for the six subcommands that take it.  When its first argument
+names a subcommand, main() builds the parser of that subcommand alone;
+anything else (no arguments, --help, an unknown name, an option first)
+builds all eleven.  Each parser is built once per process.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .sl2 import lefschetz_decompose
     from .valuation import _format_combo, tau_coords, to_monomial
 
     v, n = args.val, args.n
@@ -117,6 +118,8 @@ def _cmd_convert(args) -> int:
                 terms += [(c, f"F(tau[{2 * n - k},{j}])") for j, c in enumerate(coords)]
         text = _format_combo(terms)
     else:  # prim
+        from .sl2 import lefschetz_decompose
+
         text = _format_combo([(c, f"pi[{k},{r}]") for k, r, c in lefschetz_decompose(v)])
     return _emit(args, lambda: {"n": n, "basis": args.to, "expr": text}, lambda: text)
 
@@ -207,40 +210,52 @@ _OPTIONS = {
 }
 
 
+# Every subcommand: name -> (handler, help, options beyond the shared
+# --json and --n).  _build_parser and main read the names from here alone.
+_COMMANDS = {
+    "tasaki": (_cmd_tasaki, "print the Tasaki matrix T^n_k", "--k", "--oracle"),
+    "pkf": (_cmd_pkf, "principal kinematic tensor k(chi)", "--cpn"),
+    "kinematic": (_cmd_kinematic, "kinematic tensor of a valuation", "--val", "--cpn"),
+    "additive": (_cmd_additive, "additive kinematic tensor of a valuation", "--val"),
+    "cone": (_cmd_cone, "cone membership tests", "--test", "--val"),
+    "convert": (_cmd_convert, "rewrite a valuation in another basis", "--val", "--to"),
+    "sl2": (_cmd_sl2, "apply an sl(2) operator", "--op", "--val"),
+    "primitive": (_cmd_primitive, "the primitive element pi_{k,r}", "--k", "--r"),
+    "delta": (_cmd_delta, "first-variation curvature measure", "--val"),
+    "mc": (_cmd_mc, "Monte-Carlo Crofton check for flat discs",
+           "--k", "--angles", "--co-angles", "--samples", "--seed", "--threads"),
+    "selftest": (_cmd_selftest, "run the invariant suite", "--level"),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; each handler is bound here."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, or of all of them for None, built
+    once per process; each handler is bound here.  A one-command parser
+    names every subcommand in its usage line, as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="uval",
         description="Exact hermitian integral geometry: unitary-invariant "
         "valuations, Tasaki matrices, kinematic formulas, cones.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, *flags):
+    # a metavar on the full parser would rename it in "arguments are required"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        fn, help_text, *flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         shared = ("--json",) if name == "selftest" else ("--json", "--n")
         for flag in (*shared, *flags):
             p.add_argument(flag, **_OPTIONS[flag])
-
-    add("tasaki", _cmd_tasaki, "print the Tasaki matrix T^n_k", "--k", "--oracle")
-    add("pkf", _cmd_pkf, "principal kinematic tensor k(chi)", "--cpn")
-    add("kinematic", _cmd_kinematic, "kinematic tensor of a valuation", "--val", "--cpn")
-    add("additive", _cmd_additive, "additive kinematic tensor of a valuation", "--val")
-    add("cone", _cmd_cone, "cone membership tests", "--test", "--val")
-    add("convert", _cmd_convert, "rewrite a valuation in another basis", "--val", "--to")
-    add("sl2", _cmd_sl2, "apply an sl(2) operator", "--op", "--val")
-    add("primitive", _cmd_primitive, "the primitive element pi_{k,r}", "--k", "--r")
-    add("delta", _cmd_delta, "first-variation curvature measure", "--val")
-    add("mc", _cmd_mc, "Monte-Carlo Crofton check for flat discs",
-        "--k", "--angles", "--co-angles", "--samples", "--seed", "--threads")
-    add("selftest", _cmd_selftest, "run the invariant suite", "--level")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand builds its own parser only; anything else, all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         _check_n(args)  # before --val, so an over-cap --n costs no parse
         if hasattr(args, "val"):

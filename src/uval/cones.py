@@ -24,13 +24,14 @@ All sign decisions are exact.  Everything runs on the store of a
 Valuation, its integer numerators per degree and pi exponent over one
 denominator: each Gram block comes from the integer Tasaki Gram matrix M
 of uval.kinematic, each nu_{k,p} from the closed M^{-1} certified there,
-and delta is a cached integer table.  Like every table of uval.kinematic,
-a Gram block is one integer block (e, den, rows) in the canonical form of
-scalar._reduced; the delta table has the same shape with sparse rows.
-Each cone has one kernel on
-the store that returns its first failure.  A degree stored with one pi
-exponent is decided there by integer comparisons; every other sign goes
-to scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
+and delta is a cached integer table.  uval.kinematic is imported by the
+two functions that read it, so P, M and delta never load it.  Like every
+table of uval.kinematic, a Gram block is one integer block (e, den, rows)
+in the canonical form of scalar._reduced; the delta table has the same
+shape with sparse rows.  Each cone has one kernel on the store that
+returns its first failure.  A degree stored with one pi exponent is
+decided there by integer comparisons; every other sign goes to
+scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
 write the witness of a failure, in_cone only reports membership.
 Scalars are built only for results: nu_coeffs, the norms and the
 coefficients of a CurvExpr; a failure's witness text is written from its
@@ -43,7 +44,6 @@ from functools import lru_cache
 from operator import mul
 from typing import Mapping, Optional
 
-from .kinematic import _tasaki_gram, _tasaki_inverse
 from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega
 from .valuation import Valuation, _combine, _lift, _restrict, dim_val, q_range
 
@@ -98,6 +98,8 @@ def _gram_block(n: int, k: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     q_range(n, k)  # an out-of-range degree fails here
     if k > n:
         return _gram_block(n, 2 * n - k)
+    from .kinematic import _tasaki_gram
+
     e, den, m = _tasaki_gram(n, k)
     lift = _lift(k)
     gram = [[sum(u * v * m[i][j] for i, u in a for j, v in b) for b in lift] for a in lift]
@@ -116,6 +118,8 @@ def nu(n: int, k: int, p: int) -> Valuation:
     qs = q_range(n, k)
     if p not in qs:
         raise ValueError(f"nu index (k={k}, p={p}) out of range at n={n}")
+    from .kinematic import _tasaki_inverse
+
     q0, kk = qs.start, min(k, 2 * n - k)
     e, den, rows = _tasaki_inverse(n, kk)
     y = [sum(binomial(p - q0, s) * x for s, x in enumerate(row)) for row in rows]

@@ -1,9 +1,9 @@
 """Textual expressions denoting valuations: the --val grammar of the CLI.
 
-Atoms are the basis elements mu[k,q], tau[k,q], pi[k,r] (primitive), the
-global generators t, s, u, the unit chi, the volume vol, and rational-pi
-scalar literals (pi parses as the scalar unless followed by an index
-bracket).  Operators are + - * / ^ with the usual precedence, unary minus
+Atoms are the basis elements mu[k,q], tau[k,q], pi[k,r] (primitive, from
+uval.sl2, which loads only when a pi[k,r] is read), the global generators
+t, s, u, the unit chi, the volume vol, and rational-pi scalar literals
+(pi parses as the scalar unless followed by an index bracket).  Operators are + - * / ^ with the usual precedence, unary minus
 (looser than ^: -pi^2 is -(pi^2)), and the functions F(...) for the
 Fourier transform and iota(...).  A number written straight before pi
 multiplies it, so the text Scalar prints (3π^2/4, 1/(2π)) parses back.
@@ -29,7 +29,6 @@ import sys
 from typing import Union
 
 from .scalar import Scalar, _Record
-from .sl2 import primitive_general
 from .valuation import Valuation, _monomial_image, chi, fourier, iota, mu, multiply, tau, vol
 
 __all__ = ["MAX_NESTING", "MAX_POWER_TERMS", "ValSpecError", "parse_valspec"]
@@ -224,6 +223,8 @@ class _Parser:
                     return mu(self.n, k, q)
                 if name == "tau":
                     return tau(self.n, k, q)
+                from .sl2 import primitive_general
+
                 return primitive_general(self.n, k, q)
             except ValueError as exc:
                 raise ValSpecError(str(exc), t.pos) from None
@@ -282,7 +283,7 @@ class _Parser:
         if isinstance(a, Scalar):
             try:
                 return a**k
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ValSpecError(str(exc), pos) from None
         if k < 0:
             raise ValSpecError("negative power of a valuation", pos)

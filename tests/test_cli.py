@@ -14,7 +14,7 @@ import pytest
 from uval.cli import main
 from uval.kinematic import primitive_pairing_closed, principal_kinematic, tasaki_matrix_closed, tasaki_matrix_oracle
 from uval.scalar import Scalar
-from uval.cli import DEFAULT_MAX_N, MAX_N
+from uval.cli import _COMMANDS, DEFAULT_MAX_N, MAX_N, _build_parser
 from uval.grassmann import MAX_SAMPLES
 from uval.valspec import MAX_NESTING, MAX_POWER_TERMS, ValSpecError, parse_valspec
 from uval.valuation import Valuation, chi, fourier, iota, mu, multiply, q_range, tau, vol
@@ -360,6 +360,13 @@ def test_cli_deterministic_output():
         assert out1 == out2
 
 
+def test_cli_division_by_zero_exits_2():
+    for text, offset in (("chi/0", 3), ("1/0*chi", 1), ("(pi-pi)^-1*chi", 7)):
+        code, out, err, _ = _timed_cli(["convert", "--n", "2", "--val", text, "--to", "mu"])
+        assert (code, out) == (2, ""), text
+        assert err == f"error: division of Scalar by zero (at offset {offset})\n", text
+
+
 def test_cli_exit_codes():
     code, _ = run_cli(["convert", "--n", "1", "--val", "mu[2,0]", "--to", "mu"])
     assert code == 2
@@ -456,8 +463,10 @@ def test_cli_usage_error_exits_2():
 
 
 def test_cli_builds_its_parser_once_per_process():
-    """Three main() calls in a fresh interpreter build one parser: the
-    top-level ArgumentParser and its eleven subparsers, 12 in all."""
+    """Three main() calls of one subcommand in a fresh interpreter build
+    its parser once: the top-level ArgumentParser and that subcommand's,
+    2 in all.  --help then builds the full parser, the top level and all
+    eleven subparsers: 12 more."""
     script = (
         "import argparse, contextlib, io\n"
         "built, init = [], argparse.ArgumentParser.__init__\n"
@@ -468,10 +477,42 @@ def test_cli_builds_its_parser_once_per_process():
         "from uval.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['tasaki', '--n', '2', '--k', str(k)]) for k in range(3)]\n"
-        "print(codes, len(built))"
+        "    first = len(built)\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes, first, len(built) - first)"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.stdout == "[0, 0, 0] 12\n", proc.stdout + proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0] 2 12\n", proc.stdout + proc.stderr
+
+
+def _parse_outcome(parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv), which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+_CHOICES = {"cone": "--test", "convert": "--to", "sl2": "--op", "selftest": "--level"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_cli_one_command_parser_reads_as_the_full_parser(command):
+    """Help and usage errors of the parser main() builds for one named
+    subcommand are those of the full parser, byte for byte."""
+    valid = [] if command == "selftest" else ["--n", "2", *_CAPPED[command]]
+    cases = [[command, "-h"], [command, *valid, "extra"]]
+    if command != "selftest":  # its only option has a default
+        cases.append([command, *valid[2:]])  # --n missing
+    if command in _CHOICES:
+        cases.append([command, *valid, _CHOICES[command], "bogus"])
+    for argv in cases:
+        want = _parse_outcome(_build_parser(None), argv)
+        assert want[0] == (0 if argv[1:] == ["-h"] else 2), (argv, want)
+        assert _parse_outcome(_build_parser(command), argv) == want, argv
 
 
 def test_cli_selftest_quick():
@@ -503,6 +544,11 @@ _UNLOADED = {
     "pkf --n 3": ("poly", "linalg", "cones", "valspec"),
     "kinematic --n 3 --val t": ("poly", "linalg"),
     "cone --n 3 --test crofton --val t": ("poly", "linalg"),
+    "cone --n 3 --test positive --val t": ("poly", "sl2", "kinematic", "linalg"),
+    "cone --n 3 --test monotone --val t": ("poly", "sl2", "kinematic", "linalg"),
+    "delta --n 3 --val t": ("poly", "sl2", "kinematic", "linalg"),
+    "convert --n 3 --val t --to tau": ("poly", "sl2", "kinematic", "linalg", "cones"),
+    "convert --n 3 --val t --to mu": ("poly", "sl2", "kinematic", "linalg", "cones"),
 }
 
 
