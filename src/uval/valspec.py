@@ -3,9 +3,10 @@
 Atoms are the basis elements mu[k,q], tau[k,q], pi[k,r] (primitive, from
 uval.sl2, which loads only when a pi[k,r] is read), the global generators
 t, s, u, the unit chi, the volume vol, and rational-pi scalar literals
-(pi parses as the scalar unless followed by an index bracket).  Operators are + - * / ^ with the usual precedence, unary minus
-(looser than ^: -pi^2 is -(pi^2)), and the functions F(...) for the
-Fourier transform and iota(...).  A number written straight before pi
+(pi parses as the scalar unless followed by an index bracket).
+Operators are + - * / ^ with the usual precedence, unary minus (looser
+than ^: -pi^2 is -(pi^2)), and the functions F(...) for the Fourier
+transform and iota(...).  A number written straight before pi
 multiplies it, so the text Scalar prints (3π^2/4, 1/(2π)) parses back.
 Division is restricted to single-term scalar divisors, matching exact
 Scalar division.  Scalars occurring where a valuation is needed are read

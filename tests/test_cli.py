@@ -14,7 +14,7 @@ import pytest
 from uval.cli import main
 from uval.kinematic import primitive_pairing_closed, principal_kinematic, tasaki_matrix_closed, tasaki_matrix_oracle
 from uval.scalar import Scalar
-from uval.cli import _COMMANDS, DEFAULT_MAX_N, MAX_N, _build_parser
+from uval.cli import _COMMANDS, _OPTIONS, DEFAULT_MAX_N, MAX_N, _build_parser
 from uval.grassmann import MAX_SAMPLES
 from uval.valspec import MAX_NESTING, MAX_POWER_TERMS, ValSpecError, parse_valspec
 from uval.valuation import Valuation, chi, fourier, iota, mu, multiply, q_range, tau, vol
@@ -496,9 +496,6 @@ def _parse_outcome(parser, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-_CHOICES = {"cone": "--test", "convert": "--to", "sl2": "--op", "selftest": "--level"}
-
-
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_cli_one_command_parser_reads_as_the_full_parser(command):
     """Help and usage errors of the parser main() builds for one named
@@ -507,8 +504,8 @@ def test_cli_one_command_parser_reads_as_the_full_parser(command):
     cases = [[command, "-h"], [command, *valid, "extra"]]
     if command != "selftest":  # its only option has a default
         cases.append([command, *valid[2:]])  # --n missing
-    if command in _CHOICES:
-        cases.append([command, *valid, _CHOICES[command], "bogus"])
+    cases += [[command, *valid, flag, "bogus"] for flag in _COMMANDS[command][2:]
+              if "choices" in _OPTIONS[flag]]
     for argv in cases:
         want = _parse_outcome(_build_parser(None), argv)
         assert want[0] == (0 if argv[1:] == ["-h"] else 2), (argv, want)
