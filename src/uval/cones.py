@@ -33,9 +33,11 @@ returns its first failure.  A degree stored with one pi exponent is
 decided there by integer comparisons; every other sign goes to
 scalar.int_sign.  is_positive, is_crofton_positive and is_monotone
 write the witness of a failure, in_cone only reports membership.
-Scalars are built only for results: nu_coeffs, the norms and the
-coefficients of a CurvExpr; a failure's witness text is written from its
-integers by scalar._parts_text, as str(Scalar) is.
+Scalars are built only for results: nu_coeffs and the coefficients of a
+CurvExpr; a failure's witness text is written from its integers by
+scalar._parts_text, as str(Scalar) is.  The norms are plain Scalar code
+over the mu coefficients and nu_coeffs: abs and - of a Scalar are integer
+work on its store, and an undecided sign names the coefficient itself.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Mapping, Optional
 
-from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega
-from .valuation import Valuation, _combine, _lift, _restrict, dim_val, q_range
+from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega, sign
+from .valuation import Valuation, _combine, _lift, _restrict, q_range
 
 __all__ = [
     "ConeVerdict",
@@ -405,27 +407,17 @@ def first_variation(n: int, v: Valuation) -> CurvExpr:
 def norm_inf(v: Valuation) -> Scalar:
     """max_q |a_q| over the mu coefficients of a homogeneous valuation."""
     k = _require_homogeneous(v)
-    parts, den = v._parts.get(k, {}), v._den
-    best: dict[int, int] = {}
-    for i in range(dim_val(v.n, k)):
-        c = {e: a[i] for e, a in parts.items()}
-        if int_sign(c, den) < 0:
-            c = {e: -x for e, x in c.items()}
-        diff = {e: c.get(e, 0) - best.get(e, 0) for e in c.keys() | best.keys()}
-        if int_sign(diff, den) > 0:
+    best = Scalar.zero()
+    for q in q_range(v.n, k):
+        c = abs(v.coefficient(k, q))
+        if sign(c - best) > 0:
             best = c
-    return Scalar.from_parts(best, den)
+    return best
 
 
 def norm_one(v: Valuation) -> Scalar:
     """sum_q |b_q| over the nu coordinates of a homogeneous valuation."""
-    k = _require_homogeneous(v)
-    total: dict[int, int] = {}
-    for b in _nu_parts(v.n, k, v._parts.get(k, {})):
-        s = int_sign(b)
-        for e, x in b.items():
-            total[e] = total.get(e, 0) + s * x
-    return Scalar.from_parts(total, v._den * _gram_block(v.n, k)[1])
+    return sum(map(abs, nu_coeffs(v, _require_homogeneous(v))), Scalar.zero())
 
 
 def _require_homogeneous(v: Valuation) -> int:

@@ -131,11 +131,11 @@ class Frame:
         Built from the normal form e_1, cos(t_1) J e_1 + sin(t_1) e_2, ...
         padded with one isotropic direction when k is odd.
         """
+        if k > n:
+            raise ValueError("from_angles requires k <= n")
         p = k // 2
         if len(thetas) != p:
             raise ValueError(f"need {p} angles for k={k}")
-        if k > n:
-            raise ValueError("from_angles requires k <= n")
         m = np.zeros((2 * n, k))
         for i, t in enumerate(thetas):
             c, s = math.cos(t), math.sin(t)

@@ -3,15 +3,18 @@
 Every constant in the hermitian integral geometry of C^n is a rational
 multiple of an integer power of pi, and sums of such terms appear as soon
 as valuations of mixed degree are combined.  A :class:`Scalar` is therefore
-a Laurent polynomial in pi with Fraction coefficients, stored sparsely as
-a map {pi-exponent: coefficient}.  pi is treated as a formal transcendental:
-no floating point enters any algebraic computation.  Every Scalar built from
-the integers of a store goes through one kernel from reduced integers to
-Fractions, and its text comes from one formatter; every cached integer
-table of the exact core is put in canonical form by one helper.  The
-only numeric exits are :meth:`Scalar.to_float` (for display and the
-Monte-Carlo module) and :func:`sign`, which decides signs exactly in
-integer arithmetic over a fixed ladder of rational enclosures of pi.
+a Laurent polynomial in pi with rational coefficients, stored in the one
+number format of the package: integer parts {pi-exponent: numerator} over
+one positive denominator, with no common factor of the two.  pi is treated
+as a formal transcendental: no floating point enters any algebraic
+computation.  The ring operations work on the integers and end in one
+reducer, so equal values have equal stores; a coefficient becomes a
+Fraction only when it is read, and text and JSON are written from the
+integers by one formatter.  Every cached integer table of the exact core
+is put in canonical form by one helper.  The only numeric exits are
+:meth:`Scalar.to_float` (for display and the Monte-Carlo module) and
+:func:`sign`, which decides signs exactly in integer arithmetic over a
+fixed ladder of rational enclosures of pi.
 
 The module also houses the small combinatorial constants used throughout:
 ball volumes omega_k, odd double factorials, binomials.
@@ -22,7 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -47,27 +51,28 @@ class UndecidableSignError(ArithmeticError):
 class Scalar:
     """A Laurent polynomial sum_e c_e * pi^e with c_e in Q, c_e != 0.
 
-    Instances are immutable; all operations return fresh objects.  The zero
-    scalar is the empty term map.  Equality is exact, term by term, and a
-    rational scalar equals, and hashes as, its int or Fraction.
+    Stored as integer parts {e: x != 0} over a denominator den > 0, c_e =
+    x / den, with gcd(den, *parts) == 1; zero is ({}, 1).  Instances are
+    immutable; all operations return fresh objects.  Equality is exact, on
+    the store, and a rational scalar equals, and hashes as, its int or
+    Fraction.  Exponents are integers: anything else raises TypeError.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_parts", "_den")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
-        object.__setattr__(self, "_terms", clean)
+        terms = [(index(e), c if isinstance(c, (int, Fraction)) else Fraction(c))
+                 for e, c in terms.items()] if terms else []
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(c.denominator for _, c in terms))
+        _set_parts(self, {e: c.numerator * (den // c.denominator) for e, c in terms if c})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
-        return _raw, (self._terms,)
+        return _canonical, (dict(self._parts), self._den)
 
     # ------------------------------------------------------------------
     # constructors
@@ -83,55 +88,54 @@ class Scalar:
     @staticmethod
     def of(value: RationalLike, pi_exp: int = 0) -> "Scalar":
         """The scalar value * pi^pi_exp."""
-        return Scalar({pi_exp: Fraction(value)})
+        return Scalar({pi_exp: value})
 
     @staticmethod
     def pi(exp: int = 1) -> "Scalar":
-        return Scalar({exp: Fraction(1)})
+        return Scalar({exp: 1})
 
     @staticmethod
     def from_parts(parts: Mapping[int, int], den: int = 1) -> "Scalar":
         """The scalar sum_e parts[e] * pi^e / den of integer parts, den > 0."""
-        return _raw({e: _fraction(x // g, den // g) for e, x in parts.items() if x and (g := gcd(x, den))})
+        return _canonical({e: x for e, x in parts.items() if x}, den)
 
     def to_parts(self) -> tuple[dict[int, int], int]:
-        """(parts, den) with den the least common denominator: the inverse
-        of from_parts."""
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+        """(parts, den), a copy of the store: den is the least common
+        denominator.  The inverse of from_parts."""
+        return dict(self._parts), self._den
 
     # ------------------------------------------------------------------
     # inspection
 
     def items(self) -> list[tuple[int, Fraction]]:
         """Terms as (exponent, coefficient), ascending in the exponent."""
-        return sorted(self._terms.items())
+        den = self._den
+        return [(e, Fraction(x, den)) for e, x in sorted(self._parts.items())]
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     @property
     def is_monomial(self) -> bool:
         """True iff the scalar has exactly one term c * pi^e."""
-        return len(self._terms) == 1
+        return len(self._parts) == 1
 
     def monomial(self) -> tuple[int, Fraction]:
         """The (exponent, coefficient) of a one-term scalar."""
-        if len(self._terms) != 1:
+        if len(self._parts) != 1:
             raise ValueError(f"not a monomial scalar: {self}")
-        return next(iter(self._terms.items()))
+        ((e, x),) = self._parts.items()
+        return e, Fraction(x, self._den)
 
     def coefficient(self, pi_exp: int) -> Fraction:
-        return self._terms.get(pi_exp, Fraction(0))
+        return Fraction(self._parts.get(pi_exp, 0), self._den)
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; requires a pure pi^0 scalar."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {0}:
+        if self._parts.keys() - {0}:
             raise ValueError(f"not a rational scalar: {self}")
-        return self._terms[0]
+        return self.coefficient(0)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -139,7 +143,11 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        return _raw(accumulate(dict(self._terms), other._terms.items()))
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return _canonical(accumulate(
+            {e: x * a for e, x in self._parts.items()}, ((e, x * b) for e, x in other._parts.items())
+        ), den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -147,45 +155,36 @@ class Scalar:
         return self + -other
 
     def __neg__(self) -> "Scalar":
-        return _raw({e: -c for e, c in self._terms.items()})
+        return _canonical({e: -x for e, x in self._parts.items()}, self._den)
 
     def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
-        if isinstance(other, Scalar):
-            pairs = other._terms.items()
-            return _raw(accumulate({}, (
-                (e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in pairs
-            )))
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _ZERO
-            q = Fraction(other)
-            return _raw({e: c * q for e, c in self._terms.items()})
-        return NotImplemented
+            other = Scalar.of(other)
+        elif not isinstance(other, Scalar):
+            return NotImplemented
+        pairs = other._parts.items()
+        return _canonical(accumulate({}, (
+            (e1 + e2, x1 * x2) for e1, x1 in self._parts.items() for e2, x2 in pairs
+        )), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
-        """Exact division; the divisor must be a nonzero monomial scalar."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of Scalar by zero")
-            q = Fraction(other)
-            return _raw({e: c / q for e, c in self._terms.items()})
-        if isinstance(other, Scalar):
-            if other.is_zero:
-                raise ZeroDivisionError("division of Scalar by zero")
-            e0, c0 = other.monomial()  # raises on multi-term
-            return _raw({e - e0: c / c0 for e, c in self._terms.items()})
-        return NotImplemented
+        """Exact division, as the multiplication by the inverse of the
+        divisor, which must be a nonzero rational or monomial scalar."""
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division of Scalar by zero")
+        e0, c0 = other.monomial() if isinstance(other, Scalar) else (0, Fraction(other))  # raises on multi-term
+        q = 1 / c0
+        return _canonical({e - e0: x * q.numerator for e, x in self._parts.items()}, self._den * q.denominator)
 
     def __pow__(self, k: int) -> "Scalar":
         if not isinstance(k, int):
             raise TypeError("Scalar exponent must be an integer")
         if k < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("division of Scalar by zero")
-            e0, c0 = self.monomial()
-            return Scalar({k * e0: c0**k})
+            return (_ONE / self) ** -k
         out = _ONE
         base = self
         while k:
@@ -197,18 +196,18 @@ class Scalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            return self._terms == other._terms
+            return self._den == other._den and self._parts == other._parts
         if isinstance(other, (int, Fraction)):
             return self == Scalar.of(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
-        return hash(tuple(self.items()))
+        if self._parts.keys() <= {0}:
+            return hash(self.coefficient(0))
+        return hash((self._den, *sorted(self._parts.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._parts)
 
     # ------------------------------------------------------------------
     # numeric exits
@@ -221,10 +220,10 @@ class Scalar:
         hardware pi is used.
         """
         if digits is None:
-            return float(sum(float(c) * math.pi**e for e, c in self._terms.items()))
+            return float(sum(x / self._den * math.pi**e for e, x in self._parts.items()))
         lo, hi = pi_bounds(Fraction(1, 10**digits))
         mid = (lo + hi) / 2
-        return float(sum(c * mid**e for e, c in self._terms.items()))
+        return float(sum(x * mid**e for e, x in self._parts.items()) / self._den)
 
     def sign(self) -> int:
         return sign(self)
@@ -236,22 +235,42 @@ class Scalar:
     # serialization and printing
 
     def to_json(self) -> list[dict]:
-        return [
-            {"pi": e, "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in self.items()
-        ]
+        den = self._den
+        return [{"pi": e, "num": str(x // g), "den": str(den // g)}
+                for e, x in sorted(self._parts.items()) for g in (gcd(x, den),)]
 
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "Scalar":
-        return _raw(accumulate({}, (
+        return Scalar(accumulate({}, (
             (int(entry["pi"]), Fraction(int(entry["num"]), int(entry["den"]))) for entry in data
         )))
 
     def __str__(self) -> str:
-        return _parts_text(*self.to_parts())
+        return _parts_text(self._parts, self._den)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+_set_parts = Scalar._parts.__set__
+_set_den = Scalar._den.__set__
+
+
+def _canonical(parts: dict[int, int], den: int) -> Scalar:
+    """The Scalar sum_e parts[e] * pi^e / den of nonzero integer parts over
+    den > 0, the one reducer of the ring operations: it divides the common
+    factor of den and the parts out of the dict, in place, and keeps it."""
+    if not parts:
+        return _ZERO
+    g = gcd(den, *parts.values())
+    if g > 1:
+        den //= g
+        for e, x in parts.items():
+            parts[e] = x // g
+    s = Scalar.__new__(Scalar)
+    _set_parts(s, parts)
+    _set_den(s, den)
+    return s
 
 
 def accumulate(out: dict, items: Iterable[tuple]) -> dict:
@@ -259,7 +278,7 @@ def accumulate(out: dict, items: Iterable[tuple]) -> dict:
 
     A new key stores its value, a known key adds to the stored one, and a
     key whose value or sum is zero is dropped, so out never holds a zero.
-    Values need only + and truth (Fraction, int, Scalar).
+    Values need only + and truth (int, Fraction, Scalar).
     """
     get = out.get
     for key, value in items:
@@ -309,41 +328,32 @@ class _Record:
         return type(self), self._fields()
 
 
-def _raw(terms: dict[int, Fraction]) -> Scalar:
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "_terms", terms)
-    return s
-
-
-# The kernel behind every Scalar built from integers: the Fraction p/q of
-# coprime p and q > 0 without the type checks and the gcd of Fraction(p, q).
-_fraction = getattr(Fraction, "_from_coprime_ints", None)  # 3.12 and later
-if _fraction is None:
-    def _fraction(p: int, q: int, _new=object.__new__) -> Fraction:
-        f = _new(Fraction)
-        f._numerator, f._denominator = p, q
-        return f
-try:  # checked against Fraction(p, q), with Fraction as the fallback
-    for _p, _q in ((0, 1), (-3, 4), (7, 1), (10**30 + 1, 3)):
-        _f = _fraction(_p, _q)
-        if type(_f) is not Fraction or (_f.numerator, _f.denominator, hash(_f)) != (_p, _q, hash(Fraction(_p, _q))):
-            raise TypeError("the coprime kernel disagrees with Fraction")
-except (AttributeError, TypeError):  # pragma: no cover - a Fraction without these internals
-    _fraction = Fraction
-
-
 def _scalars(vectors: Mapping[int, Sequence[int]], den: int, size: int) -> list[Scalar]:
     """[Scalar.from_parts({e: v[i] for e, v in vectors.items()}, den) for i
-    in range(size)], with one term dict per Scalar."""
+    in range(size)], in one flat loop: a zero entry is the shared _ZERO and
+    the others set the two slots directly.  The readers of every store
+    and table run it per entry, where a call into _canonical per entry
+    measured about x1.7 slower."""
     items = tuple(vectors.items())
+    new = Scalar.__new__
     out = []
     for i in range(size):
-        terms = {}
+        parts = {}
+        g = den
         for e, v in items:
             if x := v[i]:
-                g = gcd(x, den)
-                terms[e] = _fraction(x // g, den // g)
-        out.append(_raw(terms) if terms else _ZERO)
+                parts[e] = x
+                g = gcd(g, x)
+        if not parts:
+            out.append(_ZERO)
+            continue
+        if g > 1:
+            for e, x in parts.items():
+                parts[e] = x // g
+        s = new(Scalar)
+        _set_parts(s, parts)
+        _set_den(s, den // g)
+        out.append(s)
     return out
 
 
@@ -512,19 +522,13 @@ def int_sign(parts: Mapping[int, int], den: int = 1) -> int:
 def sign(s: Scalar) -> int:
     """The exact sign (-1, 0, 1) of a Scalar evaluated at the real pi.
 
-    Multi-term scalars are cleared to integers and decided by
-    :func:`int_sign` over a fixed ladder of five enclosures of pi; one still
+    The integer store goes to :func:`int_sign`, which decides a multi-term
+    scalar over a fixed ladder of five enclosures of pi; one still
     straddling zero on the last (width below 10^-48) raises
     UndecidableSignError rather than guessing.  The ladder is the whole
     budget, so the verdict never depends on what ran earlier in the process.
     """
-    terms = s._terms
-    if not terms:
-        return 0
-    if len(terms) == 1:
-        (c,) = terms.values()
-        return 1 if c.numerator > 0 else -1
-    return int_sign(*s.to_parts())
+    return int_sign(s._parts, s._den)
 
 
 # ----------------------------------------------------------------------

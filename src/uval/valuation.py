@@ -19,9 +19,12 @@ canonical (no all-zero vector, no common factor of the denominator and all
 numerators), so equal values have equal stores.
 Arithmetic, the product, the Fourier transform and the readers in
 :mod:`uval.cones`, :mod:`uval.sl2` and :mod:`uval.kinematic` work on it
-in int.  Scalars are built only when a coefficient is read: items(),
-coefficient(), str, to_json and the Scalar-valued results, all through
-the one kernel scalar._scalars from reduced integers.
+in int.  A Scalar keeps the same format, integer parts over one
+denominator, so crossing between the two copies integers: a Valuation
+built from Scalars reads each one's parts and denominator, and a Scalar
+is built only when a coefficient is read (items(), coefficient(), str,
+to_json and the Scalar-valued results, through scalar._scalars or
+Scalar.from_parts).
 
 Locality is concentrated in the restriction of global Tasaki valuations
 to level n, which drops the mu terms that vanish locally, so the quotient
@@ -113,8 +116,8 @@ class Valuation:
                     continue
                 if not isinstance(c, Scalar):
                     c = Scalar.of(c)
-                terms += [(k, i, e, f.numerator, f.denominator) for e, f in c._terms.items()]
-        # the lcm of reduced denominators leaves no common factor
+                terms += [(k, i, e, x, c._den) for e, x in c._parts.items()]
+        # the lcm of canonical denominators leaves no common factor
         den = lcm(*[t[4] for t in terms])
         parts: dict[int, dict[int, list[int]]] = {}
         for k, i, e, num, d in terms:

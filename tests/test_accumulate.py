@@ -3,6 +3,7 @@ and Valuation arithmetic: ring axioms, exact cancellation, and no stored
 zero coefficient."""
 
 from collections import defaultdict
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -30,10 +31,19 @@ derandomized = settings(derandomize=True, max_examples=100, deadline=None)
 
 def _no_zero_stored(x) -> bool:
     if isinstance(x, Scalar):
-        return all(x._terms.values())
+        return _canonical_scalar(x)
     if isinstance(x, Valuation):
         return _canonical_store(x)
     return all(c and _no_zero_stored(c) for c in x._coeffs.values())
+
+
+def _canonical_scalar(s: Scalar) -> bool:
+    """The store's canonical form (den, parts): integer parts, none zero,
+    over den >= 1 with no common factor of den and the parts, so zero is
+    stored as ({}, 1)."""
+    parts = s._parts.values()
+    return (all(type(x) is int and x for x in parts) and type(s._den) is int
+            and s._den >= 1 and gcd(s._den, *parts) == 1)
 
 
 def _canonical_store(v: Valuation) -> bool:
@@ -62,8 +72,12 @@ def test_scalar_ring_axioms(a, b, c):
     assert a + zero == a and a * one == a and (a * zero).is_zero
     assert (a - a).is_zero and (a - b) + b == a
     assert a - b == a + (-b)
-    for x in (a + b, a - b, a * b, a * (b + c), a - a, -a):
+    for x in (a, a + b, a - b, a * b, a * (b + c), a - a, -a, a * 3, a * Fraction(-2, 3), a * 0,
+              a / -4, a / Fraction(-3, 2), a / Scalar.of(Fraction(-2, 3), 1), a**2, b**3):
         assert _no_zero_stored(x)
+    for d in (b, c):
+        if d.is_monomial:
+            assert _no_zero_stored(a / d) and _no_zero_stored(d**-2) and (a / d) * d == a
 
 
 @derandomized

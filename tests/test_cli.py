@@ -406,6 +406,13 @@ def test_cli_mc_thread_bound_exits_2():
     assert threading.active_count() == before
 
 
+def test_cli_mc_k_above_n_exits_2():
+    # the range of k is checked before the number of angles it needs
+    for argv in (["--k", "3"], ["--k", "3", "--angles", "0"], ["--k", "4", "--angles", "0,0"]):
+        code, out, err, _ = _timed_cli(["mc", "--n", "2", *argv])
+        assert (code, out, err) == (2, "", "error: from_angles requires k <= n\n"), argv
+
+
 _CAPPED = {
     "tasaki": ["--k", "0"],
     "pkf": [],

@@ -237,8 +237,7 @@ def test_warm_cone_tests_build_no_scalar(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Scalar was built")
 
-    monkeypatch.setattr(uval.scalar, "_raw", refuse)
-    monkeypatch.setattr(Scalar, "__init__", refuse)
+    monkeypatch.setattr(uval.scalar, "_set_parts", refuse)  # every Scalar built sets its parts here
     assert run() == warm
 
 
@@ -334,6 +333,17 @@ def test_norm_examples():
 
 def test_norm_duality_bound():
     check_norms("full")
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_norm_one_undecidable_names_the_nu_coordinate(n):
+    # v = (p - q pi) mu_{1,0} for the depth-44 convergent p/q of pi
+    p, q = CONVERGENTS[44]
+    v = mu(n, 1, 0) * Scalar({0: p, 1: -q})
+    b = nu_coeffs(v, 1)[0]
+    with pytest.raises(UndecidableSignError) as info:
+        norm_one(v)
+    assert str(info.value) == f"sign of {b} undecided on the last enclosure of pi (width < 1e-48)"
 
 
 def test_norms_require_homogeneous():

@@ -87,6 +87,23 @@ def test_hash_agrees_with_eq_on_rationals():
         assert s != 3 and s not in {3, Fraction(3)}
 
 
+def test_non_integral_pi_exponents_raise():
+    # an exponent is read through operator.index, so 2.9 is never 2
+    from uval.valuation import Valuation
+
+    for build in (lambda: Scalar({2.9: 3}), lambda: Scalar({Fraction(3, 2): 1}), lambda: Scalar({"1": 1}),
+                  lambda: Scalar.of(1, 1.5), lambda: Scalar.pi(1.5), lambda: Scalar.pi(2.0),
+                  lambda: Valuation(2, {(1, 0): Scalar({1.5: 1})})):
+        with pytest.raises(TypeError):
+            build()
+    assert Scalar({True: 2, 3: 1}) == Scalar.of(2, 1) + Scalar.pi(3)
+    assert Scalar.of(Fraction(1, 2), False) == Scalar.of(Fraction(1, 2))
+    np = pytest.importorskip("numpy")
+    for e in (np.int64(-2), np.int8(3), np.uint16(5)):
+        assert Scalar.of(7, e) == Scalar.of(7, int(e)) and Scalar.pi(e) == Scalar.pi(int(e))
+        assert Scalar({e: 1}).items() == [(int(e), 1)] and type(Scalar({e: 1}).items()[0][0]) is int
+
+
 def test_division_by_monomial():
     s = Scalar.pi(2) + Scalar.of(3)
     d = Scalar.of(Fraction(1, 2), 1)

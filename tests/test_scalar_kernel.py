@@ -1,19 +1,17 @@
-"""The kernel from reduced integers to Fractions and Scalars, and the one
-formatter that writes Scalar text from integers.
+"""The integer store of a Scalar against Fraction references.
 
-Scalar.from_parts and scalar._scalars reduce each integer by its gcd with
-the denominator and build the Fraction without Fraction.__new__, so these
-check that every result is a genuine Fraction equal to Fraction(x, den),
-with the same hash, repr and pickle round trip.  _parts_text is checked
-against a rendering of the Fraction terms written independently here.
+A Scalar keeps integer parts over one denominator, reduced by one helper,
+and builds Fractions only when a coefficient is read.  These check that
+Scalar.from_parts and scalar._scalars give the store that the Fraction
+terms give, that every coefficient read is a genuine Fraction equal to
+Fraction(x, den), with the same hash, repr and pickle round trip, and that
+_parts_text and to_json, written from the integers, match renderings of
+the Fraction terms written independently here.
 """
 
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
+from math import lcm
 
 import pytest
 
@@ -22,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uval.scalar import Scalar, _fraction, _parts_text, _scalars  # noqa: E402
+from uval.scalar import Scalar, _parts_text, _scalars  # noqa: E402
 
 derandomized = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -71,6 +69,8 @@ def test_from_parts_builds_genuine_fractions(case):
     s = Scalar.from_parts(parts, den)
     want = Scalar(_want(parts, den))
     assert dict(s.items()) == _want(parts, den)
+    common = lcm(*(c.denominator for c in _want(parts, den).values()))
+    assert s.to_parts() == ({e: x * common // den for e, x in parts.items() if x}, common)
     assert s == want and hash(s) == hash(want) and repr(s) == repr(want)
     for e, c in s.items():
         assert type(c) is Fraction and type(s.coefficient(e)) is Fraction
@@ -110,27 +110,11 @@ def test_scalars_match_from_parts(case):
 
 
 @derandomized
-@given(st.integers(-(10**50), 10**50), st.integers(1, 10**30))
-def test_fraction_kernel_on_coprime_pairs(p, q):
-    want = Fraction(p, q)
-    p, q = want.numerator, want.denominator
-    f = _fraction(p, q)
-    assert type(f) is Fraction and f == want
-    assert (f.numerator, f.denominator) == (p, q)
-    assert hash(f) == hash(want) and repr(f) == repr(want) and str(f) == str(want)
-    assert pickle.loads(pickle.dumps(f)) == want
-    assert f + 1 == want + 1 and f * want == want * want
-
-
-def test_kernel_falls_back_to_fraction_when_its_check_fails():
-    """A coprime builder that disagrees with Fraction(p, q) is replaced by
-    Fraction itself when uval.scalar is imported."""
-    code = (
-        "import fractions\n"
-        "fractions.Fraction._from_coprime_ints = classmethod(lambda cls, p, q: fractions.Fraction(p + 1, q))\n"
-        "from uval.scalar import Scalar, _fraction\n"
-        "assert _fraction is fractions.Fraction\n"
-        "assert str(Scalar.from_parts({0: 6, 1: -3}, 4)) == '3/2 - 3π/4'\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
+@given(_parts())
+def test_to_json_is_the_fraction_rendering(case):
+    parts, den = case
+    want = [{"pi": e, "num": str(c.numerator), "den": str(c.denominator)}
+            for e, c in sorted(_want(parts, den).items())]
+    s = Scalar.from_parts(parts, den)
+    assert s.to_json() == want
+    assert Scalar.from_json(want) == s
