@@ -9,9 +9,10 @@ Every --n is at most a cap per subcommand (MAX_N, else DEFAULT_MAX_N),
 and mc --samples at most grassmann.MAX_SAMPLES; larger values exit 2
 before any work.
 
-At module level this imports only uval.scalar, for the exit-code
-mapping; each subcommand imports the modules it runs, so `uval --help`
-compiles no other core module.  main() parses --val, after the --n cap
+At module level this imports no core module: each subcommand imports
+the modules it runs, and main() imports uval.scalar only to map an
+undecided sign to exit 1, so `uval --help`, a usage error or an --n cap
+refusal compiles no core module.  main() parses --val, after the --n cap
 check, for the six subcommands that take it.  When its first argument
 names a subcommand, main() builds the parser of that subcommand alone;
 anything else (no arguments, --help, an unknown name, an option first)
@@ -24,8 +25,6 @@ import argparse
 import functools
 import os
 import sys
-
-from .scalar import UndecidableSignError
 
 __all__ = ["main"]
 
@@ -263,12 +262,16 @@ def main(argv: list[str] | None = None) -> int:
 
             args.val = parse_valspec(args.val, args.n)
         return args.fn(args)
-    except UndecidableSignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # loads no core module
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        from .scalar import UndecidableSignError
+
+        if not isinstance(exc, UndecidableSignError):
+            raise  # OverflowError and the like are not a verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Mapping
 
 from .scalar import RationalLike, Scalar, accumulate, binomial
@@ -180,7 +181,7 @@ class GradedPoly:
     def from_json(data: Iterable[Mapping], chart: str = "tu") -> "GradedPoly":
         key = "u" if chart == "tu" else "s"
         return GradedPoly(accumulate({}, (
-            ((int(entry["t"]), int(entry[key])), Scalar.from_json(entry["coeff"])) for entry in data
+            ((index(entry["t"]), index(entry[key])), Scalar.from_json(entry["coeff"])) for entry in data
         )), chart)
 
     def __str__(self) -> str:

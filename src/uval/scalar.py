@@ -97,6 +97,8 @@ class Scalar:
     @staticmethod
     def from_parts(parts: Mapping[int, int], den: int = 1) -> "Scalar":
         """The scalar sum_e parts[e] * pi^e / den of integer parts, den > 0."""
+        if den <= 0:
+            raise ValueError(f"from_parts needs den > 0, got den = {den}")
         return _canonical({e: x for e, x in parts.items() if x}, den)
 
     def to_parts(self) -> tuple[dict[int, int], int]:
@@ -242,7 +244,7 @@ class Scalar:
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "Scalar":
         return Scalar(accumulate({}, (
-            (int(entry["pi"]), Fraction(int(entry["num"]), int(entry["den"]))) for entry in data
+            (index(entry["pi"]), Fraction(int(entry["num"]), int(entry["den"]))) for entry in data
         )))
 
     def __str__(self) -> str:

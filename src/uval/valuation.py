@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import RationalLike, Scalar, _Record, _scalars, binomial, factorial, omega
@@ -228,11 +228,11 @@ class Valuation:
 
     @staticmethod
     def from_json(data: Mapping) -> "Valuation":
-        n = int(data["n"])
+        n = index(data["n"])
         coeffs: dict[tuple[int, int], Scalar] = {}
         for k_str, entries in data.get("components", {}).items():
             for entry in entries:
-                coeffs[(int(k_str), int(entry["q"]))] = Scalar.from_json(entry["coeff"])
+                coeffs[(int(k_str), index(entry["q"]))] = Scalar.from_json(entry["coeff"])
         return Valuation(n, coeffs)
 
     def __str__(self) -> str:

@@ -1,5 +1,6 @@
 """The valuation expression grammar and the uval command line."""
 
+import importlib
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from pi_convergents import CONVERGENTS
 
 from uval.cli import main
 from uval.kinematic import primitive_pairing_closed, principal_kinematic, tasaki_matrix_closed, tasaki_matrix_oracle
@@ -367,6 +369,26 @@ def test_cli_division_by_zero_exits_2():
         assert err == f"error: division of Scalar by zero (at offset {offset})\n", text
 
 
+def test_cli_undecided_sign_exits_1():
+    # p - q*pi at the depth-44 convergent is past the last enclosure of pi
+    p, q = CONVERGENTS[44]
+    code, out, err, _ = _timed_cli(["cone", "--n", "1", "--test", "positive", "--val", f"({p}-{q}*pi)*mu[1,0]"])
+    assert (code, out) == (1, "")
+    assert err == ("error: sign of 26151465932107044561886949 - 8324270144388272579650158π undecided"
+                   " on the last enclosure of pi (width < 1e-48)\n")
+
+
+def test_cli_other_arithmetic_errors_propagate(monkeypatch):
+    # only an undecided sign is exit 1 and only ValueError and
+    # ZeroDivisionError are exit 2; an OverflowError is a fault, not a verdict
+    def overflow(n):
+        raise OverflowError("too large")
+
+    monkeypatch.setattr(importlib.import_module("uval.kinematic"), "principal_kinematic", overflow)
+    with pytest.raises(OverflowError, match="too large"):
+        run_cli(["pkf", "--n", "2"])
+
+
 def test_cli_exit_codes():
     code, _ = run_cli(["convert", "--n", "1", "--val", "mu[2,0]", "--to", "mu"])
     assert code == 2
@@ -540,7 +562,6 @@ def test_cli_selftest_quick():
 # code has not run after main() in a fresh interpreter.  `import uval` puts
 # them in sys.modules as lazy modules, a ModuleType subclass until they run.
 _UNLOADED = {
-    "--help": ("valuation", "poly", "sl2", "kinematic", "linalg", "cones", "valspec"),
     "primitive --n 3 --k 2 --r 1": ("poly", "kinematic", "linalg", "cones", "valspec"),
     "convert --n 3 --val chi+t --to prim": ("poly", "kinematic", "linalg", "cones"),
     "sl2 --n 3 --op L --val t": ("poly", "kinematic", "linalg", "cones"),
@@ -556,21 +577,27 @@ _UNLOADED = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_UNLOADED))
+# Help, a usage error and an --n cap refusal compute nothing: they run
+# uval.cli alone, and not even fractions.  Each maps to its exit code.
+_LIGHT = {"--help": 0, "kinematic --help": 0, "kinematic --n": 2, "kinematic --n 99 --val t": 2}
+
+
+@pytest.mark.parametrize("command", sorted([*_UNLOADED, *_LIGHT]))
 def test_cli_subcommand_loads_only_what_it_runs(command):
     script = (
         "import sys, types, uval.cli\n"
         "try:\n    code = uval.cli.main(sys.argv[1:])\n"
         "except SystemExit as exc:\n    code = exc.code\n"
-        "print(' '.join(n for n, m in sys.modules.items()\n"
-        "               if n.startswith('uval.') and type(m) is types.ModuleType))\n"
+        "print(' '.join(n for n, m in sys.modules.items() if n == 'fractions'\n"
+        "               or n.startswith('uval.') and type(m) is types.ModuleType))\n"
         "sys.exit(code)"
     )
     proc = subprocess.run([sys.executable, "-c", script, *command.split()],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == _LIGHT.get(command, 0), proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
-    assert {"uval.cli", "uval.scalar"} <= loaded
-    if command == "--help":
-        assert loaded == {"uval.cli", "uval.scalar"}, loaded
-    assert not loaded & {f"uval.{name}" for name in _UNLOADED[command]}, command
+    if command in _LIGHT:
+        assert loaded == {"uval.cli"}, loaded
+    else:
+        assert {"uval.cli", "uval.scalar"} <= loaded
+        assert not loaded & {f"uval.{name}" for name in _UNLOADED[command]}, command

@@ -89,6 +89,15 @@ def test_chart_mismatch_rejected():
         GradedPoly.t("tu") * GradedPoly.s()
 
 
+def test_from_json_rejects_non_integral_degrees():
+    for chart, key in (("tu", "u"), ("st", "s")):
+        entry = {"t": 1, key: 2, "coeff": Scalar.of(3).to_json()}
+        assert GradedPoly.from_json([entry], chart) == GradedPoly.monomial(1, 2, Scalar.of(3), chart)
+        for bad in ({**entry, "t": 1.5}, {**entry, key: 2.0}):
+            with pytest.raises(TypeError):
+                GradedPoly.from_json([bad], chart)
+
+
 def test_json_roundtrip_and_order():
     p = f_closed(4) + GradedPoly.monomial(1, 0, Scalar.of(Fraction(2, 7), -1))
     data = p.to_json()

@@ -87,6 +87,22 @@ def test_hash_agrees_with_eq_on_rationals():
         assert s != 3 and s not in {3, Fraction(3)}
 
 
+def test_from_parts_rejects_a_non_positive_denominator():
+    # the store keeps den > 0, so 1/-2 is never stored as written
+    assert Scalar.from_parts({0: 1}, 2) == Scalar.of(Fraction(1, 2))
+    for den in (0, -2):
+        with pytest.raises(ValueError, match=f"den = {den}"):
+            Scalar.from_parts({0: 1}, den)
+
+
+def test_from_json_rejects_a_non_integral_pi_exponent():
+    entry = {"pi": 1, "num": "1", "den": "2"}
+    assert Scalar.from_json([entry]) == Scalar.of(Fraction(1, 2), 1)
+    for pi in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Scalar.from_json([{**entry, "pi": pi}])
+
+
 def test_non_integral_pi_exponents_raise():
     # an exponent is read through operator.index, so 2.9 is never 2
     from uval.valuation import Valuation

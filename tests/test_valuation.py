@@ -1,5 +1,6 @@
 """The valuation algebra: bases, quotient map, product, involutions, Klain."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -257,6 +258,16 @@ def test_json_roundtrip():
         data = v.to_json()
         assert set(data) == {"n", "components"}
         assert Valuation.from_json(data) == v
+
+
+def test_from_json_rejects_non_integral_indices():
+    # n and q are read as integers, never truncated; the component keys
+    # and the num/den fields stay decimal strings, as to_json writes them
+    data = json.loads(json.dumps(mu(2, 2, 1).to_json()))
+    assert Valuation.from_json(data) == mu(2, 2, 1)
+    for bad in ({**data, "n": 2.5}, {**data, "components": {"2": [{**data["components"]["2"][0], "q": 1.5}]}}):
+        with pytest.raises(TypeError):
+            Valuation.from_json(bad)
 
 
 def test_str_rendering():
