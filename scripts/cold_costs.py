@@ -45,8 +45,9 @@ from common import THREAD_PINS  # noqa: E402
 # bounds the peak RSS of this same command.
 MC_N8 = ["mc", "--n", "8", "--k", "5", "--angles", "0.3,0.9", "--co-angles", "0.7,0.1",
          "--samples", "100000", "--threads", "2"]
-# MC_N8 on 1, 2 and 3 threads: every worker draws at least one whole
-# MC_CHUNK, so the three peaks give the memory per worker.
+# MC_N8 on 1, 2 and 3 threads: every worker runs at least one whole
+# MC_CHUNK through its MC_BLOCK buffers, so the three peaks give the
+# memory per worker.
 ROWS = {**LONG_JOBS, "mc_n8": MC_N8,
         **{f"mc_n8_t{t}": [*MC_N8[:-1], str(t)] for t in (1, 3)},
         "tasaki64": ["tasaki", "--n", "64", "--k", "64"],

@@ -32,9 +32,9 @@ __all__ = ["main"]
 # about 20 s on one core (whole processes, 2 shared cores, Python 3.11):
 # at n = 32 pkf takes 0.3 s, additive of (chi+t)^64 7.5-9 s and
 # convert --to prim of it 0.3 s; the Gram-inverse Tasaki matrix takes at
-# most 0.8 s at n = 64 (k = 63).  mc holds the real parts of MC_CHUNK
-# samples and one MC_BLOCK of 2n x 2n matrices per thread, about 26 MB
-# at n = 8; the whole process with --threads 2 peaks near 92 MB there.
+# most 0.8 s at n = 64 (k = 63).  mc holds one MC_BLOCK of 2n x 2n
+# matrices and their normals per thread, about 11 MB at n = 8; the whole
+# process with --threads 2 peaks near 61 MB there.
 MAX_N = {"tasaki": 64, "mc": 8}
 DEFAULT_MAX_N = 32
 

@@ -24,6 +24,7 @@ the squared angle cosines.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,13 +64,13 @@ MAX_SAMPLES = 10_000_000
 # Samples per Haar draw in an mc_crofton worker.  Part of what fixes the
 # output of a (seed, threads) pair: each chunk draws all its real parts,
 # then all its imaginary parts, from the worker's stream, and its |det|
-# values are summed as one array.  The real parts of a chunk are held
-# whole (MC_CHUNK * n^2 floats, 16.8 MB at n = 8), since the imaginary
-# parts come after all of them in the stream.
+# values are summed as one array.  Only the |det| values of a chunk are
+# held whole (MC_CHUNK floats, 256 KB); _haar_blocks replays the real
+# parts from a copy of the stream one block at a time.
 MC_CHUNK = 1 << 15
-# Samples per block of the per-matrix pipeline (imaginary parts, QR, phase
-# fix, rotation of F, determinant).  It only bounds the working set: the
-# imaginary parts are drawn in stream order whatever the block, and every
+# Samples per block of the per-matrix pipeline (real and imaginary parts,
+# QR, phase fix, rotation of F, determinant).  It only bounds the working
+# set: the normals are drawn in stream order whatever the block, and every
 # matrix goes through the same floating-point operations in a block of any
 # size, so the output does not depend on it.
 MC_BLOCK = 1 << 10
@@ -232,21 +233,28 @@ def _haar_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def _haar_blocks(n: int, count: int, rng: np.random.Generator, re: np.ndarray | None = None):
+def _haar_blocks(n: int, count: int, rng: np.random.Generator):
     """Yield (slice, unitaries) over blocks of count Haar unitaries on C^n.
 
-    All count real parts are drawn from rng first, into re[:count] when
-    re is given; then each block's imaginary parts, right before its QR.
-    That is the order of one draw of every real part, then one of every
-    imaginary part, so the values do not depend on MC_BLOCK.
+    The stream order is that of one draw of every real part, then one of
+    every imaginary part, and rng ends past both.  Only one MC_BLOCK of
+    each is held: a copy of rng replays the real parts block by block,
+    while rng itself first skips them (drawn into the same scratch block
+    and discarded), then draws each block's imaginary parts.  A normal
+    costs a varying number of raw draws, so skipping means drawing.  The
+    values do not depend on MC_BLOCK.
     """
-    re = rng.standard_normal((count, n, n)) if re is None else rng.standard_normal(out=re[:count])
-    im = np.empty((min(count, MC_BLOCK), n, n))
-    for start in range(0, count, MC_BLOCK):
-        s = slice(start, min(start + MC_BLOCK, count))
-        block = im[: s.stop - s.start]
-        rng.standard_normal(out=block)
-        yield s, _haar_block(re[s], block)
+    replay = copy.deepcopy(rng)
+    size = min(count, MC_BLOCK)
+    re, im = np.empty((size, n, n)), np.empty((size, n, n))
+    blocks = [slice(start, min(start + MC_BLOCK, count)) for start in range(0, count, MC_BLOCK)]
+    for s in blocks:
+        rng.standard_normal(out=re[: s.stop - s.start])
+    for s in blocks:
+        b = s.stop - s.start
+        replay.standard_normal(out=re[:b])
+        rng.standard_normal(out=im[:b])
+        yield s, _haar_block(re[:b], im[:b])
 
 
 def _haar_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -321,11 +329,10 @@ def mc_crofton(
     above MAX_THREADS or above samples, and samples above MAX_SAMPLES, are
     refused before any worker starts.
 
-    Each worker holds the real parts of one MC_CHUNK (MC_CHUNK * n^2
-    floats, 4.2 MB at n = 4 and 16.8 MB at n = 8) and the working arrays of
-    one MC_BLOCK of matrices, imaginary parts included: about 7 MB per
-    thread at n = 4 and 26 MB at n = 8, measured as whole-process peak RSS
-    against the thread count.
+    Each worker holds the working arrays of one MC_BLOCK of matrices, real
+    and imaginary parts included, and the |det| values of one MC_CHUNK:
+    about 3 MB per thread at n = 4 and 11 MB at n = 8, measured as
+    whole-process peak RSS against the thread count.
     """
     if not 1 <= k <= n:
         raise ValueError("mc_crofton needs 1 <= k <= n")
@@ -353,20 +360,20 @@ def mc_crofton(
     def worker(args) -> tuple[float, float]:
         count, ss = args
         rng = np.random.default_rng(ss)
-        size = min(count, MC_CHUNK)
-        re = np.empty((size, n, n))
-        d = np.empty(size)
+        d = np.empty(min(count, MC_CHUNK))
         # [E | gF] per sample: E is written once, each block overwrites gF
-        stacked = np.empty((min(size, MC_BLOCK), 2 * n, 2 * n))
+        stacked = np.empty((min(count, MC_BLOCK), 2 * n, 2 * n))
         stacked[:, :, :k] = e_cols
         total = 0.0
         total_sq = 0.0
         left = count
         while left > 0:
             batch = min(left, MC_CHUNK)
-            for s, g in _haar_blocks(n, batch, rng, re):
-                moved = g @ f_complex
-                m = stacked[: s.stop - s.start]
+            for s, g in _haar_blocks(n, batch, rng):
+                b = s.stop - s.start
+                # one 2-D product for the block, not b stacked n x n ones
+                moved = (g.reshape(-1, n) @ f_complex).reshape(b, n, -1)
+                m = stacked[:b]
                 m[:, 0::2, k:] = moved.real
                 m[:, 1::2, k:] = moved.imag
                 np.abs(np.linalg.det(m), out=d[s])

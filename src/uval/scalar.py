@@ -243,8 +243,13 @@ class Scalar:
 
     @staticmethod
     def from_json(data: Iterable[Mapping]) -> "Scalar":
+        """The Scalar of to_json's output.  num and den are decimal strings
+        there; any other type must be an integer, so a float raises."""
+        def whole(x) -> int:
+            return int(x) if isinstance(x, str) else index(x)
+
         return Scalar(accumulate({}, (
-            (index(entry["pi"]), Fraction(int(entry["num"]), int(entry["den"]))) for entry in data
+            (index(entry["pi"]), Fraction(whole(entry["num"]), whole(entry["den"]))) for entry in data
         )))
 
     def __str__(self) -> str:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 from .scalar import Scalar, _Record, _reduced, _scalars, double_factorial, factorial
 from .valuation import Valuation, _combine, _lift, _restrict, q_range
@@ -136,6 +136,7 @@ def primitive_general(n: int, k: int, r: int) -> Valuation:
     Admissible range 2r <= k <= 2n - 2r.  The operator-iteration route is
     equivalent and kept as a test invariant.
     """
+    n, k, r = index(n), index(k), index(r)
     if not (0 <= 2 * r <= k <= 2 * n - 2 * r):
         raise ValueError(f"primitive element needs 2r <= k <= 2n-2r, got (n,k,r)=({n},{k},{r})")
     d, a = _primitive_tau_coeffs(n, k, r)

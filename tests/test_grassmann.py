@@ -114,6 +114,23 @@ def test_haar_first_entry_moment():
     assert abs(float(m.mean()) - 1 / n) < 3 * stderr
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_haar_blocks_keep_the_stream_of_one_whole_draw(n):
+    """_haar_blocks holds one block of normals yet yields what one draw of
+    every real part, then one of every imaginary part, gives, and leaves
+    the caller's generator where that draw leaves it."""
+    from uval.grassmann import MC_BLOCK, _haar_block, _haar_blocks
+
+    for count in (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5):
+        rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+        want = _haar_block(ref.standard_normal((count, n, n)), ref.standard_normal((count, n, n)))
+        got = np.empty_like(want)
+        for s, g in _haar_blocks(n, count, rng):
+            got[s] = g
+        assert got.tobytes() == want.tobytes(), f"n = {n}, count = {count}"
+        assert rng.bit_generator.state == ref.bit_generator.state, f"n = {n}, count = {count}"
+
+
 def test_klain_delta_numeric():
     for n in range(1, 5):
         for k in range(1, n + 1):

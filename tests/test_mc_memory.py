@@ -13,13 +13,18 @@ import pytest
 pytest.importorskip("numpy")
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# Two workers, each with the real parts of one MC_CHUNK and one block of
-# MC_BLOCK matrices, peak near 92 MB; with the imaginary parts of a whole
-# chunk held as well they took about 140 MB.
-MC_N8_PEAK_RSS_MB = 105
+# Two workers, each holding one MC_BLOCK of real parts, imaginary parts
+# and the matrices built from them, peak near 61 MB; when each held the
+# real parts of a whole MC_CHUNK as well they peaked near 92 MB.
+MC_N8_PEAK_RSS_MB = 75
+# Each worker adds about 11 MB at n = 8, so three threads peak about 22 MB
+# above one; with the real parts of a whole MC_CHUNK per worker the gap
+# was about 52 MB.
+MC_N8_TWO_MORE_WORKERS_MB = 32
 # 100 000 unitaries on C^3 drawn block by block, keeping only |g_00|^2,
-# peak near 45 MB; holding all of them took about 66 MB.
-HAAR_CHECK_PEAK_RSS_MB = 55
+# peak near 38 MB; with every real part held it took about 45 MB, and
+# with every unitary held about 66 MB.
+HAAR_CHECK_PEAK_RSS_MB = 45
 DEADLINE_S = 120  # each run takes about a second on one core
 
 
@@ -77,6 +82,12 @@ def _peak_rss_mb(args: list[str]) -> float:
 def test_mc_n8_peak_rss_is_bounded():
     peak_mb = _peak_rss_mb(["-m", "uval.cli", *_cold_costs().MC_N8])
     assert peak_mb < MC_N8_PEAK_RSS_MB, f"uval mc --n 8 peaked at {peak_mb:.0f} MB"
+
+
+def test_mc_n8_memory_per_worker_is_bounded():
+    one, three = (_peak_rss_mb(["-m", "uval.cli", *_cold_costs().ROWS[f"mc_n8_t{t}"]]) for t in (1, 3))
+    assert three - one < MC_N8_TWO_MORE_WORKERS_MB, \
+        f"uval mc --n 8 peaked at {one:.0f} MB on one thread and {three:.0f} MB on three"
 
 
 def test_haar_check_peak_rss_is_bounded():

@@ -103,6 +103,15 @@ def test_from_json_rejects_a_non_integral_pi_exponent():
             Scalar.from_json([{**entry, "pi": pi}])
 
 
+def test_from_json_rejects_a_non_integral_coefficient():
+    # num and den are decimal strings in to_json's output; any other type
+    # is read through operator.index, so 1.5 is never 1 and 2.9 never 2
+    assert Scalar.from_json([{"pi": 0, "num": 3, "den": 2}]) == Scalar.of(Fraction(3, 2), 0)
+    for num, den in ((1.5, "1"), ("3", 2.9), (3.0, "2"), ("3", 2.0)):
+        with pytest.raises(TypeError):
+            Scalar.from_json([{"pi": 0, "num": num, "den": den}])
+
+
 def test_non_integral_pi_exponents_raise():
     # an exponent is read through operator.index, so 2.9 is never 2
     from uval.valuation import Valuation
