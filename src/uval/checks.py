@@ -4,12 +4,20 @@ Each check is a named callable taking a level ("quick" or "full") and
 raising AssertionError on the first violated invariant.  The quick level
 shrinks dimension ranges and sample counts; the full level runs the
 module invariants at their stated scale.  The acceptance-criteria tests
-in the test suite run independently of this registry at their own scale.
+in the test suite run at their own scale; the Bezout and numeric Klain
+criteria call check_bezout and check_klain_delta_numeric at the full level.
+
+The four `grassmann.*` checks are the only ones that import numpy.
+Where the platform can fork, run_selftest runs them in one forked worker
+process while the parent runs every other check, so the parent never
+imports numpy; the printed lines keep registry order either way.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 
 from .cones import (
@@ -886,30 +894,89 @@ CHECKS: list[tuple[str, object]] = [
 ]
 
 
+# The checks that import numpy: they run in the forked worker.
+NUMERIC = "grassmann."
+
+
+def _run_check(i: int, level: str) -> tuple[str, str]:
+    """Run CHECKS[i] in this process: its status ("ok", "FAIL" on an
+    AssertionError, "skip" when numpy cannot be imported) and the line
+    selftest prints for it.  Any other exception propagates."""
+    name, fn = CHECKS[i]
+    try:
+        fn(level)
+    except AssertionError as exc:
+        return "FAIL", f"FAIL {name}: {exc}"
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        return "skip", f"skip {name}: numpy is not installed"
+    return "ok", f"ok   {name}"
+
+
+def _numeric_worker() -> ProcessPoolExecutor | None:
+    """One worker process, forked from this one, or None where the
+    platform offers no fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+
+
 def run_selftest(level: str = "full") -> tuple[int, int]:
     """Run every check at the given level; returns (passed, failed).
 
     A check that needs numpy is reported as skipped, not failed, when
     numpy cannot be imported; the summary names the skipped count only
     when there is one.
+
+    The `grassmann.*` checks run in one forked worker (inline where there
+    is no fork) while this process runs the rest in registry order.  Each
+    line is printed in registry order as soon as its check and every
+    earlier one are done, so the output is the same as one process would
+    print.  An exception other than AssertionError or a missing numpy
+    propagates after the lines of the checks before the one that raised.
+    The worker is forked before the pool starts its own thread, and it is
+    reaped before this returns or raises.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown selftest level {level!r}")
-    passed = failed = skipped = 0
-    for name, fn in CHECKS:
-        try:
-            fn(level)
-        except AssertionError as exc:
-            failed += 1
-            print(f"FAIL {name}: {exc}")
-        except ModuleNotFoundError as exc:
-            if exc.name != "numpy":
-                raise
-            skipped += 1
-            print(f"skip {name}: numpy is not installed")
-        else:
-            passed += 1
-            print(f"ok   {name}")
+    counts = {"ok": 0, "FAIL": 0, "skip": 0}
+    worker = _numeric_worker()
+    try:
+        # per check: a Future in the worker, or (status, line) once run here
+        slots: list = [
+            worker.submit(_run_check, i, level) if worker and name.startswith(NUMERIC) else None
+            for i, (name, _) in enumerate(CHECKS)
+        ]
+        shown = 0
+
+        def show(upto: int, wait: bool) -> None:
+            """Print the lines before check upto that are known, in order."""
+            nonlocal shown
+            while shown < upto:
+                slot = slots[shown]
+                if isinstance(slot, Future):
+                    if not (wait or slot.done()):
+                        return
+                    slot = slot.result()  # raises what the check raised
+                status, line = slot
+                counts[status] += 1
+                print(line)
+                shown += 1
+
+        for i, slot in enumerate(slots):
+            if slot is None:
+                try:
+                    slots[i] = _run_check(i, level)
+                except Exception:
+                    show(i, wait=True)
+                    raise
+            show(i + 1, wait=False)
+        show(len(slots), wait=True)
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
+    passed, failed, skipped = counts["ok"], counts["FAIL"], counts["skip"]
     skips = f", {skipped} skipped" if skipped else ""
     print(f"selftest: {passed} passed, {failed} failed{skips} (level={level})")
     return passed, failed

@@ -250,19 +250,25 @@ def _f_recursive_st(k: int) -> GradedPoly:
 
 def f_recursive(k: int) -> GradedPoly:
     """f_k from the three-term recursion, returned in the (t, u) chart."""
+    k = index(k)
     if k < 1:
         raise ValueError("f_k defined for k >= 1")
     return change_vars(_f_recursive_st(k), "tu")
 
 
-@lru_cache(maxsize=None)
 def f_closed(k: int) -> GradedPoly:
     """f_k from the closed binomial sum, in the (t, u) chart.
 
     f_k = 1/(k (-2)^{k-1}) * sum_q (-1)^q C(k, 2q) t^{k-2q} u^q.
     """
+    k = index(k)
     if k < 1:
         raise ValueError("f_k defined for k >= 1")
+    return _f_closed(k)
+
+
+@lru_cache(maxsize=None)
+def _f_closed(k: int) -> GradedPoly:
     pref = Fraction(1, k * (-2) ** (k - 1))
     coeffs = {}
     for q in range(k // 2 + 1):

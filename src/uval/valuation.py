@@ -310,6 +310,7 @@ def mu(n: int, k: int, q: int) -> Valuation:
     formulas an out-of-range mu is zero, but as a constructor request it is
     an error.
     """
+    n, k, q = index(n), index(k), index(q)
     if q not in (qs := q_range(n, k)):
         raise ValueError(f"mu index (k={k}, q={q}) out of range at n={n}")
     return _raw(n, 1, {k: {0: tuple(int(i == q) for i in qs)}})
@@ -322,6 +323,7 @@ def tau(n: int, k: int, q: int) -> Valuation:
     i < k - n vanish locally and are dropped (so e.g. tau_{2,0} = mu_{2,1}
     at n = 1).
     """
+    n, k, q = index(n), index(k), index(q)
     if n < 1:
         raise ValueError("ambient complex dimension must be >= 1")
     if not 0 <= k <= 2 * n:

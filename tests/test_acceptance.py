@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from uval.checks import check_bezout, check_klain_delta_numeric
 from uval.cones import (
     first_variation,
     in_cone,
@@ -18,7 +19,6 @@ from uval.cones import (
 )
 from uval.kinematic import (
     additive_kinematic,
-    bezout_check,
     cpn_normalize,
     kinematic,
     pairing_pd,
@@ -35,7 +35,6 @@ from uval.valuation import (
     Valuation,
     fourier,
     from_monomial,
-    klain,
     mu,
     q_range,
     tau,
@@ -199,9 +198,8 @@ def test_criterion_08_worked_examples():
 
 
 def test_criterion_09_bezout():
-    for n, a, b in [(2, 1, 1), (3, 1, 2), (4, 1, 3), (4, 2, 2)]:
-        assert bezout_check(n, a, b) == Scalar.one(), (n, a, b)
-    _report(9, "Bezout contraction returns exactly 1 for (2,1,1), (3,1,2), (4,1,3), (4,2,2)")
+    check_bezout("full")
+    _report(9, "Bezout contraction returns exactly 1 for (2,1,1), (3,1,2), (3,2,1), (4,1,3), (4,2,2)")
 
 
 def test_criterion_10_cones():
@@ -260,14 +258,5 @@ def test_criterion_11_monte_carlo():
 
 
 def test_criterion_12_klain_delta_numeric():
-    from uval.grassmann import Frame, kahler_cos2
-
-    for n in range(1, 5):
-        for k in range(1, n + 1):
-            for q in q_range(n, k):
-                kp = klain(mu(n, k, q), k)
-                for qp in range(0, k // 2 + 1):
-                    value = kp.evaluate(kahler_cos2(Frame.model(n, k, qp)))
-                    want = 1.0 if qp == q else 0.0
-                    assert abs(value - want) < 1e-9, (n, k, q, qp)
+    check_klain_delta_numeric("full")
     _report(12, "Klain delta relations hold numerically to 1e-9 for all model planes, k <= n <= 4")

@@ -12,11 +12,17 @@ import pytest
 
 import uval
 
-# (entry, int arguments, the same arguments with a float degree)
+# case -> (entry, int arguments, the same arguments with one float)
 ENTRIES = {
-    "tasaki_matrix_closed": ((2, 2), (2.0, 2)),
-    "tasaki_matrix_oracle": ((2, 2), (2.0, 2)),
-    "primitive_general": ((3, 2, 1), (3.0, 2, 1)),
+    "tasaki_matrix_closed": ("tasaki_matrix_closed", (2, 2), (2.0, 2)),
+    "tasaki_matrix_oracle": ("tasaki_matrix_oracle", (2, 2), (2.0, 2)),
+    "primitive_general": ("primitive_general", (3, 2, 1), (3.0, 2, 1)),
+    "mu": ("mu", (3, 2, 1), (3.0, 2, 1)),
+    "tau": ("tau", (3, 2, 1), (3.0, 2, 1)),
+    "tau_float_q": ("tau", (3, 2, 1), (3, 2, 1.0)),
+    "chi": ("chi", (3,), (3.0,)),
+    "f_closed": ("f_closed", (3,), (3.0,)),
+    "f_recursive": ("f_recursive", (3,), (3.0,)),
 }
 REFUSAL = "TypeError: 'float' object cannot be interpreted as an integer"
 
@@ -27,9 +33,9 @@ def _refusal(fn, args) -> str:
     return f"TypeError: {info.value}"
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-def test_float_degree_is_refused_fresh(name):
-    _, floats = ENTRIES[name]
+@pytest.mark.parametrize("case", ENTRIES)
+def test_float_degree_is_refused_fresh(case):
+    name, _, floats = ENTRIES[case]
     script = (f"import uval\ntry:\n    uval.{name}(*{floats!r})\n"
               f"except Exception as e:\n    print(f'{{type(e).__name__}}: {{e}}')\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30)
@@ -37,9 +43,9 @@ def test_float_degree_is_refused_fresh(name):
     assert proc.stdout.strip() == REFUSAL
 
 
-@pytest.mark.parametrize("name", ENTRIES)
-def test_float_degree_is_refused_warm(name):
-    ints, floats = ENTRIES[name]
+@pytest.mark.parametrize("case", ENTRIES)
+def test_float_degree_is_refused_warm(case):
+    name, ints, floats = ENTRIES[case]
     fn = getattr(uval, name)
     fn(*ints)
     assert _refusal(fn, floats) == REFUSAL
