@@ -43,7 +43,7 @@ work on its store, and an undecided sign names the coefficient itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Mapping, Optional
 
 from .scalar import Scalar, _Record, _parts_text, _reduced, binomial, int_sign, omega, sign
@@ -117,6 +117,7 @@ def nu(n: int, k: int, p: int) -> Valuation:
     certified closed Gram inverse, q0 = max(0, k-n); restricted to level n
     they are its mu coordinates, by position in the window, which F keeps.
     """
+    n, k, p = index(n), index(k), index(p)
     qs = q_range(n, k)
     if p not in qs:
         raise ValueError(f"nu index (k={k}, p={p}) out of range at n={n}")

@@ -21,6 +21,7 @@ ENTRIES = {
     "tau": ("tau", (3, 2, 1), (3.0, 2, 1)),
     "tau_float_q": ("tau", (3, 2, 1), (3, 2, 1.0)),
     "chi": ("chi", (3,), (3.0,)),
+    "nu": ("nu", (3, 2, 1), (3.0, 2, 1)),
     "f_closed": ("f_closed", (3,), (3.0,)),
     "f_recursive": ("f_recursive", (3,), (3.0,)),
 }

@@ -111,5 +111,5 @@ def test_error_propagates_after_the_lines_before_it(monkeypatch, capsys, name):
         main(["selftest", "--level", "quick"])
     before = NAMES[:NAMES.index(name)]
     assert "grassmann.angles" in before
-    assert capsys.readouterr().out.splitlines() == [f"ok   {name}" for name in before]
+    assert capsys.readouterr().out.splitlines() == [f"ok   {check}" for check in before]
     assert multiprocessing.active_children() == []
