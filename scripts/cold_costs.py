@@ -13,13 +13,17 @@ threads, both Tasaki routes at the `tasaki` cap n = 64, the README's
 whole-process `convert` and `additive` rows, and its library `kinematic`
 rows as `kinematic --n N --val "(chi+t)^(2N)"` for N = 16, 24 and 32.
 Every row runs RUNS times per side, alternating which side goes first.
-CPU time (ru_utime + ru_stime) and peak RSS (ru_maxrss) are the child's
-own, read with os.wait4, so no other child counts.  CPU time leaves out
+CPU time (ru_utime + ru_stime) and peak RSS (ru_maxrss) are read with
+os.wait4, so no other child of this script counts.  They include every
+process the command reaps itself, such as the worker `selftest` forks:
+CPU time is their sum and peak RSS the largest of them.  (A child that
+forks and reaps a process holding 80 MB for 0.5 s of CPU reads about
+0.6 s and 90 MB.)  CPU time leaves out
 the time a child waits for a core, but not the slowdown that other work
 on shared cores causes while it runs.  The rows are written
 under "cold_costs" into the --out file, keeping what is already there:
 each run's wall time, CPU time, peak RSS and stdout digest, and per side
-the median and range of the three.
+the median and range of its RUNS runs.
 """
 
 from __future__ import annotations
